@@ -265,7 +265,8 @@ def cmd_publish(args) -> int:
     _emit({
         "records": int(len(table)),
         "buckets": int(pt.bucket_count),
-        "bucket_sizes": [[int(s), int(c)] for s, c in sorted(sizes.items())],
+        "bucket_sizes": [[int(s), int(c)] for s, c in sorted(sizes.items())
+                         if c > 0],
         "loss": int(loss),
         "sigma": int(args.sigma),
         "out": str(args.out),
@@ -318,8 +319,7 @@ def cmd_evaluate(args) -> int:
     payload = report.to_dict()
     payload["privacy_ok"] = privacy_ok
     payload["sigma"] = int(pt.sigma)
-    payload["max_ratios"] = {label: float(r)
-                             for label, r in published_max_ratios(pt).items()}
+    payload["max_ratios"] = published_max_ratios(pt)
     _emit(payload)
     if not privacy_ok:
         raise InfeasiblePrivacyError(

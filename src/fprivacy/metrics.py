@@ -126,12 +126,21 @@ def gen_queries(qi_domains: Sequence[Sequence[str]], sa_domain: Sequence[str],
     return pool
 
 
+def _admits(codes: np.ndarray, admitted: Sequence[int],
+            domain_size: int) -> np.ndarray:
+    """Which entries of codes are in admitted, through a boolean lookup table
+    over the code domain."""
+    table = np.zeros(domain_size, dtype=bool)
+    table[list(admitted)] = True
+    return table[codes]
+
+
 def answer_true(table: MicrodataTable, query: CountQuery) -> int:
     """Exact count of records matching every predicate."""
-    mask = np.ones(len(table), dtype=bool)
+    mask = _admits(table.sa_codes, query.sa_values, len(table.sa_domain))
     for attr, values in query.qi_predicates:
-        mask &= np.isin(table.qi_codes[:, attr], np.asarray(values))
-    mask &= np.isin(table.sa_codes, np.asarray(query.sa_values))
+        mask &= _admits(table.qi_codes[:, attr], values,
+                        len(table.qi_domains[attr]))
     return int(mask.sum())
 
 
@@ -144,11 +153,12 @@ def answer_estimated(pt: PublishedTables, query: CountQuery) -> float:
     """
     qi_mask = np.ones(len(pt), dtype=bool)
     for attr, values in query.qi_predicates:
-        qi_mask &= np.isin(pt.qi_codes[:, attr], np.asarray(values))
+        qi_mask &= _admits(pt.qi_codes[:, attr], values,
+                           len(pt.qi_domains[attr]))
     qi_per_bucket = np.bincount(pt.qit_bids[qi_mask],
                                 minlength=pt.bucket_count + 1)
     st_total = np.bincount(pt.st_bids, minlength=pt.bucket_count + 1)
-    sa_mask = np.isin(pt.st_codes, np.asarray(query.sa_values))
+    sa_mask = _admits(pt.st_codes, query.sa_values, pt.m)
     st_match = np.bincount(pt.st_bids[sa_mask], minlength=pt.bucket_count + 1)
     occupied = st_total > 0
     return float(np.sum(qi_per_bucket[occupied] * st_match[occupied]

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, IngestionError, MicrodataTable
+from .core import FLOOR_EPS, ConfigError, IngestionError, MicrodataTable
 from .validate import Assignment
 
 __all__ = [
@@ -101,6 +101,12 @@ class PublishedTables:
         return np.nonzero(self.qit_bids == bid)[0]
 
 
+def _bucket_bounds(sorted_bids: np.ndarray, bucket_count: int) -> np.ndarray:
+    """Row offsets of buckets 1..bucket_count in ascending bucket ids: bucket
+    b's rows are [bounds[b-1], bounds[b])."""
+    return np.searchsorted(sorted_bids, np.arange(1, bucket_count + 2))
+
+
 def publish(table: MicrodataTable, assignment: Assignment,
             seed: int = 0) -> PublishedTables:
     """Split a table into its published pair under a record assignment.
@@ -114,22 +120,23 @@ def publish(table: MicrodataTable, assignment: Assignment,
         raise ConfigError("assignment does not cover the table")
     bucket_count = assignment.bucket_count
     qit_bids = assignment.bucket_of.astype(np.int32) + 1
-    st_bids = []
-    st_codes = []
-    root = np.random.SeedSequence(seed)
-    streams = root.spawn(bucket_count)
+    # a stable sort keeps each bucket's values in record order before the
+    # shuffle, which is what fixes the published bytes for a seed
+    order = np.argsort(qit_bids, kind="stable")
+    st_bids = qit_bids[order]
+    st_codes = table.sa_codes[order].astype(np.int32)
+    bounds = _bucket_bounds(st_bids, bucket_count)
+    streams = np.random.SeedSequence(seed).spawn(bucket_count)
     for b in range(bucket_count):
-        codes = table.sa_codes[qit_bids == b + 1].copy()
-        np.random.default_rng(streams[b]).shuffle(codes)
-        st_bids.append(np.full(len(codes), b + 1, dtype=np.int32))
-        st_codes.append(codes)
+        np.random.default_rng(streams[b]).shuffle(
+            st_codes[bounds[b]:bounds[b + 1]])
     return PublishedTables(
         qi_names=tuple(table.qi_names),
         sa_name=table.sa_name,
         qi_codes=table.qi_codes.copy(),
         qit_bids=qit_bids,
-        st_bids=np.concatenate(st_bids),
-        st_codes=np.concatenate(st_codes).astype(np.int32),
+        st_bids=st_bids,
+        st_codes=st_codes,
         qi_domains=tuple(tuple(d) for d in table.qi_domains),
         sa_domain=tuple(table.sa_domain),
         bucket_count=bucket_count,
@@ -164,55 +171,60 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
     if pt.sigma > 0:
         raise ConfigError("fake values are already present; start from a "
                           "plain published pair")
-    all_codes = np.arange(pt.m, dtype=np.int32)
-    caps = None
+    B = pt.bucket_count
+    bounds = _bucket_bounds(pt.st_bids, B)
+    sizes = np.diff(bounds)
+    present = np.zeros((B, pt.m), dtype=bool)
+    present[pt.st_bids - 1, pt.st_codes] = True
+    duplicated = present.sum(axis=1) != sizes
+    eligible = ~present
     if thresholds is not None:
         try:
             caps = np.array([float(thresholds[label]) for label in pt.sa_domain])
         except KeyError as missing:
             raise ConfigError(f"no threshold for SA value {missing}") from None
-    root = np.random.SeedSequence(seed)
-    streams = root.spawn(pt.bucket_count)
-    new_bids = []
-    new_codes = []
-    fake_map = []
-    for b in range(1, pt.bucket_count + 1):
-        real = pt.st_slice(b)
-        if len(np.unique(real)) != len(real):
+        fake_weight = 1.0 / (sizes + sigma)
+        eligible &= caps[None, :] + 1e-12 >= fake_weight[:, None]
+    if model is not None:
+        for j, domain in enumerate(pt.qi_domains):
+            flagged = np.zeros((len(domain), pt.m), dtype=bool)
+            for attr, z, x in model.flagged:
+                if attr == j and 0 <= z < len(domain) and 0 <= x < pt.m:
+                    flagged[z, x] = True
+            qi_present = np.zeros((B, len(domain)), dtype=bool)
+            qi_present[pt.qit_bids - 1, pt.qi_codes[:, j]] = True
+            eligible &= ~(qi_present @ flagged)
+    choices = eligible.sum(axis=1)
+    failing = np.flatnonzero(duplicated | (choices < sigma))
+    if len(failing):
+        b = int(failing[0])
+        if duplicated[b]:
             raise ConfigError(
-                f"bucket {b} holds duplicate sensitive values; fake "
+                f"bucket {b + 1} holds duplicate sensitive values; fake "
                 f"injection requires distinct values per bucket")
-        eligible = np.setdiff1d(all_codes, real, assume_unique=False)
-        if caps is not None:
-            fake_weight = 1.0 / (len(real) + sigma)
-            eligible = eligible[caps[eligible] + 1e-12 >= fake_weight]
-        if model is not None:
-            rows = pt.qit_rows_of(b)
-            banned = set()
-            for j in range(len(pt.qi_names)):
-                for z in np.unique(pt.qi_codes[rows, j]):
-                    for x in eligible:
-                        if model.is_flagged(j, int(z), int(x)):
-                            banned.add(int(x))
-            if banned:
-                eligible = np.array(
-                    [c for c in eligible if int(c) not in banned],
-                    dtype=np.int32)
-        if len(eligible) < sigma:
-            raise ConfigError(
-                f"bucket {b} has only {len(eligible)} admissible fake values "
-                f"but sigma={sigma}")
-        rng = np.random.default_rng(streams[b - 1])
-        fakes = rng.choice(eligible, size=sigma, replace=False)
-        merged = np.concatenate([real, fakes.astype(np.int32)])
+        raise ConfigError(
+            f"bucket {b + 1} has only {choices[b]} admissible fake values "
+            f"but sigma={sigma}")
+
+    # each bucket's stream draws its fakes, then shuffles real + fakes in
+    # place; these calls alone fix the output bytes for a seed
+    new_bounds = bounds + sigma * np.arange(B + 1)
+    new_codes = np.empty(new_bounds[-1], dtype=np.int32)
+    streams = np.random.SeedSequence(seed).spawn(B)
+    fake_map = []
+    for b in range(B):
+        rng = np.random.default_rng(streams[b])
+        fakes = rng.choice(np.flatnonzero(eligible[b]).astype(np.int32),
+                           size=sigma, replace=False)
+        merged = new_codes[new_bounds[b]:new_bounds[b + 1]]
+        merged[:sizes[b]] = pt.st_codes[bounds[b]:bounds[b + 1]]
+        merged[sizes[b]:] = fakes
         rng.shuffle(merged)
-        new_bids.append(np.full(len(merged), b, dtype=np.int32))
-        new_codes.append(merged)
-        fake_map.append(tuple(sorted(int(c) for c in fakes)))
+        fake_map.append(tuple(sorted(fakes.tolist())))
     return replace(
         pt,
-        st_bids=np.concatenate(new_bids),
-        st_codes=np.concatenate(new_codes),
+        st_bids=np.repeat(np.arange(1, B + 1, dtype=np.int32), sizes + sigma),
+        st_codes=new_codes,
         sigma=sigma,
         fake_map=tuple(fake_map),
     )
@@ -336,34 +348,42 @@ def corruption_attack_sim(pt: PublishedTables,
     return CorruptionReport(buckets=tuple(buckets), max_record_prob=worst)
 
 
+def _bucket_value_counts(pt: PublishedTables):
+    """(SA code, count, bucket ST size) of every (bucket, value) pair present
+    in the ST rows; sizes include fakes."""
+    keys, counts = np.unique(pt.st_bids.astype(np.int64) * pt.m + pt.st_codes,
+                             return_counts=True)
+    bids, codes = np.divmod(keys, pt.m)
+    sizes = np.bincount(pt.st_bids, minlength=pt.bucket_count + 1)[bids]
+    return codes, counts, sizes
+
+
 def published_max_ratios(pt: PublishedTables) -> dict[str, float]:
     """Worst in-bucket frequency of every SA label across the release."""
-    ratios: dict[str, float] = {}
-    for bid in range(1, pt.bucket_count + 1):
-        codes = pt.st_slice(bid)
-        if len(codes) == 0:
-            continue
-        counts = np.bincount(codes, minlength=pt.m)
-        for code in np.nonzero(counts)[0]:
-            label = pt.sa_domain[code]
-            ratio = counts[code] / len(codes)
-            if ratio > ratios.get(label, 0.0):
-                ratios[label] = float(ratio)
-    return ratios
+    codes, counts, sizes = _bucket_value_counts(pt)
+    worst = np.zeros(pt.m)
+    np.maximum.at(worst, codes, counts / sizes)
+    return {pt.sa_domain[code]: float(worst[code])
+            for code in np.flatnonzero(worst)}
 
 
 def check_published_privacy(pt: PublishedTables,
-                            thresholds: dict[str, float],
-                            tol: float = 1e-12) -> bool:
+                            thresholds: dict[str, float]) -> bool:
     """Recheck the release against per-label thresholds (labels not present
-    in the release pass trivially)."""
-    ratios = published_max_ratios(pt)
-    for label, ratio in ratios.items():
+    in the release pass trivially).
+
+    A value passes a bucket when its count there is within value_slots of the
+    bucket's ST size, floor(threshold * size) under the same epsilon guard,
+    which is the capacity the search and partitioning fill to.
+    """
+    codes, counts, sizes = _bucket_value_counts(pt)
+    caps = np.ones(pt.m)
+    for code in np.unique(codes):
+        label = pt.sa_domain[code]
         if label not in thresholds:
             raise ConfigError(f"no threshold given for value {label!r}")
-        if ratio > thresholds[label] + tol:
-            return False
-    return True
+        caps[code] = thresholds[label]
+    return bool(np.all(counts <= np.floor(caps[codes] * sizes + FLOOR_EPS)))
 
 
 def write_published(pt: PublishedTables, out_dir) -> None:
@@ -446,25 +466,50 @@ def read_published(in_dir) -> PublishedTables:
     fake_map: tuple[tuple[int, ...], ...] = tuple(() for _ in range(bucket_count))
     audit_path = src / "fakes_audit.json"
     if audit_path.exists():
-        with open(audit_path, encoding="utf-8") as fh:
-            audit = json.load(fh)
-        sigma = int(audit.get("sigma", 0))
+        sigma, fakes = _read_audit(audit_path, sa_lookup)
         if sigma:
-            rebuilt = []
-            for b in range(1, bucket_count + 1):
-                labels = audit["buckets"].get(str(b), [])
-                rebuilt.append(tuple(sorted(sa_lookup[v] for v in labels)))
-            fake_map = tuple(rebuilt)
-    return PublishedTables(
-        qi_names=qi_names,
-        sa_name=sa_name,
-        qi_codes=qi_codes,
-        qit_bids=qit_bids,
-        st_bids=st_bids,
-        st_codes=st_codes,
-        qi_domains=tuple(qi_domains),
-        sa_domain=tuple(sa_domain),
-        bucket_count=bucket_count,
-        sigma=sigma,
-        fake_map=fake_map,
-    )
+            fake_map = tuple(
+                tuple(sorted(sa_lookup[v] for v in fakes.get(str(b), [])))
+                for b in range(1, bucket_count + 1))
+    try:
+        return PublishedTables(
+            qi_names=qi_names,
+            sa_name=sa_name,
+            qi_codes=qi_codes,
+            qit_bids=qit_bids,
+            st_bids=st_bids,
+            st_codes=st_codes,
+            qi_domains=tuple(qi_domains),
+            sa_domain=tuple(sa_domain),
+            bucket_count=bucket_count,
+            sigma=sigma,
+            fake_map=fake_map,
+        )
+    except ConfigError as exc:
+        raise IngestionError(f"{src} does not hold a consistent release: "
+                             f"{exc}") from None
+
+
+def _read_audit(path, sa_lookup) -> tuple[int, dict]:
+    """sigma and the bucket id -> fake labels map of a fakes_audit.json,
+    checked to name only SA values that st.csv holds."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            audit = json.load(fh)
+    except ValueError as exc:
+        raise IngestionError(f"{path} is not valid JSON: {exc}") from None
+    fakes = audit.get("buckets") if isinstance(audit, dict) else None
+    if not isinstance(fakes, dict):
+        raise IngestionError(f"{path} has no 'buckets' map")
+    sigma = audit.get("sigma", 0)
+    if not isinstance(sigma, int) or sigma < 0:
+        raise IngestionError(f"{path}: sigma must be a non-negative integer")
+    for bid, labels in fakes.items():
+        if not isinstance(labels, list):
+            raise IngestionError(f"{path}: bucket {bid} fakes are not a list")
+        for label in labels:
+            if not isinstance(label, str) or label not in sa_lookup:
+                raise IngestionError(
+                    f"{path}: bucket {bid} names fake value {label!r}, which "
+                    f"{path.with_name('st.csv')} does not hold")
+    return sigma, fakes

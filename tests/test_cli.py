@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line pipeline and its exit codes."""
 
+import csv
+import hashlib
 import json
 import math
 
 import pytest
 
 from fprivacy.cli import main
+from fprivacy.metrics import gen_synthetic
 
 WALKTHROUGH_COUNTS = [1] * 8 + [6] * 4 + [9] * 2
 
@@ -224,6 +227,85 @@ class TestPublishEvaluate:
             assert code == 0
         for name in ("qit.csv", "st.csv", "fakes_audit.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_published_bytes_golden(self, capsys, tmp_path):
+        # digests of the release written before publish and inject_fakes
+        # moved to the bucket-sorted layout; any change to the shuffle or
+        # fake-draw streams shows here
+        table = gen_synthetic(300, 30, 0.0, [4, 3], seed=7)
+        csv_path = tmp_path / "uniform.csv"
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(list(table.qi_names) + [table.sa_name])
+            for row, sa in zip(table.qi_codes, table.sa_codes):
+                writer.writerow([table.qi_domains[j][c]
+                                 for j, c in enumerate(row)]
+                                + [table.sa_domain[sa]])
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "a2d5e7d674ebc99fd2fc86dad7e47774f017410ec85a5de86e513d7daf2529f0")
+        out = tmp_path / "pub"
+        code, report = run(capsys, "publish", "--input", str(csv_path),
+                           "--sa", "sa", "--out", str(out),
+                           "--sigma", "2", "--seed", "3")
+        assert code == 0
+        assert report["bucket_sizes"] == [[4, 55], [10, 8]]
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("qit.csv", "st.csv", "fakes_audit.json")}
+        assert digests == {
+            "qit.csv": "7e2993febdd541b1f885ef5621bb8a7e"
+                       "56622d6ab9cd8c0f352c15f4ab71773e",
+            "st.csv": "891163320e0371b010ce45dbc5f33686"
+                      "bcc3356f4fa0242be506e309e1ce013b",
+            "fakes_audit.json": "de872f6f5a34e8bb53382eb32d76d924"
+                                "e2c881cd909f4162634bcb0acccce490",
+        }
+
+    def test_bucket_sizes_omit_empty_groups(self, capsys, tmp_path):
+        # 120 records split exactly into 40 buckets of 3, so the two-size
+        # setting's second group is empty
+        csv_path = write_uniform_csv(tmp_path / "uniform.csv", m=20, per=6)
+        code, report = run(capsys, "publish", "--input", str(csv_path),
+                           "--sa", "Illness", "--out", str(tmp_path / "pub"))
+        assert code == 0
+        assert report["bucket_sizes"] == [[3, 40]]
+        assert report["buckets"] == 40
+
+    def test_evaluate_accepts_thresholds_at_a_third(self, capsys, tmp_path):
+        # 0.3333333333 admits one copy per size-3 bucket under value_slots'
+        # guard, so publish writes size-3 buckets; its own recheck must
+        # accept them
+        csv_path = write_uniform_csv(tmp_path / "thirds.csv", m=3, per=3)
+        privacy = tmp_path / "privacy.csv"
+        privacy.write_text("".join(f"v{code:02d},0.3333333333\n"
+                                   for code in range(3)))
+        out = tmp_path / "pub"
+        flags = ["--input", str(csv_path), "--sa", "Illness",
+                 "--privacy-file", str(privacy), "--out", str(out)]
+        code, report = run(capsys, "publish", *flags)
+        assert code == 0
+        assert report["bucket_sizes"] == [[3, 3]]
+        code, report = run(capsys, "evaluate", *flags, "--pool", "20",
+                           "--selectivity", "1")
+        assert code == 0
+        assert report["privacy_ok"] is True
+
+    @pytest.mark.parametrize("audit", [
+        "{not json",
+        '{"sigma": 1}',
+        '{"sigma": 1, "buckets": {"1": ["no such value"]}}',
+        '{"sigma": 1, "buckets": {}}',
+    ], ids=["bad-json", "no-buckets", "unknown-label", "sigma-mismatch"])
+    def test_malformed_audit_exits_four(self, capsys, tmp_path,
+                                        walkthrough_csv, audit):
+        out = tmp_path / "pub"
+        code, _ = run(capsys, *self.publish_args(walkthrough_csv, out))
+        assert code == 0
+        (out / "fakes_audit.json").write_text(audit)
+        code = main(["evaluate", "--input", str(walkthrough_csv),
+                     "--sa", "Disease", *WALK_PRIVACY, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert len(err.strip().splitlines()) == 1
 
     def test_evaluate_foreign_tables_exits_three(self, capsys, tmp_path,
                                                  walkthrough_csv):

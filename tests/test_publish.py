@@ -145,6 +145,10 @@ class TestPublish:
         (bad / "st.csv").write_text("BID,sa\n1,v\n")
         with pytest.raises(IngestionError):
             read_published(bad)
+        # a truncated st.csv no longer covers its bucket's records
+        (bad / "qit.csv").write_text("attr,BID\nv,1\nw,1\n")
+        with pytest.raises(IngestionError):
+            read_published(bad)
 
 
 class TestInjectFakes:
