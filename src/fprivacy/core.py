@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,9 +46,26 @@ class Record(NamedTuple):
     sa: str
 
 
-def _intern(labels: Iterable[str]) -> tuple[dict, tuple[str, ...]]:
-    domain = tuple(sorted(set(labels)))
-    return {v: i for i, v in enumerate(domain)}, domain
+def read_columns(reader, width: int, path) -> list[list[str]]:
+    """Split a csv.reader's rows, one at a time, into ``width`` column lists.
+    A row of another width raises IngestionError at path:record (header = 1)."""
+    columns: list[list[str]] = [[] for _ in range(width)]
+    appends = [column.append for column in columns]
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise IngestionError(
+                f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        for append, value in zip(appends, row):
+            append(value)
+    return columns
+
+
+def intern_labels(column: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """int32 codes of a label column and its sorted domain."""
+    domain = tuple(sorted(set(column)))
+    lookup = {label: i for i, label in enumerate(domain)}
+    return np.fromiter(map(lookup.__getitem__, column), dtype=np.int32,
+                       count=len(column)), domain
 
 
 @dataclass(frozen=True)
@@ -94,21 +111,22 @@ class MicrodataTable:
         """Build a table from label rows, interning every column."""
         if len(qi_rows) != len(sa_values):
             raise ConfigError("QI and SA row counts differ")
-        d = len(qi_names)
-        maps, domains = [], []
-        for j in range(d):
-            m, dom = _intern(row[j] for row in qi_rows)
-            maps.append(m)
-            domains.append(dom)
-        sa_map, sa_dom = _intern(sa_values)
-        qi_codes = np.empty((len(sa_values), d), dtype=np.int32)
-        for i, row in enumerate(qi_rows):
-            for j in range(d):
-                qi_codes[i, j] = maps[j][row[j]]
-        sa_codes = np.fromiter((sa_map[v] for v in sa_values), dtype=np.int32,
-                               count=len(sa_values))
+        qi_columns = [[row[j] for row in qi_rows] for j in range(len(qi_names))]
+        return cls.from_columns(qi_columns, sa_values, qi_names, sa_name)
+
+    @classmethod
+    def from_columns(cls, qi_columns: Sequence[Sequence[str]],
+                     sa_values: Sequence[str], qi_names: Sequence[str],
+                     sa_name: str) -> "MicrodataTable":
+        """Build a table from one label list per QI column, interning each."""
+        qi_codes = np.empty((len(sa_values), len(qi_names)), dtype=np.int32)
+        qi_domains = []
+        for j, column in enumerate(qi_columns):
+            qi_codes[:, j], domain = intern_labels(column)
+            qi_domains.append(domain)
+        sa_codes, sa_domain = intern_labels(sa_values)
         return cls(tuple(qi_names), sa_name, qi_codes, sa_codes,
-                   tuple(domains), sa_dom)
+                   tuple(qi_domains), sa_domain)
 
     @classmethod
     def from_codes(cls, qi_codes: np.ndarray, sa_codes: np.ndarray,
@@ -171,24 +189,18 @@ def ingest_csv(path, sa_column: str) -> MicrodataTable:
         raise IngestionError(f"cannot open {path}: {e}") from e
     with fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise IngestionError(f"{path}: empty file")
         if sa_column not in header:
             raise IngestionError(f"{path}: SA column {sa_column!r} not in header {header}")
         sa_idx = header.index(sa_column)
-        qi_names = [h for i, h in enumerate(header) if i != sa_idx]
-        qi_rows, sa_values = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            sa_values.append(row[sa_idx])
-            qi_rows.append([v for i, v in enumerate(row) if i != sa_idx])
+        columns = read_columns(reader, len(header), path)
+    sa_values = columns.pop(sa_idx)
     if not sa_values:
         raise IngestionError(f"{path}: no data rows")
-    return MicrodataTable.from_rows(qi_rows, sa_values, qi_names, sa_column)
+    qi_names = [h for i, h in enumerate(header) if i != sa_idx]
+    return MicrodataTable.from_columns(columns, sa_values, qi_names, sa_column)
 
 
 def histogram(table: MicrodataTable, rows: np.ndarray | None = None) -> SaHistogram:

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FLOOR_EPS, ConfigError, IngestionError, MicrodataTable
+from .core import (FLOOR_EPS, ConfigError, IngestionError, MicrodataTable,
+                   intern_labels, read_columns)
 from .validate import Assignment
 
 __all__ = [
@@ -390,17 +391,17 @@ def write_published(pt: PublishedTables, out_dir) -> None:
     """Write qit.csv, st.csv and the private fakes_audit.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    qi_labels = [np.array(domain, dtype=object)[pt.qi_codes[:, j]].tolist()
+                 for j, domain in enumerate(pt.qi_domains)]
     with open(out / "qit.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(pt.qi_names) + ["BID"])
-        for row, bid in zip(pt.qi_codes, pt.qit_bids):
-            writer.writerow([pt.qi_domains[j][code]
-                             for j, code in enumerate(row)] + [int(bid)])
+        writer.writerows(zip(*qi_labels, pt.qit_bids.tolist()))
     with open(out / "st.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["BID", pt.sa_name])
-        for bid, code in zip(pt.st_bids, pt.st_codes):
-            writer.writerow([int(bid), pt.sa_domain[code]])
+        writer.writerows(zip(pt.st_bids.tolist(), np.array(
+            pt.sa_domain, dtype=object)[pt.st_codes].tolist()))
     audit = {
         "sigma": pt.sigma,
         "buckets": {str(b + 1): [pt.sa_domain[c] for c in fakes]
@@ -419,44 +420,25 @@ def read_published(in_dir) -> PublishedTables:
     """
     src = Path(in_dir)
     qit_path, st_path = src / "qit.csv", src / "st.csv"
-    for path in (qit_path, st_path):
-        if not path.exists():
-            raise IngestionError(f"missing published file: {path}")
-    with open(qit_path, newline="", encoding="utf-8") as fh:
-        qit_rows = list(csv.reader(fh))
-    if len(qit_rows) < 2:
-        raise IngestionError(f"{qit_path} has no data rows")
-    header = qit_rows[0]
-    if header[-1] != "BID":
+    qit_header, qi_columns = _read_table(qit_path)
+    if qit_header[-1] != "BID":
         raise IngestionError(f"{qit_path} must end with a BID column")
-    qi_names = tuple(header[:-1])
-    with open(st_path, newline="", encoding="utf-8") as fh:
-        st_rows = list(csv.reader(fh))
-    if len(st_rows) < 2:
-        raise IngestionError(f"{st_path} has no data rows")
-    if st_rows[0][0] != "BID" or len(st_rows[0]) != 2:
+    st_header, st_columns = _read_table(st_path)
+    if len(st_header) != 2 or st_header[0] != "BID":
         raise IngestionError(f"{st_path} must have columns BID,<SA>")
-    sa_name = st_rows[0][1]
-
-    qi_values = [row[:-1] for row in qit_rows[1:]]
     try:
-        qit_bids = np.array([int(row[-1]) for row in qit_rows[1:]], dtype=np.int32)
-        st_bids = np.array([int(row[0]) for row in st_rows[1:]], dtype=np.int32)
-    except ValueError as exc:
+        qit_bids, st_bids = (np.fromiter(map(int, column), np.int32, len(column))
+                             for column in (qi_columns.pop(), st_columns[0]))
+    except (ValueError, OverflowError) as exc:
         raise IngestionError(f"malformed bucket id: {exc}") from None
-    st_labels = [row[1] for row in st_rows[1:]]
 
+    qi_codes = np.empty((len(qit_bids), len(qi_columns)), dtype=np.int32)
     qi_domains = []
-    qi_codes = np.empty((len(qi_values), len(qi_names)), dtype=np.int32)
-    for j in range(len(qi_names)):
-        column = [row[j] for row in qi_values]
-        domain = sorted(set(column))
-        lookup = {label: i for i, label in enumerate(domain)}
-        qi_domains.append(tuple(domain))
-        qi_codes[:, j] = [lookup[v] for v in column]
-    sa_domain = sorted(set(st_labels))
+    for j, column in enumerate(qi_columns):
+        qi_codes[:, j], domain = intern_labels(column)
+        qi_domains.append(domain)
+    st_codes, sa_domain = intern_labels(st_columns[1])
     sa_lookup = {label: i for i, label in enumerate(sa_domain)}
-    st_codes = np.array([sa_lookup[v] for v in st_labels], dtype=np.int32)
 
     order = np.argsort(st_bids, kind="stable")
     st_bids, st_codes = st_bids[order], st_codes[order]
@@ -473,21 +455,27 @@ def read_published(in_dir) -> PublishedTables:
                 for b in range(1, bucket_count + 1))
     try:
         return PublishedTables(
-            qi_names=qi_names,
-            sa_name=sa_name,
-            qi_codes=qi_codes,
-            qit_bids=qit_bids,
-            st_bids=st_bids,
-            st_codes=st_codes,
-            qi_domains=tuple(qi_domains),
-            sa_domain=tuple(sa_domain),
-            bucket_count=bucket_count,
-            sigma=sigma,
-            fake_map=fake_map,
-        )
+            qi_names=tuple(qit_header[:-1]), sa_name=st_header[1],
+            qi_codes=qi_codes, qit_bids=qit_bids,
+            st_bids=st_bids, st_codes=st_codes,
+            qi_domains=tuple(qi_domains), sa_domain=sa_domain,
+            bucket_count=bucket_count, sigma=sigma, fake_map=fake_map)
     except ConfigError as exc:
         raise IngestionError(f"{src} does not hold a consistent release: "
                              f"{exc}") from None
+
+
+def _read_table(path) -> tuple[list[str], list[list[str]]]:
+    """Header and columns of a published CSV with at least one data row."""
+    if not path.exists():
+        raise IngestionError(f"missing published file: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        columns = read_columns(reader, len(header), path)
+    if not columns or not columns[0]:
+        raise IngestionError(f"{path} has no data rows")
+    return header, columns
 
 
 def _read_audit(path, sa_lookup) -> tuple[int, dict]:

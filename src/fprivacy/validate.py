@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .core import (
     ConfigError,
@@ -327,6 +325,7 @@ def flow_feasibility_oracle(h: SaHistogram, p: PrivacySpec, setting: BucketSetti
     exactly achievable by round-robin, so collapsing buckets into group nodes
     loses nothing.
     """
+    from scipy.sparse import csgraph, csr_matrix  # kept off the import path
     if setting.capacity != h.total:
         return False
     groups = [g for g in setting.groups if g.count > 0]
@@ -353,4 +352,4 @@ def flow_feasibility_oracle(h: SaHistogram, p: PrivacySpec, setting: BucketSetti
         caps.append(g.capacity)
     graph = csr_matrix((np.array(caps, dtype=np.int32), (rows, cols)),
                        shape=(nodes, nodes))
-    return int(maximum_flow(graph, src, snk).flow_value) == h.total
+    return int(csgraph.maximum_flow(graph, src, snk).flow_value) == h.total

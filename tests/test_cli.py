@@ -4,9 +4,14 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fprivacy
 from fprivacy.cli import main
 from fprivacy.metrics import gen_synthetic
 
@@ -307,6 +312,26 @@ class TestPublishEvaluate:
         assert code == 4
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("name,edit", [
+        ("st.csv", lambda lines: lines[:1] + [""] + lines[1:]),
+        ("qit.csv", lambda lines: lines[:2] + [""] + lines[2:]),
+        ("qit.csv", lambda lines: [""] + lines),
+        ("qit.csv", lambda lines: lines[:1] + [lines[1] + ",x"] + lines[2:]),
+    ], ids=["st-blank-line", "qit-blank-line", "qit-blank-header",
+            "qit-extra-field"])
+    def test_malformed_release_rows_exit_four(self, capsys, tmp_path,
+                                              walkthrough_csv, name, edit):
+        out = tmp_path / "pub"
+        code, _ = run(capsys, *self.publish_args(walkthrough_csv, out))
+        assert code == 0
+        path = out / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        code = main(["evaluate", "--input", str(walkthrough_csv),
+                     "--sa", "Disease", *WALK_PRIVACY, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert f"{name}:" in err and len(err.strip().splitlines()) == 1
+
     def test_evaluate_foreign_tables_exits_three(self, capsys, tmp_path,
                                                  walkthrough_csv):
         out = tmp_path / "pub"
@@ -379,3 +404,13 @@ class TestUsage:
 
     def test_missing_required_flag_exits_three(self, capsys):
         assert main(["analyze", "--sa", "Disease"]) == 3
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only the max-flow oracle (``optimize --mode brute``) needs scipy, so
+    importing the CLI must not load it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fprivacy.__file__).parents[1]))
+    probe = "import sys, fprivacy.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

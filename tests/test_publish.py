@@ -149,6 +149,16 @@ class TestPublish:
         (bad / "qit.csv").write_text("attr,BID\nv,1\nw,1\n")
         with pytest.raises(IngestionError):
             read_published(bad)
+        # rows of the wrong width, blank lines included, name file and record
+        for qit, st, where in [
+                ("attr,BID\nv,1\n\nw,1\n", "BID,sa\n1,v\n1,w\n", "qit.csv:3"),
+                ("\nattr,BID\nv,1\n", "BID,sa\n1,v\n", "qit.csv:2"),
+                ("attr,BID\nv,x,1\n", "BID,sa\n1,v\n", "qit.csv:2"),
+                ("attr,BID\nv,1\n", "BID,sa\n\n1,v\n", "st.csv:2")]:
+            (bad / "qit.csv").write_text(qit)
+            (bad / "st.csv").write_text(st)
+            with pytest.raises(IngestionError, match=f"{where}: expected"):
+                read_published(bad)
 
 
 class TestInjectFakes:

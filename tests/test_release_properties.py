@@ -3,20 +3,26 @@
 Random small tables are split into random buckets, published, optionally
 padded with fakes, and every bucket-level computation (max ratios, the
 privacy recheck, fake injection and its refusals, true and estimated query
-answers) is compared with a plain loop over the rows written here.
+answers) is compared with a plain loop over the rows written here.  Tables
+of labels that CSV must quote are written and read back, through the release
+files and through ingestion.
 """
 
+import csv
+import tempfile
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fprivacy.core import ConfigError, MicrodataTable
+from fprivacy.core import ConfigError, MicrodataTable, ingest_csv
 from fprivacy.metrics import CountQuery, answer_estimated, answer_true
 from fprivacy.publish import (NegAssociationModel, check_published_privacy,
-                              inject_fakes, publish, published_max_ratios)
+                              inject_fakes, publish, published_max_ratios,
+                              read_published, write_published)
 from fprivacy.validate import Assignment
 
 # thresholds on and next to the k/s boundaries of small buckets, plus a
@@ -46,15 +52,21 @@ def releases(draw):
         qi_names=[f"q{j}" for j in range(len(qi_sizes))], sa_name="sa",
         qi_domains=[[f"z{k}" for k in range(size)] for size in qi_sizes],
         sa_domain=[f"v{x}" for x in range(m)])
-    value_counts = np.zeros((buckets, m), dtype=np.int64)
-    np.add.at(value_counts, (bucket_of, sa_codes), 1)
+    pt = publish_buckets(table, bucket_of, buckets,
+                         draw(st.integers(0, 2**32 - 1)))
+    thresholds = {label: draw(THRESHOLDS) for label in table.sa_domain}
+    return table, pt, thresholds
+
+
+def publish_buckets(table, bucket_of, buckets, seed):
+    """publish of the assignment that puts record i in bucket_of[i]."""
+    value_counts = np.zeros((buckets, table.sa_domain_size), dtype=np.int64)
+    np.add.at(value_counts, (bucket_of, table.sa_codes), 1)
     assignment = Assignment(
         bucket_of=bucket_of,
         bucket_sizes=np.bincount(bucket_of, minlength=buckets),
         value_counts=value_counts)
-    pt = publish(table, assignment, seed=draw(st.integers(0, 2**32 - 1)))
-    thresholds = {label: draw(THRESHOLDS) for label in table.sa_domain}
-    return table, pt, thresholds
+    return publish(table, assignment, seed=seed)
 
 
 def st_counters(pt):
@@ -195,3 +207,86 @@ def test_model_steered_fakes_avoid_flagged_values(data):
     caps = [thresholds[label] for label in pt.sa_domain]
     padded_or_refused(pt, data.draw(st.integers(1, 2)),
                       data.draw(st.integers(0, 99)), caps, flagged)
+
+
+# separators, quotes and line breaks that CSV must quote, the empty string,
+# non-ASCII text, and arbitrary short strings
+LABELS = st.one_of(
+    st.sampled_from(["", ",", '"', "\n", "\r\n", ' "a,b"\r\n', "naïve",
+                     "日本語"]),
+    st.text(max_size=5))
+
+
+@st.composite
+def label_tables(draw):
+    """(QI names, SA name, QI label rows, SA labels) with few distinct labels
+    per column, so labels repeat across rows."""
+    d = draw(st.integers(0, 2))
+    names = draw(st.lists(LABELS, min_size=d + 1, max_size=d + 1, unique=True))
+    pools = [draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+             for _ in range(d + 1)]
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)),
+                         min_size=1, max_size=20))
+    return names[:-1], names[-1], [row[:-1] for row in rows], \
+        [row[-1] for row in rows]
+
+
+def row_labels(pt):
+    """Each QIT row's QI labels and bucket id, in record order."""
+    return [(tuple(domain[c] for domain, c in zip(pt.qi_domains, row)), bid)
+            for row, bid in zip(pt.qi_codes.tolist(), pt.qit_bids.tolist())]
+
+
+def bucket_labels(pt):
+    """Bucket id -> (its ST labels in row order, its sorted fake labels)."""
+    return {bid: ([pt.sa_domain[c] for c in pt.st_slice(bid)],
+                  sorted(pt.sa_domain[c] for c in pt.fake_map[bid - 1]))
+            for bid in range(1, pt.bucket_count + 1)}
+
+
+@SETTINGS
+@given(st.data())
+def test_written_release_reads_back_label_for_label(data):
+    qi_names, sa_name, qi_rows, sa_values = data.draw(label_tables())
+    table = MicrodataTable.from_rows(qi_rows, sa_values, qi_names, sa_name)
+    # every bucket is non-empty, as in any release the optimizer builds
+    buckets = data.draw(st.integers(1, len(table)))
+    bucket_of = np.array(data.draw(st.permutations(
+        [i % buckets for i in range(len(table))])), dtype=np.int32)
+    pt = publish_buckets(table, bucket_of, buckets, data.draw(st.integers(0, 99)))
+    sigma = data.draw(st.integers(0, 2))
+    if sigma:
+        pt = padded_or_refused(pt, sigma, data.draw(st.integers(0, 99)),
+                               [1.0] * pt.m) or pt
+    with tempfile.TemporaryDirectory() as out:
+        write_published(pt, out)
+        back = read_published(out)
+    assert (back.qi_names, back.sa_name, back.sigma, back.bucket_count) == \
+        (pt.qi_names, pt.sa_name, pt.sigma, pt.bucket_count)
+    assert row_labels(back) == row_labels(pt)
+    assert bucket_labels(back) == bucket_labels(pt)
+
+
+@SETTINGS
+@given(label_tables(), st.integers(0, 2))
+def test_ingest_of_written_labels_matches_from_rows(labels, sa_at):
+    qi_names, sa_name, qi_rows, sa_values = labels
+    sa_at = min(sa_at, len(qi_names))
+
+    def with_sa(qi, sa):
+        return [*qi[:sa_at], sa, *qi[sa_at:]]
+
+    expected = MicrodataTable.from_rows(qi_rows, sa_values, qi_names, sa_name)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(with_sa(qi_names, sa_name))
+            writer.writerows(map(with_sa, qi_rows, sa_values))
+        got = ingest_csv(path, sa_name)
+    assert (got.qi_names, got.sa_name, got.qi_domains, got.sa_domain) == \
+        (expected.qi_names, expected.sa_name, expected.qi_domains,
+         expected.sa_domain)
+    assert np.array_equal(got.qi_codes, expected.qi_codes)
+    assert np.array_equal(got.sa_codes, expected.sa_codes)
+
