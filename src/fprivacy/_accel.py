@@ -1,42 +1,5 @@
-"""Backend selection for the compiled kernels.
+"""The search kernels in ``fprivacy._kernels`` are plain numpy; nothing is
+compiled."""
 
-The search kernels in ``fprivacy._kernels`` are ordinary numpy functions that
-get compiled with numba when it is available.  The ``FPRIVACY_JIT`` environment
-variable picks the backend:
-
-* ``auto`` (default): compile with numba if it imports, otherwise fall back to
-  the pure-python versions of the same functions.
-* ``1``: require numba; raise at import time if it is missing.
-* ``0``: skip compilation entirely (useful for debugging and benchmarking).
-"""
-
-from __future__ import annotations
-
-import os
-
-_MODE = os.environ.get("FPRIVACY_JIT", "auto").strip().lower()
-
-try:
-    import numba as _numba
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _numba = None
-
-if _MODE not in ("auto", "0", "1", "false", "true"):
-    raise RuntimeError(f"FPRIVACY_JIT must be one of auto/0/1, got {_MODE!r}")
-
-if _MODE in ("1", "true") and _numba is None:  # pragma: no cover
-    raise RuntimeError("FPRIVACY_JIT=1 but numba is not importable")
-
-JIT_ENABLED = _numba is not None and _MODE not in ("0", "false")
-
-
-def njit(func):
-    """Compile ``func`` with numba in nopython mode, or return it unchanged."""
-    if JIT_ENABLED:
-        return _numba.njit(cache=True)(func)
-    return func
-
-
-def python_impl(func):
-    """Return the uncompiled version of a kernel (itself when JIT is off)."""
-    return getattr(func, "py_func", func)
+# Read by the benchmark's ``perfbench/stages.py env`` report.
+JIT_ENABLED = False

@@ -5,50 +5,19 @@ b2_first + pos*step2) of bucket-count pairs.  All inputs are int64; ``u1`` and
 ``u2`` hold the per-bucket slot counts of each SA value for the two sizes, and
 ``o`` the per-value record counts.  Every function returns its probe count,
 where one probe is one constraint evaluated at one position.
-
-Compiled with numba when enabled (see ``fprivacy._accel``); the plain-python
-versions remain reachable through ``python_impl`` for benchmarks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._accel import njit
+
+def _fill_ok(b, size, u, o):
+    # Can b buckets of this size be filled to capacity, with each value
+    # contributing at most min(u*b, o) records?
+    return int(np.minimum(u * b, o).sum()) >= size * b
 
 
-@njit
-def _fill_ok_small(pos, b1f, d1, s1, u1, o):
-    # Can the small-size group be filled to capacity at this position?
-    b1 = b1f - pos * d1
-    need = s1 * b1
-    total = 0
-    for i in range(o.shape[0]):
-        c = u1[i] * b1
-        if o[i] < c:
-            c = o[i]
-        total += c
-        if total >= need:
-            return True
-    return total >= need
-
-
-@njit
-def _fill_ok_large(pos, b2f, d2, s2, u2, o):
-    b2 = b2f + pos * d2
-    need = s2 * b2
-    total = 0
-    for i in range(o.shape[0]):
-        c = u2[i] * b2
-        if o[i] < c:
-            c = o[i]
-        total += c
-        if total >= need:
-            return True
-    return total >= need
-
-
-@njit
 def fc_bounds(kp, b1f, d1, b2f, d2, s1, s2, u1, u2, o):
     """Interval of positions in [0, kp] passing both fill constraints.
 
@@ -57,31 +26,31 @@ def fc_bounds(kp, b1f, d1, b2f, d2, s1, s2, u1, u2, o):
     Returns (lo, hi, probes); the interval is empty iff lo > hi.
     """
     probes = 1
-    if not _fill_ok_small(kp, b1f, d1, s1, u1, o):
+    if not _fill_ok(b1f - kp * d1, s1, u1, o):
         return 1, 0, probes
     lo = 0
     probes += 1
-    if not _fill_ok_small(0, b1f, d1, s1, u1, o):
+    if not _fill_ok(b1f, s1, u1, o):
         a, b = 0, kp
         while b - a > 1:
             mid = (a + b) // 2
             probes += 1
-            if _fill_ok_small(mid, b1f, d1, s1, u1, o):
+            if _fill_ok(b1f - mid * d1, s1, u1, o):
                 b = mid
             else:
                 a = mid
         lo = b
     probes += 1
-    if not _fill_ok_large(0, b2f, d2, s2, u2, o):
+    if not _fill_ok(b2f, s2, u2, o):
         return 1, 0, probes
     hi = kp
     probes += 1
-    if not _fill_ok_large(kp, b2f, d2, s2, u2, o):
+    if not _fill_ok(b2f + kp * d2, s2, u2, o):
         a, b = 0, kp
         while b - a > 1:
             mid = (a + b) // 2
             probes += 1
-            if _fill_ok_large(mid, b2f, d2, s2, u2, o):
+            if _fill_ok(b2f + mid * d2, s2, u2, o):
                 a = mid
             else:
                 b = mid
@@ -89,7 +58,6 @@ def fc_bounds(kp, b1f, d1, b2f, d2, s1, s2, u1, u2, o):
     return lo, hi, probes
 
 
-@njit
 def pc_gap(kp, b1f, d1, b2f, d2, u1i, u2i, oi):
     """Positions in [0, kp] where one value's allocation condition fails.
 
@@ -175,7 +143,6 @@ def pc_gap(kp, b1f, d1, b2f, d2, u1i, u2i, oi):
         return a + 1, hi, probes
 
 
-@njit
 def first_valid_pos(kp, b1f, d1, b2f, d2, s1, s2, u1, u2, o):
     """First position in [0, kp] passing every constraint, by region pruning.
 
@@ -213,7 +180,6 @@ def first_valid_pos(kp, b1f, d1, b2f, d2, s1, s2, u1, u2, o):
     return cand, probes, splits
 
 
-@njit
 def first_valid_scan(kp, b1f, d1, b2f, d2, s1, s2, u1, u2, o):
     """Linear walk of positions 0..kp checking every constraint directly.
 

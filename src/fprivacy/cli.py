@@ -156,24 +156,23 @@ def _emit(payload: dict, out=None) -> None:
 
 
 def _bucketize(table, hist, spec, cfg, mode: str):
-    """Shared search step: returns (assignment, loss, {size: count})."""
+    """Shared search step: returns the (row indices, group) parts, their
+    loss and {size: count}."""
     if mode == "two":
         result = two_size_bucketing(hist, spec, cfg)
         if result is None:
             raise InfeasiblePrivacyError(
                 "no valid two-size bucketing within the size bounds")
         bounds = allocation_bounds(hist, spec, result.setting)
-        parts = partition_records(table, bounds, result.setting)
-        assignment = build_assignment(
-            table, list(zip(parts, result.setting)))
-        sizes = Counter({g.size: g.count for g in result.setting})
-        return assignment, result.loss, sizes
-    leaves = multi_size_bucketing(table, None, spec, cfg)
+        parts = list(zip(partition_records(table, bounds, result.setting),
+                         result.setting))
+    else:
+        parts = multi_size_bucketing(table, None, spec, cfg)
+    groups = [g for _, g in parts]
     sizes = Counter()
-    for _, group in leaves:
+    for group in groups:
         sizes[group.size] += group.count
-    return build_assignment(table, leaves), loss_of(
-        [g for _, g in leaves]), sizes
+    return parts, loss_of(groups), sizes
 
 
 def cmd_analyze(args) -> int:
@@ -255,8 +254,8 @@ def cmd_publish(args) -> int:
     _require_eligible(hist, spec, table.sa_domain)
     cfg = SearchConfig.for_spec(spec, max_size=args.max_size,
                                 min_size=args.min_size)
-    assignment, loss, sizes = _bucketize(table, hist, spec, cfg, args.mode)
-    pt = publish(table, assignment, seed=args.seed)
+    parts, loss, sizes = _bucketize(table, hist, spec, cfg, args.mode)
+    pt = publish(table, build_assignment(table, parts), seed=args.seed)
     if args.sigma > 0:
         caps = {label: float(spec.thresholds[i])
                 for i, label in enumerate(table.sa_domain)}
@@ -356,19 +355,15 @@ def cmd_plot(args) -> int:
         _require_eligible(hist, spec, table.sa_domain)
         cfg = SearchConfig.for_spec(spec, max_size=args.max_size,
                                     min_size=args.min_size)
-        result = two_size_bucketing(hist, spec, cfg)
-        if result is None:
-            raise InfeasiblePrivacyError(
-                f"no valid bucketing at theta={theta}")
-        bounds = allocation_bounds(hist, spec, result.setting)
-        parts = partition_records(table, bounds, result.setting)
-        assignment = build_assignment(table,
-                                      list(zip(parts, result.setting)))
-        pt = publish(table, assignment, seed=args.seed)
+        try:
+            parts, _, _ = _bucketize(table, hist, spec, cfg, "two")
+        except InfeasiblePrivacyError as e:
+            raise InfeasiblePrivacyError(f"theta={theta}: {e}") from None
+        pt = publish(table, build_assignment(table, parts), seed=args.seed)
         pool = gen_queries(table.qi_domains, table.sa_domain, args.pool,
                            args.selectivity, seed=args.seed)
         report = relative_error(pool, table, pt)
-        mses.append(mse_of(result.setting, hist.total))
+        mses.append(mse_of([group for _, group in parts], hist.total))
         res.append(report.re_mean)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

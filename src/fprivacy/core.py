@@ -7,6 +7,7 @@ codes at construction (sorted label order); downstream math runs on codes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -44,6 +45,16 @@ class BudgetExceededError(ConfigError):
 class Record(NamedTuple):
     qi: tuple[str, ...]
     sa: str
+
+
+@contextlib.contextmanager
+def utf8_errors(path):
+    """Re-raise a UnicodeDecodeError met while reading path as an
+    IngestionError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise IngestionError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 def read_columns(reader, width: int, path) -> list[list[str]]:
@@ -187,7 +198,7 @@ def ingest_csv(path, sa_column: str) -> MicrodataTable:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as e:
         raise IngestionError(f"cannot open {path}: {e}") from e
-    with fh:
+    with fh, utf8_errors(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -235,7 +246,7 @@ def load_privacy_spec(path, sa_domain: Sequence[str]) -> PrivacySpec:
     except OSError as e:
         raise IngestionError(f"cannot open {path}: {e}") from e
     got: dict[str, float] = {}
-    with fh:
+    with fh, utf8_errors(path):
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue

@@ -1,12 +1,12 @@
-"""Candidate lists of two-size bucket settings and their search regions.
+"""Candidate lists of two-size bucket settings.
 
 For a table of n records and bucket sizes s1 < s2, every way of covering the
 table exactly is a pair of bucket counts (b1, b2) with s1*b1 + s2*b2 = n.  The
 non-negative solutions form an arithmetic progression, stored compactly as
 :class:`GammaList`.  Information loss is strictly increasing along the list,
-so a search can restrict itself to a prefix once it holds a candidate loss,
-and the privacy constraints carve the prefix into at most a few index
-intervals that binary searches locate without touching every pair.
+so a search can restrict itself to a prefix once it holds a candidate loss
+(:func:`loss_prefix`); ``fprivacy._kernels`` then finds the first valid
+position in that prefix.
 """
 
 from __future__ import annotations
@@ -14,21 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .core import ConfigError
 
-from . import _kernels
-from .core import ConfigError, PrivacySpec, SaHistogram, value_slots
-
-__all__ = [
-    "GammaList",
-    "IndexRegion",
-    "RegionStats",
-    "build_gamma",
-    "loss_prefix",
-    "fc_region",
-    "pc_region",
-    "valid_region",
-]
+__all__ = ["GammaList", "build_gamma", "loss_prefix"]
 
 
 @dataclass(frozen=True)
@@ -107,158 +95,3 @@ def loss_prefix(gamma: GammaList, best_loss: float) -> int:
     diff = (gamma.step2 * (gamma.size2 - 1) ** 2
             - gamma.step1 * (gamma.size1 - 1) ** 2)
     return min(gamma.last_index, (best - first - 1) // diff) + 1
-
-
-@dataclass(frozen=True)
-class IndexRegion:
-    """Union of disjoint, ascending inclusive position intervals."""
-
-    intervals: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        prev_hi = None
-        for lo, hi in self.intervals:
-            if lo > hi:
-                raise ConfigError(f"empty interval ({lo}, {hi}) in region")
-            if prev_hi is not None and lo <= prev_hi + 1:
-                raise ConfigError("region intervals overlap or touch")
-            prev_hi = hi
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    @property
-    def first(self) -> int:
-        if not self.intervals:
-            raise ConfigError("empty region has no first position")
-        return self.intervals[0][0]
-
-    def contains(self, pos: int) -> bool:
-        return any(lo <= pos <= hi for lo, hi in self.intervals)
-
-    def positions(self) -> list[int]:
-        out: list[int] = []
-        for lo, hi in self.intervals:
-            out.extend(range(lo, hi + 1))
-        return out
-
-    def intersect(self, other: "IndexRegion") -> "IndexRegion":
-        merged = []
-        for alo, ahi in self.intervals:
-            for blo, bhi in other.intervals:
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if lo <= hi:
-                    merged.append((lo, hi))
-        return IndexRegion(tuple(merged))
-
-
-@dataclass
-class RegionStats:
-    """Accumulates constraint-evaluation counts across region computations."""
-
-    cond_evals: int = 0
-    pc_splits: int = 0
-
-
-def _kernel_args(gamma: GammaList, hist: SaHistogram, spec: PrivacySpec):
-    u1 = value_slots(spec, gamma.size1)
-    u2 = value_slots(spec, gamma.size2)
-    o = hist.counts.astype(np.int64)
-    return (gamma.b1_first, gamma.step1, gamma.b2_first, gamma.step2,
-            gamma.size1, gamma.size2, u1, u2, o)
-
-
-def fc_region(gamma: GammaList, hist: SaHistogram, spec: PrivacySpec,
-              prefix_len: int, stats: RegionStats | None = None) -> IndexRegion:
-    """Positions in the prefix where both fill constraints hold.
-
-    Always a single interval: the small-size constraint holds on a suffix of
-    positions and the large-size one on a prefix.
-    """
-    if prefix_len <= 0:
-        return IndexRegion()
-    kp = min(prefix_len, gamma.last_index + 1) - 1
-    b1f, d1, b2f, d2, s1, s2, u1, u2, o = _kernel_args(gamma, hist, spec)
-    lo, hi, probes = _kernels.fc_bounds(kp, b1f, d1, b2f, d2, s1, s2, u1, u2, o)
-    if stats is not None:
-        stats.cond_evals += int(probes)
-    if lo > hi:
-        return IndexRegion()
-    return IndexRegion(((int(lo), int(hi)),))
-
-
-def pc_region(gamma: GammaList, hist: SaHistogram, spec: PrivacySpec,
-              prefix_len: int, value: int,
-              stats: RegionStats | None = None) -> IndexRegion:
-    """Positions in the prefix where one value's allocation condition holds.
-
-    The failure set is one run, so the result is at most two intervals.
-    """
-    if not 0 <= value < hist.m:
-        raise ConfigError(f"value code {value} outside 0..{hist.m - 1}")
-    if prefix_len <= 0:
-        return IndexRegion()
-    kp = min(prefix_len, gamma.last_index + 1) - 1
-    b1f, d1, b2f, d2, s1, s2, u1, u2, o = _kernel_args(gamma, hist, spec)
-    glo, ghi, probes = _kernels.pc_gap(kp, b1f, d1, b2f, d2,
-                                       u1[value], u2[value], o[value])
-    if stats is not None:
-        stats.cond_evals += int(probes)
-    if glo > ghi:
-        return IndexRegion(((0, kp),))
-    parts = []
-    if glo > 0:
-        parts.append((0, int(glo) - 1))
-    if ghi < kp:
-        parts.append((int(ghi) + 1, kp))
-    return IndexRegion(tuple(parts))
-
-
-def valid_region(gamma: GammaList, hist: SaHistogram, spec: PrivacySpec,
-                 best_loss: float = math.inf,
-                 stats: RegionStats | None = None) -> IndexRegion:
-    """Positions holding a fully valid setting with loss below best_loss.
-
-    Intersects the fill-constraint interval with every value's allocation
-    region inside the strict-improvement prefix.  Cost is O(m log len) probes.
-    """
-    prefix_len = loss_prefix(gamma, best_loss)
-    if prefix_len <= 0:
-        return IndexRegion()
-    kp = prefix_len - 1
-    b1f, d1, b2f, d2, s1, s2, u1, u2, o = _kernel_args(gamma, hist, spec)
-    lo, hi, probes = _kernels.fc_bounds(kp, b1f, d1, b2f, d2, s1, s2, u1, u2, o)
-    total = int(probes)
-    gaps = []
-    splits = 0
-    if lo <= hi:
-        for i in range(hist.m):
-            glo, ghi, pr = _kernels.pc_gap(kp, b1f, d1, b2f, d2,
-                                           u1[i], u2[i], o[i])
-            total += int(pr)
-            if glo <= ghi:
-                gaps.append((int(glo), int(ghi)))
-                if glo > 0 and ghi < kp:
-                    splits += 1
-    if stats is not None:
-        stats.cond_evals += total
-        stats.pc_splits += splits
-    if lo > hi:
-        return IndexRegion()
-    lo, hi = int(lo), int(hi)
-    intervals = []
-    cur = lo
-    for glo, ghi in sorted(gaps):
-        if glo > hi:
-            break
-        if ghi < cur:
-            continue
-        if glo > cur:
-            intervals.append((cur, glo - 1))
-        cur = max(cur, ghi + 1)
-        if cur > hi:
-            break
-    if cur <= hi:
-        intervals.append((cur, hi))
-    return IndexRegion(tuple(intervals))

@@ -1,10 +1,11 @@
 """Bucket-setting search: optimal two-size, recursive multi-size, baselines.
 
 The two-size search walks size pairs in ascending order and, for each pair,
-asks the candidate list (``fprivacy.gamma``) for the first valid position
-below the incumbent loss.  Three pruning modes exist so their agreement can be
-checked: "full" uses the loss prefix plus region binary searches, "loss" uses
-the prefix with a linear scan, and "none" scans every list end to end.
+cuts the candidate list (``fprivacy.gamma``) to the prefix below the
+incumbent loss and asks ``fprivacy._kernels`` for its first valid position.
+Three pruning modes exist so their agreement can be checked: "full" uses the
+loss prefix plus region binary searches, "loss" uses the prefix with a linear
+scan, and "none" scans every list end to end.
 
 A brute-force oracle validated by the max-flow check and the classic
 equal-size baseline round out the module.

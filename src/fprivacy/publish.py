@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (FLOOR_EPS, ConfigError, IngestionError, MicrodataTable,
-                   intern_labels, read_columns)
+                   intern_labels, read_columns, utf8_errors)
 from .validate import Assignment
 
 __all__ = [
@@ -469,7 +469,7 @@ def _read_table(path) -> tuple[list[str], list[list[str]]]:
     """Header and columns of a published CSV with at least one data row."""
     if not path.exists():
         raise IngestionError(f"missing published file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, utf8_errors(path):
         reader = csv.reader(fh)
         header = next(reader, [])
         columns = read_columns(reader, len(header), path)

@@ -38,6 +38,16 @@ def write_uniform_csv(path, m=20, per=5):
     return path
 
 
+def write_table_csv(path, table):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(table.qi_names) + [table.sa_name])
+        for row, sa in zip(table.qi_codes, table.sa_codes):
+            writer.writerow([table.qi_domains[j][c] for j, c in enumerate(row)]
+                            + [table.sa_domain[sa]])
+    return path
+
+
 @pytest.fixture
 def walkthrough_csv(tmp_path):
     return write_walkthrough_csv(tmp_path / "walkthrough.csv")
@@ -222,6 +232,20 @@ class TestPublishEvaluate:
         assert code == 0
         assert report["loss"] <= 250
 
+    def test_multi_mode_optimize_matches_publish(self, capsys, tmp_path):
+        table = gen_synthetic(600, 20, 0.9, [4, 3], seed=11)
+        flags = ["--input", str(write_table_csv(tmp_path / "zipf.csv", table)),
+                 "--sa", "sa", "--theta", "2", "--intercept", "0.04",
+                 "--mode", "multi"]
+        code, optimized = run(capsys, "optimize", *flags)
+        assert code == 0
+        code, published = run(capsys, "publish", *flags,
+                              "--out", str(tmp_path / "pub"))
+        assert code == 0
+        assert published["loss"] == optimized["loss"] == 5116
+        assert published["bucket_sizes"] == optimized["buckets"]
+        assert len(optimized["buckets"]) == 5
+
     def test_published_bytes_deterministic(self, capsys, tmp_path):
         csv_path = write_uniform_csv(tmp_path / "uniform.csv")
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -350,6 +374,26 @@ class TestPublishEvaluate:
         assert code == 4
 
 
+@pytest.mark.parametrize("target", ["input.csv", "privacy.csv", "st.csv",
+                                    "fakes_audit.json"])
+def test_non_utf8_file_exits_four(capsys, tmp_path, walkthrough_csv, target):
+    privacy = tmp_path / "privacy.csv"
+    privacy.write_text("".join(f"d{c:02d},1.0\n" for c in range(14)))
+    out = tmp_path / "pub"
+    flags = ["--input", str(walkthrough_csv), "--sa", "Disease",
+             "--privacy-file", str(privacy)]
+    assert main(["publish", *flags, "--out", str(out)]) == 0
+    bad = {"input.csv": walkthrough_csv, "privacy.csv": privacy,
+           "st.csv": out / "st.csv",
+           "fakes_audit.json": out / "fakes_audit.json"}[target]
+    bad.write_bytes(bad.read_bytes() + b"d00,\xff\n")
+    capsys.readouterr()
+    code = main(["evaluate", *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert bad.name in err and len(err.strip().splitlines()) == 1
+
+
 class TestDpdemo:
 
     def test_predicted_mean_golden(self, capsys):
@@ -414,3 +458,15 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_benchmark_env_report_runs():
+    """The benchmark starts every run with ``perfbench/stages.py env``, which
+    imports ``fprivacy._accel``; it must keep working on this checkout."""
+    src = Path(fprivacy.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, str(src.parent / "perfbench" / "stages.py"), "env"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["jit_enabled"] is False

@@ -1,4 +1,4 @@
-"""Tests for the two-size candidate list and its pruning regions."""
+"""Tests for the two-size candidate list and the search kernels over it."""
 
 import math
 
@@ -9,16 +9,7 @@ from hypothesis import strategies as st
 
 from fprivacy import _kernels
 from fprivacy.core import ConfigError, PrivacySpec, SaHistogram, histogram, value_slots
-from fprivacy.gamma import (
-    GammaList,
-    IndexRegion,
-    RegionStats,
-    build_gamma,
-    fc_region,
-    loss_prefix,
-    pc_region,
-    valid_region,
-)
+from fprivacy.gamma import GammaList, build_gamma, loss_prefix
 from fprivacy.validate import BucketSetting, validate_two_size
 
 
@@ -51,6 +42,29 @@ def scan_valid_positions(g, h, p, limit):
         if validate_two_size(h, p, setting):
             keep.append(pos)
     return keep
+
+
+def kernel_args(g, h, p):
+    """The list, slot and count arguments every kernel takes after kp."""
+    return (g.b1_first, g.step1, g.b2_first, g.step2, g.size1, g.size2,
+            value_slots(p, g.size1), value_slots(p, g.size2),
+            h.counts.astype(np.int64))
+
+
+def pc_gap(g, h, p, kp, value):
+    b1f, d1, b2f, d2, _, _, u1, u2, o = kernel_args(g, h, p)
+    return _kernels.pc_gap(kp, b1f, d1, b2f, d2, u1[value], u2[value], o[value])
+
+
+def region_positions(g, h, p, kp):
+    """Positions in [0, kp] inside the fill interval and outside every gap."""
+    args = kernel_args(g, h, p)
+    lo, hi, _ = _kernels.fc_bounds(kp, *args)
+    keep = set(range(lo, hi + 1))
+    for value in range(h.m):
+        glo, ghi, _ = pc_gap(g, h, p, kp, value)
+        keep -= set(range(glo, ghi + 1))
+    return sorted(keep)
 
 
 class TestGammaList:
@@ -164,40 +178,40 @@ class TestRegions:
     def test_example_pair_inside_fc_region(self, walkthrough_table, walkthrough_spec):
         h = histogram(walkthrough_table)
         g = build_gamma(50, 4, 14)
-        region = fc_region(g, h, walkthrough_spec, len(g))
-        assert region.contains(0)  # position of (9, 1)
+        lo, hi, _ = _kernels.fc_bounds(g.last_index,
+                                       *kernel_args(g, h, walkthrough_spec))
+        assert lo <= 0 <= hi  # position of (9, 1)
 
     def test_example_pair_inside_every_pc_region(self, walkthrough_table,
                                                  walkthrough_spec):
         h = histogram(walkthrough_table)
         g = build_gamma(50, 4, 14)
         for value in range(h.m):
-            region = pc_region(g, h, walkthrough_spec, len(g), value)
-            assert region.contains(0)
+            glo, ghi, _ = pc_gap(g, h, walkthrough_spec, g.last_index, value)
+            assert not glo <= 0 <= ghi
 
     def test_slack_everywhere_gives_full_region(self):
         h = hist([2, 3, 3])
         p = PrivacySpec(np.array([1.0, 1.0, 1.0]))
         g = build_gamma(8, 2, 4)
-        full = IndexRegion(((0, len(g) - 1),))
-        assert fc_region(g, h, p, len(g)) == full
+        kp = g.last_index
+        lo, hi, _ = _kernels.fc_bounds(kp, *kernel_args(g, h, p))
+        assert (lo, hi) == (0, kp)
         for value in range(3):
-            assert pc_region(g, h, p, len(g), value) == full
+            glo, ghi, _ = pc_gap(g, h, p, kp, value)
+            assert glo > ghi
 
     def test_empty_prefix_gives_empty_region(self):
         h = hist([2, 3, 3])
         p = PrivacySpec(np.array([1.0, 1.0, 1.0]))
         g = build_gamma(8, 2, 4)
-        assert fc_region(g, h, p, 0).is_empty
-        assert pc_region(g, h, p, 0, 0).is_empty
-        assert valid_region(g, h, p, best_loss=0).is_empty
-
-    def test_pc_value_out_of_range(self):
-        h = hist([2, 3, 3])
-        p = PrivacySpec(np.array([1.0, 1.0, 1.0]))
-        g = build_gamma(8, 2, 4)
-        with pytest.raises(ConfigError):
-            pc_region(g, h, p, len(g), 3)
+        # a loss bound of 0 leaves no position for the kernels to search
+        assert loss_prefix(g, best_loss=0) == 0
+        # a one-position prefix confines every kernel to position 0
+        args = kernel_args(g, h, p)
+        assert _kernels.fc_bounds(0, *args)[:2] == (0, 0)
+        assert _kernels.first_valid_pos(0, *args)[0] == 0
+        assert _kernels.first_valid_scan(0, *args)[0] == 0
 
     def test_pc_region_matches_brute_scan(self):
         rng = np.random.default_rng(61)
@@ -210,13 +224,13 @@ class TestRegions:
             u1 = value_slots(p, s1)
             u2 = value_slots(p, s2)
             value = int(rng.integers(0, h.m))
-            region = pc_region(g, h, p, len(g), value)
+            glo, ghi, _ = pc_gap(g, h, p, g.last_index, value)
             o = int(h.counts[value])
             expected = [pos for pos in range(len(g))
                         if min(int(u1[value]) * g.pair_at(pos)[0], o)
                         + min(int(u2[value]) * g.pair_at(pos)[1], o) >= o]
-            assert region.positions() == expected
-            assert len(region.intervals) <= 2
+            assert [pos for pos in range(len(g))
+                    if not glo <= pos <= ghi] == expected
             checked += 1
         assert checked > 200
 
@@ -229,9 +243,15 @@ class TestRegions:
             if g is None:
                 continue
             best = math.inf if rng.random() < 0.5 else float(rng.integers(0, 4000))
-            region = valid_region(g, h, p, best_loss=best)
-            expected = scan_valid_positions(g, h, p, loss_prefix(g, best))
-            assert region.positions() == expected
+            prefix = loss_prefix(g, best)
+            expected = scan_valid_positions(g, h, p, prefix)
+            if prefix > 0:
+                assert region_positions(g, h, p, prefix - 1) == expected
+                pos, _, _ = _kernels.first_valid_pos(prefix - 1,
+                                                     *kernel_args(g, h, p))
+                assert pos == (expected[0] if expected else -1)
+            else:
+                assert expected == []
             checked += 1
             nonempty += bool(expected)
         assert checked > 150 and nonempty > 40
@@ -244,14 +264,14 @@ class TestRegions:
             g = build_gamma(h.total, s1, s2)
             if g is None:
                 continue
-            region = valid_region(g, h, p)
+            pos, _, _ = _kernels.first_valid_pos(g.last_index,
+                                                 *kernel_args(g, h, p))
             expected = scan_valid_positions(g, h, p, len(g))
             if expected:
-                assert not region.is_empty
-                assert region.first == expected[0]
+                assert pos == expected[0]
                 seen += 1
             else:
-                assert region.is_empty
+                assert pos == -1
         assert seen > 30
 
     def test_infeasible_privacy_empty_everywhere(self):
@@ -261,7 +281,10 @@ class TestRegions:
         for s1, s2 in [(1, 2), (2, 3), (2, 5), (4, 7), (5, 10)]:
             g = build_gamma(50, s1, s2)
             if g is not None:
-                assert valid_region(g, h, p).is_empty
+                assert region_positions(g, h, p, g.last_index) == []
+                pos, _, _ = _kernels.first_valid_pos(g.last_index,
+                                                     *kernel_args(g, h, p))
+                assert pos == -1
 
     def test_fused_kernel_agrees_with_region(self):
         rng = np.random.default_rng(64)
@@ -270,19 +293,14 @@ class TestRegions:
             g = build_gamma(h.total, s1, s2)
             if g is None:
                 continue
-            region = valid_region(g, h, p)
-            u1 = value_slots(p, s1)
-            u2 = value_slots(p, s2)
-            pos, _, splits = _kernels.first_valid_pos(
-                g.last_index, g.b1_first, g.step1, g.b2_first, g.step2,
-                s1, s2, u1, u2, h.counts)
-            scan_pos, _ = _kernels.first_valid_scan(
-                g.last_index, g.b1_first, g.step1, g.b2_first, g.step2,
-                s1, s2, u1, u2, h.counts)
-            if region.is_empty:
+            region = region_positions(g, h, p, g.last_index)
+            args = kernel_args(g, h, p)
+            pos, _, splits = _kernels.first_valid_pos(g.last_index, *args)
+            scan_pos, _ = _kernels.first_valid_scan(g.last_index, *args)
+            if not region:
                 assert pos == -1 and scan_pos == -1
             else:
-                assert pos == region.first == scan_pos
+                assert pos == region[0] == scan_pos
             assert splits == 0  # failure runs always touch an end of the list
 
     def test_probe_count_logarithmic(self):
@@ -292,32 +310,29 @@ class TestRegions:
             g = build_gamma(h.total, s1, s2)
             if g is None:
                 continue
-            stats = RegionStats()
-            valid_region(g, h, p, stats=stats)
+            _, probes, _ = _kernels.first_valid_pos(g.last_index,
+                                                    *kernel_args(g, h, p))
             bound = (3 * h.m + 2) * (math.ceil(math.log2(len(g))) + 4)
-            assert stats.cond_evals <= bound
+            assert probes <= bound
 
-
-class TestIndexRegion:
-    def test_rejects_bad_intervals(self):
-        with pytest.raises(ConfigError):
-            IndexRegion(((3, 2),))
-        with pytest.raises(ConfigError):
-            IndexRegion(((0, 4), (3, 6)))
-        with pytest.raises(ConfigError):
-            IndexRegion(((0, 4), (5, 6)))  # touching intervals must be merged
-
-    def test_contains_and_first(self):
-        r = IndexRegion(((2, 4), (8, 9)))
-        assert r.first == 2
-        assert r.contains(4) and r.contains(8)
-        assert not r.contains(5) and not r.contains(10)
-        assert r.positions() == [2, 3, 4, 8, 9]
-        with pytest.raises(ConfigError):
-            IndexRegion(()).first
-
-    def test_intersect(self):
-        a = IndexRegion(((0, 5), (9, 12)))
-        b = IndexRegion(((3, 10),))
-        assert a.intersect(b) == IndexRegion(((3, 5), (9, 10)))
-        assert a.intersect(IndexRegion(())).is_empty
+    @given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+           scale=st.floats(0.3, 3.0), floor=st.floats(0.01, 0.5),
+           s1=st.integers(1, 11), span=st.integers(1, 10),
+           cut=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_first_valid_pos_agrees_with_scans(self, counts, scale, floor,
+                                               s1, span, cut):
+        if sum(counts) == 0:
+            counts[0] = 1
+        h = hist(counts)
+        p = PrivacySpec(np.minimum(1.0, np.maximum(h.freqs * scale, floor)))
+        g = build_gamma(h.total, s1, s1 + span)
+        if g is None:
+            return
+        kp = int(cut * g.last_index)
+        args = kernel_args(g, h, p)
+        pos, _, splits = _kernels.first_valid_pos(kp, *args)
+        scan_pos, _ = _kernels.first_valid_scan(kp, *args)
+        valid = scan_valid_positions(g, h, p, kp + 1)
+        assert pos == scan_pos == (valid[0] if valid else -1)
+        assert splits == 0
