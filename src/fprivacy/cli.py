@@ -142,8 +142,8 @@ def _require_eligible(hist, spec, sa_domain) -> None:
     if not eligibility:
         worst = ", ".join(
             f"value {sa_domain[code]!r} occurs {count}x but at most "
-            f"{int(np.floor(threshold * hist.total))} allowed"
-            for code, count, threshold in eligibility.violations[:3])
+            f"{value_slots(spec, hist.total)[code]} allowed"
+            for code, count, _ in eligibility.violations[:3])
         raise InfeasiblePrivacyError(f"thresholds unachievable: {worst}")
 
 

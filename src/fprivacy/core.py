@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-# Guard added before floor/ceil of threshold products.  User thresholds like
-# 0.29 are decimal fractions without exact binary form; 0.29*14 evaluates to
-# 4.059999999999999 in one rounding mode and must still floor to 4, while a
-# value like 4.000000000000001 arising from an exact product must not drop to 3.
+# The package's only float tolerance, added before flooring threshold products
+# in threshold_slots, through which every count-vs-threshold check goes.  0.29
+# has no exact binary form: 0.29*100 evaluates to 28.999999999999996 and must
+# still floor to 29, while 4.000000000000001 must not drop to 3.
 FLOOR_EPS = 1e-9
 
 
@@ -276,13 +275,26 @@ def load_privacy_spec(path, sa_domain: Sequence[str]) -> PrivacySpec:
     return PrivacySpec(thresholds=t)
 
 
-def value_slots(p: PrivacySpec, size: int) -> np.ndarray:
-    """Per-value record capacity of a single bucket of the given size.
+def threshold_slots(thresholds, sizes) -> np.ndarray:
+    """Copies admitted, floor(threshold * size + FLOOR_EPS), broadcast over
+    both arrays; whole float64 numbers, floored in place (no int copy)."""
+    slots = np.multiply(thresholds, sizes)
+    slots += FLOOR_EPS
+    return np.floor(slots, out=slots)
 
-    floor(f'_i * size), computed with the epsilon guard so decimal thresholds
-    round the way exact rational arithmetic would.
-    """
-    return np.floor(p.thresholds * size + FLOOR_EPS).astype(np.int64)
+
+def smallest_admitting_size(thresholds) -> np.ndarray:
+    """Per threshold, the least bucket size (float64) whose threshold_slots
+    reach 1, so every larger size admits one copy too; the float guess is
+    off by at most one and is corrected by threshold_slots itself."""
+    size = np.maximum(1.0, np.ceil(np.divide(1.0 - FLOOR_EPS, thresholds)))
+    size -= threshold_slots(thresholds, size - 1) >= 1
+    return size + (threshold_slots(thresholds, size) < 1)
+
+
+def value_slots(p: PrivacySpec, size: int) -> np.ndarray:
+    """Per-value record capacity of a single bucket of the given size."""
+    return threshold_slots(p.thresholds, size).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -297,19 +309,14 @@ class Eligibility:
 
 
 def check_eligibility(h: SaHistogram, p: PrivacySpec) -> Eligibility:
-    """A threshold set is achievable iff f'_i >= f_i for every value.
-
-    Uses the integer form o_i <= floor(f'_i * n) to dodge float comparisons.
-    """
+    """A threshold set is achievable iff o_i <= value_slots(p, n) for all i."""
     if p.m != h.m:
         raise ConfigError("privacy spec and histogram cover different domains")
-    limit = value_slots(p, h.total)
-    bad = np.nonzero(h.counts > limit)[0]
+    bad = np.flatnonzero(h.counts > value_slots(p, h.total))
     viol = tuple((int(i), int(h.counts[i]), float(p.thresholds[i])) for i in bad)
     return Eligibility(ok=len(bad) == 0, violations=viol)
 
 
 def ell_for_spec(p: PrivacySpec) -> int:
-    """Uniform diversity parameter that models the spec: ceil(1/min threshold)."""
-    fmin = float(p.thresholds.min())
-    return max(1, math.ceil(1.0 / fmin - FLOOR_EPS))
+    """Uniform diversity parameter: the least size admitting each value once."""
+    return int(smallest_admitting_size(p.thresholds).max())

@@ -21,13 +21,13 @@ import numpy as np
 
 from . import _kernels
 from .core import (
-    FLOOR_EPS,
     BudgetExceededError,
     ConfigError,
     MicrodataTable,
     PrivacySpec,
     SaHistogram,
     histogram,
+    smallest_admitting_size,
     value_slots,
 )
 from .gamma import build_gamma, loss_prefix
@@ -76,9 +76,7 @@ class SearchConfig:
         least constrained value.  It may be overridden downward (smaller
         buckets can still host other values) but never upward.
         """
-        derived = min(
-            int(math.ceil(1.0 / float(t) - FLOOR_EPS)) for t in spec.thresholds)
-        derived = max(1, derived)
+        derived = int(smallest_admitting_size(spec.thresholds).min())
         if min_size is None:
             min_size = derived
         elif not 1 <= min_size <= derived:

@@ -18,8 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (FLOOR_EPS, ConfigError, IngestionError, MicrodataTable,
-                   intern_labels, read_columns, utf8_errors)
+from .core import (ConfigError, IngestionError, MicrodataTable, intern_labels,
+                   read_columns, smallest_admitting_size, threshold_slots,
+                   utf8_errors)
 from .validate import Assignment
 
 __all__ = [
@@ -97,10 +98,6 @@ class PublishedTables:
         hi = np.searchsorted(self.st_bids, bid, side="right")
         return self.st_codes[lo:hi]
 
-    def qit_rows_of(self, bid: int) -> np.ndarray:
-        """Record indices assigned to one bucket."""
-        return np.nonzero(self.qit_bids == bid)[0]
-
 
 def _bucket_bounds(sorted_bids: np.ndarray, bucket_count: int) -> np.ndarray:
     """Row offsets of buckets 1..bucket_count in ascending bucket ids: bucket
@@ -160,10 +157,10 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
     them.
 
     thresholds (SA label -> cap) additionally restricts fakes to values whose
-    in-bucket weight 1/(s+sigma) stays under their own cap.  Real values only
-    get diluted by padding, but a fake copy of a tightly capped value would
-    raise its inference probability above the cap in that bucket, so such
-    values are never picked as fakes when the caps are supplied.
+    cap admits one copy in the padded bucket of s+sigma rows under
+    threshold_slots, the rule check_published_privacy applies.  Real values
+    only get diluted by padding, but a fake copy of a tightly capped value
+    could push it over its cap, so such values are never picked as fakes.
     """
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
@@ -184,8 +181,7 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
             caps = np.array([float(thresholds[label]) for label in pt.sa_domain])
         except KeyError as missing:
             raise ConfigError(f"no threshold for SA value {missing}") from None
-        fake_weight = 1.0 / (sizes + sigma)
-        eligible &= caps[None, :] + 1e-12 >= fake_weight[:, None]
+        eligible &= (sizes + sigma)[:, None] >= smallest_admitting_size(caps)
     if model is not None:
         for j, domain in enumerate(pt.qi_domains):
             flagged = np.zeros((len(domain), pt.m), dtype=bool)
@@ -373,9 +369,8 @@ def check_published_privacy(pt: PublishedTables,
     """Recheck the release against per-label thresholds (labels not present
     in the release pass trivially).
 
-    A value passes a bucket when its count there is within value_slots of the
-    bucket's ST size, floor(threshold * size) under the same epsilon guard,
-    which is the capacity the search and partitioning fill to.
+    A value passes a bucket when its count there is within threshold_slots of
+    the bucket's ST size, the capacity the search and partitioning fill to.
     """
     codes, counts, sizes = _bucket_value_counts(pt)
     caps = np.ones(pt.m)
@@ -384,7 +379,7 @@ def check_published_privacy(pt: PublishedTables,
         if label not in thresholds:
             raise ConfigError(f"no threshold given for value {label!r}")
         caps[code] = thresholds[label]
-    return bool(np.all(counts <= np.floor(caps[codes] * sizes + FLOOR_EPS)))
+    return bool(np.all(counts <= threshold_slots(caps[codes], sizes)))
 
 
 def write_published(pt: PublishedTables, out_dir) -> None:

@@ -20,6 +20,7 @@ from .core import (
     PrivacySpec,
     SaHistogram,
     histogram,
+    threshold_slots,
     value_slots,
 )
 
@@ -98,10 +99,9 @@ class AllocationBounds:
 
 
 def allocation_bounds(h: SaHistogram, p: PrivacySpec, setting: BucketSetting) -> AllocationBounds:
-    q = len(setting.groups)
-    upper = np.empty((h.m, q), dtype=np.int64)
-    for j, g in enumerate(setting.groups):
-        upper[:, j] = value_slots(p, g.size) * g.count
+    groups = setting.groups
+    upper = (threshold_slots(p.thresholds[:, None], [g.size for g in groups])
+             .astype(np.int64) * np.array([g.count for g in groups], np.int64))
     alloc = np.minimum(upper, h.counts[:, None])
     return AllocationBounds(upper=upper, alloc=alloc)
 
@@ -259,8 +259,8 @@ def build_assignment(table: MicrodataTable, parts) -> Assignment:
 
 
 def assignment_satisfies(a: Assignment, p: PrivacySpec) -> bool:
-    """Recheck every bucket against every threshold, in integer form."""
-    limits = np.floor(np.outer(a.bucket_sizes, p.thresholds) + 1e-9).astype(np.int64)
+    """Recheck every bucket's value counts against its threshold_slots."""
+    limits = threshold_slots(p.thresholds, a.bucket_sizes[:, None])
     return bool(np.all(a.value_counts <= limits))
 
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -157,6 +158,24 @@ class TestOptimize:
                       "--sa", "Disease", "--theta", "0.1",
                       "--intercept", "0.001")
         assert code == 2
+
+    def test_infeasible_message_states_value_slots(self, capsys, tmp_path):
+        # 0.29 * 100 evaluates to 28.999999999999996; the guarded floor
+        # admits 29 copies, in the error and in analyze's max_count alike
+        csv_path = tmp_path / "thirty.csv"
+        csv_path.write_text("G,Illness\n" + "".join(
+            f"g{i % 3},{'x' if i < 30 else f'y{i % 7}'}\n" for i in range(100)))
+        privacy = tmp_path / "privacy.csv"
+        privacy.write_text("x,0.29\n" + "".join(f"y{k},1\n" for k in range(7)))
+        flags = ["--input", str(csv_path), "--sa", "Illness",
+                 "--privacy-file", str(privacy)]
+        assert main(["optimize", *flags]) == 2
+        assert "value 'x' occurs 30x but at most 29 allowed" in \
+            capsys.readouterr().err
+        code, report = run(capsys, "analyze", *flags)
+        assert code == 2
+        assert [v["max_count"] for v in report["values"]
+                if v["value"] == "x"] == [29]
 
     def test_missing_input_exits_four(self, capsys, tmp_path):
         code, _ = run(capsys, "optimize", "--input",
@@ -470,3 +489,11 @@ def test_benchmark_env_report_runs():
         env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["jit_enabled"] is False
+
+
+def test_benchmark_gate_slack_matches_floor_eps():
+    """The benchmark's stdlib-only release check floors counts with its own
+    copy of the package's threshold guard; the two must stay equal."""
+    path = Path(fprivacy.__file__).parents[2] / "perfbench" / "gate.py"
+    gate = runpy.run_path(str(path), run_name="perfbench_gate")
+    assert gate["COUNT_SLACK"] == fprivacy.core.FLOOR_EPS

@@ -18,6 +18,7 @@ from fprivacy.core import (
     load_privacy_spec,
     value_slots,
 )
+from fprivacy.optimize import SearchConfig
 from conftest import table_from_counts
 
 TABLE1 = """Gender,Zipcode,Disease
@@ -179,6 +180,14 @@ def test_ell_values():
     assert ell_for_spec(PrivacySpec(np.array([0.5]))) == 2
     # 1/0.2 evaluates slightly above 5.0 in floats; the guard keeps it at 5
     assert ell_for_spec(PrivacySpec(np.array([0.2]))) == 5
+
+
+def test_size_bounds_follow_value_slots():
+    # 0.09999999995 * 10 + 1e-9 floors to 1: size 10 already admits a copy
+    p = PrivacySpec(np.array([0.09999999995]))
+    assert value_slots(p, 10).tolist() == [1]
+    assert ell_for_spec(p) == 10
+    assert SearchConfig.for_spec(p).min_size == 10
 
 
 def test_value_slots_decimal_guard():

@@ -237,6 +237,30 @@ class TestInjectFakes:
         with pytest.raises(ConfigError, match="s007"):
             inject_fakes(pt, sigma=1, thresholds=caps)
 
+    def large_bucket_caps(self, spare_cap):
+        """One bucket of 1999 distinct values; the one spare value, s1999,
+        gets spare_cap and every real value 1.0."""
+        table = table_from_counts([1] * 1999 + [0],
+                                  labels=[f"s{i:04d}" for i in range(2000)])
+        pt = publish(table, round_robin_assign(table.sa_codes, 2000, 1), seed=3)
+        caps = {label: 1.0 for label in table.sa_domain}
+        caps["s1999"] = spare_cap
+        return pt, caps
+
+    def test_fake_filter_refuses_what_the_recheck_rejects(self):
+        # (1 - 1.5e-9)/2000 * 2000 + 1e-9 floors to 0: the recheck admits no
+        # copy of s1999 in the padded 2000-row bucket, so it is no fake
+        pt, caps = self.large_bucket_caps((1 - 1.5e-9) / 2000)
+        with pytest.raises(ConfigError,
+                           match="bucket 1 has only 0 admissible fake values"):
+            inject_fakes(pt, sigma=1, thresholds=caps)
+
+    def test_fake_filter_admits_what_the_recheck_accepts(self):
+        pt, caps = self.large_bucket_caps((1 - 0.5e-9) / 2000)
+        padded = inject_fakes(pt, sigma=1, thresholds=caps)
+        assert padded.fake_map == ((1999,),)
+        assert check_published_privacy(padded, caps)
+
 
 class TestNegativeAssociations:
     def build_split_table(self):
@@ -291,7 +315,7 @@ class TestNegativeAssociations:
         assert model.is_flagged(0, 0, 4) and model.is_flagged(0, 1, 0)
         padded = inject_fakes(pt, sigma=1, seed=2, model=model)
         for bid in range(1, padded.bucket_count + 1):
-            rows = padded.qit_rows_of(bid)
+            rows = np.flatnonzero(padded.qit_bids == bid)
             qi_values = {int(z) for z in padded.qi_codes[rows, 0]}
             for fake in padded.fake_map[bid - 1]:
                 for z in qi_values:

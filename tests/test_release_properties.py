@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fprivacy.core import ConfigError, MicrodataTable, ingest_csv
+from fprivacy.core import (ConfigError, MicrodataTable, PrivacySpec,
+                           ingest_csv, smallest_admitting_size, value_slots)
 from fprivacy.metrics import CountQuery, answer_estimated, answer_true
 from fprivacy.publish import (NegAssociationModel, check_published_privacy,
                               inject_fakes, publish, published_max_ratios,
@@ -97,7 +98,7 @@ def expected_fake_failure(pt, sigma, caps=None, flagged=frozenset()):
         admissible = [
             x for x in range(pt.m)
             if x not in real
-            and (caps is None or caps[x] + 1e-12 >= 1.0 / (size + sigma))
+            and (caps is None or 1 <= caps[x] * (size + sigma) + 1e-9)
             and not any((j, z, x) in flagged
                         for row in rows[bid] for j, z in enumerate(row))]
         if len(admissible) < sigma:
@@ -125,7 +126,7 @@ def padded_or_refused(pt, sigma, seed, caps, flagged=frozenset()):
         assert after[bid] == before[bid] + Counter(fakes)
         for x in fakes:
             assert x not in before[bid]
-            assert caps[x] + 1e-12 >= 1.0 / (sum(after[bid].values()))
+            assert 1 <= caps[x] * sum(after[bid].values()) + 1e-9
             assert not any((j, z, x) in flagged
                            for row in rows[bid] for j, z in enumerate(row))
     return padded
@@ -207,6 +208,76 @@ def test_model_steered_fakes_avoid_flagged_values(data):
     caps = [thresholds[label] for label in pt.sa_domain]
     padded_or_refused(pt, data.draw(st.integers(1, 2)),
                       data.draw(st.integers(0, 99)), caps, flagged)
+
+
+def near_fractions(max_size):
+    """Thresholds on and within 1e-9 of k/s for 1 <= k <= s <= max_size,
+    among them the guard's own edge (k - 1e-9)/s."""
+    def near(s, k):
+        return st.one_of(st.just(k / s), st.just((k - 1e-9) / s),
+                         st.floats(k / s - 1e-9, min(1.0, k / s + 1e-9)))
+    return st.integers(1, max_size).flatmap(
+        lambda s: st.integers(1, s).flatmap(lambda k: near(s, k)))
+
+
+@SETTINGS
+@given(st.lists(near_fractions(2500), min_size=1, max_size=6))
+def test_smallest_admitting_size_matches_scan(thresholds):
+    spec = PrivacySpec(np.array(thresholds))
+    expected, size = [0] * spec.m, 0
+    while not all(expected):
+        size += 1
+        for x, slots in enumerate(value_slots(spec, size).tolist()):
+            if slots >= 1 and not expected[x]:
+                expected[x] = size
+    assert smallest_admitting_size(spec.thresholds).tolist() == expected
+
+
+@st.composite
+def distinct_releases(draw):
+    """(published pair, thresholds by label) of buckets of distinct values,
+    every real value within its threshold, thresholds near k/s."""
+    m = draw(st.integers(2, 12))
+    buckets = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1,
+                                     max_size=m - 1, unique=True),
+                            min_size=1, max_size=4))
+    sa_codes = np.array([x for bucket in buckets for x in bucket],
+                        dtype=np.int32)
+    n = len(sa_codes)
+    qi_codes = np.array(draw(st.lists(st.integers(0, 2), min_size=n,
+                                      max_size=n)), dtype=np.int32)[:, None]
+    table = MicrodataTable.from_codes(
+        qi_codes, sa_codes, qi_names=["q0"], sa_name="sa",
+        qi_domains=[["z0", "z1", "z2"]], sa_domain=[f"v{x}" for x in range(m)])
+    bucket_of = np.repeat(np.arange(len(buckets), dtype=np.int32),
+                          [len(bucket) for bucket in buckets])
+    pt = publish_buckets(table, bucket_of, len(buckets),
+                         draw(st.integers(0, 99)))
+    smallest_home = {x: min(len(b) for b in buckets if x in b)
+                     for x in set(sa_codes.tolist())}
+    thresholds = {
+        f"v{x}": draw(near_fractions(m + 2).filter(
+            lambda t, s=smallest_home.get(x, 1): 1 <= t * s + 1e-9))
+        for x in range(m)}
+    return pt, thresholds
+
+
+@SETTINGS
+@given(distinct_releases(), st.integers(1, 2), st.integers(0, 99))
+def test_padded_release_passes_recheck_after_round_trip(release, sigma,
+                                                        seed):
+    pt, thresholds = release
+    assert check_published_privacy(pt, thresholds)
+    try:
+        padded = inject_fakes(pt, sigma, seed=seed, thresholds=thresholds)
+    except ConfigError as refused:
+        assert "admissible fake values" in str(refused)
+        return
+    with tempfile.TemporaryDirectory() as out:
+        write_published(padded, out)
+        back = read_published(out)
+    assert back.sigma == sigma
+    assert check_published_privacy(back, thresholds)
 
 
 # separators, quotes and line breaks that CSV must quote, the empty string,
