@@ -349,6 +349,8 @@ def cmd_plot(args) -> int:
         raise ConfigError(f"bad theta list: {args.thetas!r}")
     if not thetas:
         raise ConfigError("need at least one theta value")
+    pool = gen_queries(table.qi_domains, table.sa_domain, args.pool,
+                       args.selectivity, seed=args.seed)
     mses, res = [], []
     for theta in thetas:
         spec = linear_privacy_spec(hist, theta, args.intercept)
@@ -360,8 +362,6 @@ def cmd_plot(args) -> int:
         except InfeasiblePrivacyError as e:
             raise InfeasiblePrivacyError(f"theta={theta}: {e}") from None
         pt = publish(table, build_assignment(table, parts), seed=args.seed)
-        pool = gen_queries(table.qi_domains, table.sa_domain, args.pool,
-                           args.selectivity, seed=args.seed)
         report = relative_error(pool, table, pt)
         mses.append(mse_of([group for _, group in parts], hist.total))
         res.append(report.re_mean)

@@ -286,8 +286,15 @@ def threshold_slots(thresholds, sizes) -> np.ndarray:
 def smallest_admitting_size(thresholds) -> np.ndarray:
     """Per threshold, the least bucket size (float64) whose threshold_slots
     reach 1, so every larger size admits one copy too; the float guess is
-    off by at most one and is corrected by threshold_slots itself."""
-    size = np.maximum(1.0, np.ceil(np.divide(1.0 - FLOOR_EPS, thresholds)))
+    off by at most one and is corrected by threshold_slots itself.
+
+    A threshold so small that no table could hold that many records (1/t
+    may even overflow, e.g. t = 1e-320) gets a size near 2**53 instead,
+    which is still finite and above every real record count.
+    """
+    with np.errstate(over="ignore"):
+        guess = np.divide(1.0 - FLOOR_EPS, thresholds)
+    size = np.clip(np.ceil(guess), 1.0, 2.0 ** 53)
     size -= threshold_slots(thresholds, size - 1) >= 1
     return size + (threshold_slots(thresholds, size) < 1)
 

@@ -9,6 +9,7 @@ synthetic tables for benchmarking when no real corpus is at hand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -16,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import ConfigError, MicrodataTable
-from .publish import PublishedTables
+from .publish import PublishedTables, _bucket_bounds, _bucket_value_counts
 from .validate import BucketGroup, BucketSetting
 
 __all__ = [
@@ -25,6 +26,9 @@ __all__ = [
     "loss_of",
     "mse_of",
     "gen_queries",
+    "CountCube",
+    "true_count_cube",
+    "estimated_count_cube",
     "answer_true",
     "answer_estimated",
     "relative_error",
@@ -135,8 +139,122 @@ def _admits(codes: np.ndarray, admitted: Sequence[int],
     return table[codes]
 
 
-def answer_true(table: MicrodataTable, query: CountQuery) -> int:
-    """Exact count of records matching every predicate."""
+# pairs of QIT and ST triples joined per bincount call in
+# estimated_count_cube; larger chunks raise evaluate's peak memory and save
+# no measurable time
+_JOIN_CHUNK = 2 ** 15
+
+
+@dataclass(frozen=True)
+class CountCube:
+    """Counts over (QI cell, SA value), a QI cell being a distinct QI tuple:
+    counts[i, x] belongs to the rows whose QI codes are cells[i] and whose SA
+    code is x."""
+
+    cells: np.ndarray   # (u, d) distinct QI code tuples
+    counts: np.ndarray  # (u, m): int64 true counts or float64 estimates
+
+
+def _cube_cells(qi_codes: np.ndarray, qi_domains, m: int):
+    """Distinct QI tuples of the rows and each row's cell id, or None when a
+    cells × m cube would have more entries than there are rows.
+
+    A tuple's key is its mixed-radix code when the product of the domain
+    sizes fits in int64; otherwise np.unique compares whole rows.
+    """
+    dims = [len(domain) for domain in qi_domains]
+    if math.prod(dims) > np.iinfo(np.int64).max:
+        cells, cell_of = np.unique(qi_codes, axis=0, return_inverse=True)
+        cell_of = cell_of.reshape(-1)
+    else:
+        keys = np.zeros(len(qi_codes), dtype=np.int64)
+        for j, size in enumerate(dims):
+            keys *= size
+            keys += qi_codes[:, j]
+        _, first, cell_of = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        cells = qi_codes[first]
+    if len(cells) * m > len(qi_codes):
+        return None
+    return cells, cell_of
+
+
+def true_count_cube(table: MicrodataTable) -> Optional[CountCube]:
+    """The raw table's record counts per (QI cell, SA value), or None when
+    the cube would have more entries than the table has records."""
+    m = table.sa_domain_size
+    found = _cube_cells(table.qi_codes, table.qi_domains, m)
+    if found is None:
+        return None
+    cells, cell_of = found
+    counts = np.bincount(cell_of * m + table.sa_codes,
+                         minlength=len(cells) * m)
+    return CountCube(cells=cells, counts=counts.reshape(len(cells), m))
+
+
+def estimated_count_cube(pt: PublishedTables) -> Optional[CountCube]:
+    """Σ_b QIT_b(c) · ST_b(x) / |ST_b| per (QI cell c, SA value x), the
+    within-bucket uniformity estimate of Anatomy (Xiao & Tao, VLDB 2006),
+    or None when the cube would have more entries than the QIT has rows.
+
+    QIT_b(c) counts bucket b's QIT rows in cell c and ST_b(x) its ST rows
+    holding x, fakes included: the analyst cannot tell them apart.
+    """
+    m = pt.m
+    found = _cube_cells(pt.qi_codes, pt.qi_domains, m)
+    if found is None:
+        return None
+    cells, cell_of = found
+    u = len(cells)
+    # (bucket, cell, count) of the QIT and (bucket, value, count, size) of
+    # the ST, both ascending by bucket
+    keys, qi_counts = np.unique(pt.qit_bids.astype(np.int64) * u + cell_of,
+                                return_counts=True)
+    qi_bids, qi_cells = np.divmod(keys, u)
+    st_bids, st_codes, st_counts, st_sizes = _bucket_value_counts(pt)
+    st_bounds = _bucket_bounds(st_bids, pt.bucket_count)
+    # QIT triple t pairs with every ST triple of its bucket; those are the
+    # pairs pair_bounds[t]..pair_bounds[t+1] of the join, and pair k of
+    # them is ST triple k + offset[t]
+    pair_bounds = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(np.diff(st_bounds)[qi_bids - 1], out=pair_bounds[1:])
+    offset = st_bounds[qi_bids - 1] - pair_bounds[:-1]
+    qi_keys = qi_cells * m
+    total = int(pair_bounds[-1])
+    counts = np.zeros(u * m)
+    for lo in range(0, total, _JOIN_CHUNK):
+        hi = min(lo + _JOIN_CHUNK, total)
+        first, last = np.searchsorted(pair_bounds, [lo, hi - 1],
+                                      side="right") - 1
+        t = np.repeat(np.arange(first, last + 1), np.diff(
+            np.clip(pair_bounds[first:last + 2], lo, hi)))
+        sv = np.arange(lo, hi) + offset[t]
+        counts += np.bincount(qi_keys[t] + st_codes[sv],
+                              qi_counts[t] * st_counts[sv] / st_sizes[sv],
+                              minlength=u * m)
+    return CountCube(cells=cells, counts=counts.reshape(u, m))
+
+
+def _rectangle_sum(cube: CountCube, query: CountQuery, qi_domains, m: int):
+    """Sum of the cube's counts over the cells and SA values query admits."""
+    cells = np.ones(len(cube.cells), dtype=bool)
+    for attr, values in query.qi_predicates:
+        cells &= _admits(cube.cells[:, attr], values, len(qi_domains[attr]))
+    values = np.zeros(m, dtype=bool)
+    values[list(query.sa_values)] = True
+    return cube.counts[np.ix_(cells, values)].sum()
+
+
+def answer_true(table: MicrodataTable, query: CountQuery,
+                index: Optional[CountCube] = None) -> int:
+    """Exact count of records matching every predicate.
+
+    index, when given, is true_count_cube(table); without it every record
+    is scanned.
+    """
+    if index is not None:
+        return int(_rectangle_sum(index, query, table.qi_domains,
+                                  table.sa_domain_size))
     mask = _admits(table.sa_codes, query.sa_values, len(table.sa_domain))
     for attr, values in query.qi_predicates:
         mask &= _admits(table.qi_codes[:, attr], values,
@@ -144,13 +262,18 @@ def answer_true(table: MicrodataTable, query: CountQuery) -> int:
     return int(mask.sum())
 
 
-def answer_estimated(pt: PublishedTables, query: CountQuery) -> float:
+def answer_estimated(pt: PublishedTables, query: CountQuery,
+                     index: Optional[CountCube] = None) -> float:
     """Estimate from the published pair under within-bucket uniformity.
 
     Each bucket contributes (matching QIT rows) * (matching ST rows) /
     (total ST rows); fake rows, when present, stay in the denominator and
-    numerator alike because the analyst cannot tell them apart.
+    numerator alike because the analyst cannot tell them apart.  index,
+    when given, is estimated_count_cube(pt); without it every QIT and ST
+    row is scanned.
     """
+    if index is not None:
+        return float(_rectangle_sum(index, query, pt.qi_domains, pt.m))
     qi_mask = np.ones(len(pt), dtype=bool)
     for attr, values in query.qi_predicates:
         qi_mask &= _admits(pt.qi_codes[:, attr], values,
@@ -194,15 +317,18 @@ def relative_error(pool: Iterable[CountQuery], table: MicrodataTable,
     """Mean relative error of the workload, with loss/MSE of the release.
 
     Queries whose true answer is zero carry no defined relative error and are
-    excluded from the mean.  An all-zero pool is an error.
+    excluded from the mean.  An all-zero pool is an error.  Both answers
+    come from count cubes built once here, where they fit.
     """
     pool = list(pool)
+    true_index = true_count_cube(table)
+    estimated_index = estimated_count_cube(pt)
     answered = []
     for query in pool:
-        act = answer_true(table, query)
+        act = answer_true(table, query, index=true_index)
         if act == 0:
             continue
-        est = answer_estimated(pt, query)
+        est = answer_estimated(pt, query, index=estimated_index)
         answered.append((act, est))
     if not answered:
         raise ConfigError("every query in the pool has a zero true answer")

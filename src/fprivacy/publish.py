@@ -346,18 +346,19 @@ def corruption_attack_sim(pt: PublishedTables,
 
 
 def _bucket_value_counts(pt: PublishedTables):
-    """(SA code, count, bucket ST size) of every (bucket, value) pair present
-    in the ST rows; sizes include fakes."""
+    """(bucket id, SA code, count, bucket ST size) of every (bucket, value)
+    pair present in the ST rows, ascending by bucket then code; sizes
+    include fakes."""
     keys, counts = np.unique(pt.st_bids.astype(np.int64) * pt.m + pt.st_codes,
                              return_counts=True)
     bids, codes = np.divmod(keys, pt.m)
     sizes = np.bincount(pt.st_bids, minlength=pt.bucket_count + 1)[bids]
-    return codes, counts, sizes
+    return bids, codes, counts, sizes
 
 
 def published_max_ratios(pt: PublishedTables) -> dict[str, float]:
     """Worst in-bucket frequency of every SA label across the release."""
-    codes, counts, sizes = _bucket_value_counts(pt)
+    _, codes, counts, sizes = _bucket_value_counts(pt)
     worst = np.zeros(pt.m)
     np.maximum.at(worst, codes, counts / sizes)
     return {pt.sa_domain[code]: float(worst[code])
@@ -372,7 +373,7 @@ def check_published_privacy(pt: PublishedTables,
     A value passes a bucket when its count there is within threshold_slots of
     the bucket's ST size, the capacity the search and partitioning fill to.
     """
-    codes, counts, sizes = _bucket_value_counts(pt)
+    _, codes, counts, sizes = _bucket_value_counts(pt)
     caps = np.ones(pt.m)
     for code in np.unique(codes):
         label = pt.sa_domain[code]

@@ -14,7 +14,7 @@ import pytest
 
 import fprivacy
 from fprivacy.cli import main
-from fprivacy.metrics import gen_synthetic
+from fprivacy.metrics import gen_synthetic, true_count_cube
 
 WALKTHROUGH_COUNTS = [1] * 8 + [6] * 4 + [9] * 2
 
@@ -107,6 +107,22 @@ class TestAnalyze:
         code, _ = run(capsys, "analyze", "--input", str(walkthrough_csv),
                       "--sa", "Disease", "--privacy-file", str(empty))
         assert code == 4
+
+    def test_threshold_with_overflowing_inverse_is_infeasible(self, capsys,
+                                                               tmp_path):
+        """1/1e-320 overflows a float; analyze and optimize still report the
+        value as infeasible and never crash."""
+        csv_path = tmp_path / "two.csv"
+        csv_path.write_text("q,s\nx,a\ny,b\n")
+        caps = tmp_path / "caps.csv"
+        caps.write_text("a,1e-320\nb,1\n")
+        flags = ["--input", str(csv_path), "--sa", "s",
+                 "--privacy-file", str(caps)]
+        code, report = run(capsys, "analyze", *flags)
+        assert code == 2
+        assert report["eligible"] is False
+        assert isinstance(report["ell"], int) and report["ell"] > 2
+        assert run(capsys, "optimize", *flags)[0] == 2
 
 
 class TestOptimize:
@@ -489,6 +505,29 @@ def test_benchmark_env_report_runs():
         env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["jit_enabled"] is False
+
+
+def test_evaluate_re_mean_repeats_across_processes(capsys, tmp_path):
+    """The benchmark compares the re_mean of an in-process replay with the
+    CLI's by ==, so two fresh processes, with different hash seeds, must
+    print the same float for one padded release."""
+    table = gen_synthetic(2000, 50, 0.0, [4, 4], seed=5)
+    assert true_count_cube(table) is not None  # the indexed path runs
+    flags = ["--input", str(write_table_csv(tmp_path / "t.csv", table)),
+             "--sa", "sa", "--out", str(tmp_path / "release")]
+    assert run(capsys, "publish", *flags, "--sigma", "1")[0] == 0
+    values = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(Path(fprivacy.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "fprivacy.cli", "evaluate", *flags,
+             "--pool", "200"], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["sigma"] == 1
+        values.append(repr(report["re_mean"]))
+    assert values[0] == values[1]
 
 
 def test_benchmark_gate_slack_matches_floor_eps():

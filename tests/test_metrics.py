@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from fprivacy.core import (ConfigError, MicrodataTable, histogram,
                            ingest_csv, linear_privacy_spec)
+from fprivacy import metrics
 from fprivacy.metrics import (CountQuery, answer_estimated, answer_true,
-                              gen_queries, gen_synthetic, loss_of, mse_of,
-                              relative_error, write_xy_dat)
+                              estimated_count_cube, gen_queries,
+                              gen_synthetic, loss_of, mse_of, relative_error,
+                              true_count_cube, write_xy_dat)
 from fprivacy.optimize import SearchConfig, two_size_bucketing
 from fprivacy.publish import PublishedTables, inject_fakes, publish
 from fprivacy.validate import (BucketGroup, BucketSetting, allocation_bounds,
@@ -239,6 +241,39 @@ class TestAnswers:
             qi_predicates=query.qi_predicates,
             sa_values=tuple(range(len(table.sa_domain))))
         assert answer_estimated(noisy, trivial) == pytest.approx(2.0)
+
+    def test_cube_of_overflowing_qi_domains_matches_scan(self):
+        # 10^4-value domains on five attributes: their product overflows
+        # int64, so cells are found by comparing whole rows
+        rng = np.random.default_rng(6)
+        qi_codes = rng.choice([0, 9999], size=(200, 5)).astype(np.int32)
+        table = MicrodataTable.from_codes(
+            qi_codes, rng.integers(0, 2, 200, dtype=np.int32),
+            qi_names=[f"q{j}" for j in range(5)], sa_name="sa",
+            qi_domains=[[f"z{k}" for k in range(10_000)]] * 5,
+            sa_domain=["a", "b"])
+        index = true_count_cube(table)
+        assert index is not None
+        for attr, code in ((0, 0), (2, 9999), (4, 5)):
+            query = CountQuery(qi_predicates=((attr, (code,)),),
+                               sa_values=(1,))
+            assert answer_true(table, query, index=index) == \
+                answer_true(table, query)
+
+    def test_cube_join_across_chunks_matches_scan(self, monkeypatch):
+        # 7-pair chunks split buckets and single QIT triples between
+        # bincount calls
+        table = gen_synthetic(3000, 20, 0.0, [4, 4], seed=2)
+        spec = linear_privacy_spec(histogram(table), theta=8, intercept=0.02)
+        pt, _ = walkthrough_publication(table, spec, seed=1)
+        pt = inject_fakes(pt, sigma=1, seed=1)
+        monkeypatch.setattr(metrics, "_JOIN_CHUNK", 7)
+        index = estimated_count_cube(pt)
+        assert index is not None
+        for query in gen_queries(table.qi_domains, table.sa_domain, 50, 0.1,
+                                 seed=4):
+            assert answer_estimated(pt, query, index=index) == pytest.approx(
+                answer_estimated(pt, query), rel=1e-12, abs=1e-12)
 
 
 def relabel_buckets(pt, perm):

@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fprivacy.core import (ConfigError, MicrodataTable, PrivacySpec,
                            ingest_csv, smallest_admitting_size, value_slots)
-from fprivacy.metrics import CountQuery, answer_estimated, answer_true
+from fprivacy.metrics import (CountQuery, answer_estimated, answer_true,
+                              estimated_count_cube, true_count_cube)
 from fprivacy.publish import (NegAssociationModel, check_published_privacy,
                               inject_fakes, publish, published_max_ratios,
                               read_published, write_published)
@@ -194,6 +195,84 @@ def test_answers_match_reference(data):
               for bid, rows in qi_rows(pt).items())
     assert answer_estimated(pt, query) == pytest.approx(est, rel=1e-12,
                                                         abs=1e-12)
+
+
+def reference_answers(table, pt, query):
+    """(true count, within-bucket uniformity estimate) of query, by a loop
+    over the rows and the per-bucket Counters."""
+    admitted = dict(query.qi_predicates)
+
+    def matches(row):
+        return all(row[attr] in values for attr, values in admitted.items())
+
+    act = sum(1 for row, sa in zip(table.qi_codes.tolist(),
+                                   table.sa_codes.tolist())
+              if matches(row) and sa in query.sa_values)
+    counters = st_counters(pt)
+    est = sum(sum(map(matches, rows))
+              * sum(counters[bid][x] for x in query.sa_values)
+              / sum(counters[bid].values())
+              for bid, rows in qi_rows(pt).items())
+    return act, est
+
+
+@st.composite
+def indexed_cases(draw):
+    """(table, release, queries): buckets of distinct SA values padded with
+    0-2 fakes, QI codes drawn from a prefix of each domain, so that some
+    values and cells occur nowhere; when a code of the first QI attribute
+    does, one query admits only such codes."""
+    m = draw(st.integers(3, 8))
+    buckets = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1,
+                                     max_size=m - 2, unique=True),
+                            min_size=1, max_size=8))
+    sa_codes = np.array([x for bucket in buckets for x in bucket],
+                        dtype=np.int32)
+    qi_sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    qi_codes = np.array(
+        [draw(st.lists(st.integers(0, draw(st.integers(0, size - 1))),
+                       min_size=len(sa_codes), max_size=len(sa_codes)))
+         for size in qi_sizes], dtype=np.int32).T
+    table = MicrodataTable.from_codes(
+        qi_codes, sa_codes, qi_names=[f"q{j}" for j in range(len(qi_sizes))],
+        sa_name="sa",
+        qi_domains=[[f"z{k}" for k in range(size)] for size in qi_sizes],
+        sa_domain=[f"v{x}" for x in range(m)])
+    bucket_of = np.repeat(np.arange(len(buckets), dtype=np.int32),
+                          [len(bucket) for bucket in buckets])
+    pt = publish_buckets(table, bucket_of, len(buckets),
+                         draw(st.integers(0, 99)))
+    pt = inject_fakes(pt, draw(st.integers(0, 2)),
+                      seed=draw(st.integers(0, 99)))
+    pool = draw(st.lists(queries(table), min_size=1, max_size=4))
+    unused = sorted(set(range(qi_sizes[0])) - set(qi_codes[:, 0].tolist()))
+    if unused:
+        pool.append(CountQuery(qi_predicates=((0, tuple(unused)),),
+                               sa_values=(0,)))
+    return table, pt, pool
+
+
+@SETTINGS
+@given(indexed_cases())
+def test_indexed_answers_match_reference(case):
+    table, pt, pool = case
+    true_index = true_count_cube(table)
+    estimated_index = estimated_count_cube(pt)
+    # a cube is built exactly when cells x values fit in the rows
+    cells = len({tuple(row) for row in table.qi_codes.tolist()})
+    assert (true_index is None) == (cells * table.sa_domain_size > len(table))
+    assert (estimated_index is None) == (cells * pt.m > len(pt))
+    event(f"sigma={pt.sigma}, " + ("scan" if true_index is None else "cube"))
+    for query in pool:
+        act, est = reference_answers(table, pt, query)
+        event("ST lacks an admitted value" if any(
+            x not in pt.st_codes for x in query.sa_values) else "ST has all")
+        event("no cell admitted" if not any(
+            all(row[a] in v for a, v in query.qi_predicates)
+            for row in table.qi_codes.tolist()) else "some cell admitted")
+        assert answer_true(table, query, index=true_index) == act
+        assert answer_estimated(pt, query, index=estimated_index) == \
+            pytest.approx(est, rel=1e-12, abs=1e-12)
 
 
 @SETTINGS
