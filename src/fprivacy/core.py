@@ -57,17 +57,22 @@ def utf8_errors(path):
 
 
 def read_columns(reader, width: int, path) -> list[list[str]]:
-    """Split a csv.reader's rows, one at a time, into ``width`` column lists.
-    A row of another width raises IngestionError at path:record (header = 1)."""
-    columns: list[list[str]] = [[] for _ in range(width)]
-    appends = [column.append for column in columns]
+    """Split a csv.reader's rows into ``width`` column lists.
+    A row of another width raises IngestionError at path:record (header = 1).
+
+    Each record costs one width check and one ``list.extend`` into a flat
+    row-major cell list; the columns are then ``width`` strided slices of
+    it, so no Python-level work is done per cell.  The flat list is dropped
+    on return; the columns share its strings.
+    """
+    cells: list[str] = []
+    extend = cells.extend
     for lineno, row in enumerate(reader, start=2):
         if len(row) != width:
             raise IngestionError(
                 f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-        for append, value in zip(appends, row):
-            append(value)
-    return columns
+        extend(row)
+    return [cells[j::width] for j in range(width)]
 
 
 def intern_labels(column: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -266,7 +271,8 @@ def load_privacy_spec(path, sa_domain: Sequence[str]) -> PrivacySpec:
     missing = [v for v in sa_domain if v not in got]
     if missing:
         raise IngestionError(f"{path}: missing thresholds for {missing}")
-    unknown = [v for v in got if v not in set(sa_domain)]
+    known = set(sa_domain)
+    unknown = [v for v in got if v not in known]
     if unknown:
         raise IngestionError(f"{path}: unknown SA values {unknown}")
     t = np.array([got[v] for v in sa_domain], dtype=np.float64)

@@ -280,7 +280,8 @@ def answer_estimated(pt: PublishedTables, query: CountQuery,
                            len(pt.qi_domains[attr]))
     qi_per_bucket = np.bincount(pt.qit_bids[qi_mask],
                                 minlength=pt.bucket_count + 1)
-    st_total = np.bincount(pt.st_bids, minlength=pt.bucket_count + 1)
+    # ST sizes from the ascending st_bids, indexed by bucket id (0 is empty)
+    st_total = np.diff(_bucket_bounds(pt.st_bids, pt.bucket_count), prepend=0)
     sa_mask = _admits(pt.st_codes, query.sa_values, pt.m)
     st_match = np.bincount(pt.st_bids[sa_mask], minlength=pt.bucket_count + 1)
     occupied = st_total > 0

@@ -75,10 +75,10 @@ class PublishedTables:
         if (self.qit_bids.max(initial=1) > self.bucket_count
                 or self.st_bids.max(initial=1) > self.bucket_count):
             raise ConfigError("bucket id exceeds the bucket count")
+        if self.qit_bids.min(initial=1) < 1 or self.st_bids.min(initial=1) < 1:
+            raise ConfigError("bucket ids are 1-based")
         qit_per = np.bincount(self.qit_bids, minlength=self.bucket_count + 1)
         st_per = np.bincount(self.st_bids, minlength=self.bucket_count + 1)
-        if qit_per[0] or st_per[0]:
-            raise ConfigError("bucket ids are 1-based")
         if np.any(qit_per[1:] + self.sigma != st_per[1:]):
             raise ConfigError(
                 "each bucket must hold its record count plus sigma ST rows")
@@ -101,8 +101,10 @@ class PublishedTables:
 
 def _bucket_bounds(sorted_bids: np.ndarray, bucket_count: int) -> np.ndarray:
     """Row offsets of buckets 1..bucket_count in ascending bucket ids: bucket
-    b's rows are [bounds[b-1], bounds[b])."""
-    return np.searchsorted(sorted_bids, np.arange(1, bucket_count + 2))
+    b's rows are [bounds[b-1], bounds[b]).  The probes take the ids' dtype,
+    so the ids are searched in place, not cast to a wider copy first."""
+    return np.searchsorted(sorted_bids, np.arange(1, bucket_count + 2,
+                                                  dtype=sorted_bids.dtype))
 
 
 def publish(table: MicrodataTable, assignment: Assignment,
@@ -434,6 +436,8 @@ def read_published(in_dir) -> PublishedTables:
         qi_codes[:, j], domain = intern_labels(column)
         qi_domains.append(domain)
     st_codes, sa_domain = intern_labels(st_columns[1])
+    # one str per cell: free them before the release's arrays are built
+    del qi_columns, st_columns
     sa_lookup = {label: i for i, label in enumerate(sa_domain)}
 
     order = np.argsort(st_bids, kind="stable")

@@ -285,8 +285,9 @@ def partition_records(table: MicrodataTable, bounds: AllocationBounds,
             or np.any(a1 + a2 < h.counts) or setting.capacity != h.total:
         raise ConfigError("partition_records called on an invalid setting")
 
-    codes = table.sa_codes[rows]
-    by_value = [rows[codes == v] for v in range(h.m)]
+    # one stable sort groups the rows by value, each group in row order
+    order = np.argsort(table.sa_codes[rows], kind="stable")
+    by_value = np.split(rows[order], np.cumsum(h.counts)[:-1])
     seed = [arr[: a1[v]] for v, arr in enumerate(by_value)]
     rest = [arr[a1[v]:] for v, arr in enumerate(by_value)]
     t1_len = np.array([len(x) for x in seed])
@@ -307,10 +308,9 @@ def partition_records(table: MicrodataTable, bounds: AllocationBounds,
         if not progressed:
             raise ConfigError("partition stalled; setting was not valid")
 
-    rows1 = np.concatenate([seed[v][: t1_len[v]] for v in range(h.m)]) \
-        if h.m else np.empty(0, dtype=rows.dtype)
-    rows2_parts = [seed[v][t1_len[v]:] for v in range(h.m)] + rest
-    rows2 = np.concatenate(rows2_parts) if rows2_parts else np.empty(0, dtype=rows.dtype)
+    # a table has at least one record, so there is at least one value
+    rows1 = np.concatenate([seed[v][: t1_len[v]] for v in range(h.m)])
+    rows2 = np.concatenate([seed[v][t1_len[v]:] for v in range(h.m)] + rest)
     rows1.sort()
     rows2.sort()
     return rows1, rows2

@@ -391,6 +391,25 @@ class TestPublishEvaluate:
         assert code == 4
         assert f"{name}:" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("name,edit", [
+        ("qit.csv", lambda row: row[:row.rindex(",")] + ",-1"),
+        ("st.csv", lambda row: "-1" + row[row.index(","):]),
+    ], ids=["qit", "st"])
+    def test_negative_bucket_id_exits_four(self, capsys, tmp_path,
+                                           walkthrough_csv, name, edit):
+        out = tmp_path / "pub"
+        code, _ = run(capsys, *self.publish_args(walkthrough_csv, out))
+        assert code == 0
+        path = out / name
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, edit(first), *rest]) + "\n")
+        code = main(["evaluate", "--input", str(walkthrough_csv),
+                     "--sa", "Disease", *WALK_PRIVACY, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "bucket ids are 1-based" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_evaluate_foreign_tables_exits_three(self, capsys, tmp_path,
                                                  walkthrough_csv):
         out = tmp_path / "pub"

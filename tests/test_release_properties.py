@@ -9,6 +9,7 @@ files and through ingestion.
 """
 
 import csv
+import io
 import tempfile
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fprivacy.core import (ConfigError, MicrodataTable, PrivacySpec,
-                           ingest_csv, smallest_admitting_size, value_slots)
+from fprivacy.core import (ConfigError, IngestionError, MicrodataTable,
+                           PrivacySpec, ingest_csv, read_columns,
+                           smallest_admitting_size, value_slots)
 from fprivacy.metrics import (CountQuery, answer_estimated, answer_true,
                               estimated_count_cube, true_count_cube)
 from fprivacy.publish import (NegAssociationModel, check_published_privacy,
@@ -440,3 +442,51 @@ def test_ingest_of_written_labels_matches_from_rows(labels, sa_at):
     assert np.array_equal(got.qi_codes, expected.qi_codes)
     assert np.array_equal(got.sa_codes, expected.sa_codes)
 
+
+
+def read_columns_per_cell(reader, width, path):
+    """Reference reader: one append per cell into its column."""
+    columns = [[] for _ in range(width)]
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise IngestionError(
+                f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        for column, value in zip(columns, row):
+            column.append(value)
+    return columns
+
+
+@SETTINGS
+@given(st.data())
+def test_read_columns_matches_per_cell_reference(data):
+    width = data.draw(st.integers(0, 4))
+    rows = data.draw(st.lists(st.lists(LABELS, min_size=width, max_size=width),
+                              max_size=12))
+    fault = data.draw(st.sampled_from([None, "ragged", "blank"]))
+    at = data.draw(st.integers(0, len(rows)))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([f"c{j}" for j in range(width)])
+    for i, row in enumerate(rows + [None]):
+        if i == at and fault == "blank":
+            buf.write("\r\n")
+        elif i == at and fault == "ragged":
+            ragged = data.draw(st.integers(0, 5).filter(lambda w: w != width))
+            writer.writerow(data.draw(st.lists(LABELS, min_size=ragged,
+                                               max_size=ragged)))
+        if row is not None:
+            writer.writerow(row)
+
+    def outcome(read):
+        reader = csv.reader(io.StringIO(buf.getvalue(), newline=""))
+        next(reader)
+        try:
+            return read(reader, width, "t.csv")
+        except IngestionError as exc:
+            return str(exc)
+
+    got = outcome(read_columns)
+    event("raised" if isinstance(got, str) else "columns")
+    assert got == outcome(read_columns_per_cell)
+    if fault is None:
+        assert got == [[row[j] for row in rows] for j in range(width)]

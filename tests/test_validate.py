@@ -2,9 +2,10 @@ import collections
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from fprivacy.core import ConfigError, PrivacySpec, SaHistogram, histogram
+from fprivacy.core import (ConfigError, MicrodataTable, PrivacySpec,
+                           SaHistogram, histogram)
 from fprivacy.validate import (
     Assignment,
     BucketGroup,
@@ -279,6 +280,85 @@ class TestPartition:
                 built += 1
                 break
         assert built > 60
+
+
+def partition_by_masks(table, bounds, setting, rows=None):
+    """Reference partition_records: one boolean scan of the rows per value."""
+    if rows is None:
+        rows = np.arange(len(table), dtype=np.int64)
+    rows = np.asarray(rows)
+    h = histogram(table, rows)
+    g1, g2 = setting.groups
+    a1 = bounds.alloc[:, 0]
+    a2 = bounds.alloc[:, 1]
+    if int(a1.sum()) < g1.capacity or int(a2.sum()) < g2.capacity \
+            or np.any(a1 + a2 < h.counts) or setting.capacity != h.total:
+        raise ConfigError("partition_records called on an invalid setting")
+    codes = table.sa_codes[rows]
+    by_value = [rows[codes == v] for v in range(h.m)]
+    seed = [arr[: a1[v]] for v, arr in enumerate(by_value)]
+    rest = [arr[a1[v]:] for v, arr in enumerate(by_value)]
+    t1_len = np.array([len(x) for x in seed])
+    t2_len = np.array([len(x) for x in rest])
+    need = int(t1_len.sum()) - g1.capacity
+    moved = 0
+    while moved < need:
+        progressed = False
+        for v in range(h.m):
+            if moved >= need:
+                break
+            if t1_len[v] > 0 and t2_len[v] < a2[v]:
+                t1_len[v] -= 1
+                t2_len[v] += 1
+                moved += 1
+                progressed = True
+        if not progressed:
+            raise ConfigError("partition stalled; setting was not valid")
+    rows1 = np.concatenate([seed[v][: t1_len[v]] for v in range(h.m)])
+    rows2 = np.concatenate([seed[v][t1_len[v]:] for v in range(h.m)] + rest)
+    rows1.sort()
+    rows2.sort()
+    return rows1, rows2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_partition_matches_boolean_mask_reference(data):
+    m = data.draw(st.integers(1, 6))
+    codes = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=40))
+    n = len(codes)
+    table = MicrodataTable.from_codes(
+        np.zeros((n, 1)), np.array(codes), ["q"], "sa", [["q0"]],
+        [f"s{v}" for v in range(m)])
+    if data.draw(st.booleans()):
+        rows = None
+    else:
+        order = data.draw(st.permutations(range(n)))
+        rows = np.array(order[:data.draw(st.integers(1, n))], dtype=np.int64)
+    h = histogram(table, rows)
+    # thresholds a little above each value's frequency, so that most
+    # drawn tables admit some two-size setting
+    slack = np.array(data.draw(st.lists(st.floats(1.0, 3.0), min_size=m,
+                                        max_size=m)))
+    p = PrivacySpec(np.minimum(1.0, h.counts / h.total * slack + 0.05))
+    s1 = data.draw(st.integers(1, 4))
+    s2 = data.draw(st.integers(s1 + 1, s1 + 5))
+    candidates = [BucketSetting.of((s1, (h.total - s2 * b2) // s1), (s2, b2))
+                 for b2 in range(h.total // s2 + 1)
+                 if (h.total - s2 * b2) % s1 == 0]
+    valid = [s for s in candidates if validate_two_size(h, p, s)]
+    event("valid setting" if valid else "no valid setting")
+    setting = data.draw(st.sampled_from(valid or candidates or
+                                        [BucketSetting.of((s1, 1), (s2, 1))]))
+    bounds = allocation_bounds(h, p, setting)
+
+    def outcome(partition):
+        try:
+            return [part.tolist() for part in partition(table, bounds, setting, rows)]
+        except ConfigError as exc:
+            return str(exc)
+
+    assert outcome(partition_records) == outcome(partition_by_masks)
 
 
 class TestFlowOracle:
