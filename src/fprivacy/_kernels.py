@@ -3,8 +3,19 @@
 Positions index the arithmetic progression (b1_first - pos*step1,
 b2_first + pos*step2) of bucket-count pairs.  All inputs are int64; ``u1`` and
 ``u2`` hold the per-bucket slot counts of each SA value for the two sizes, and
-``o`` the per-value record counts.  Every function returns its probe count,
-where one probe is one constraint evaluated at one position.
+``o`` the per-value record counts.
+
+Both constraint families have closed forms:
+
+* Fill: b buckets of one size can be filled iff b <= fill_limit(size), so a
+  pair's fill interval is two integer divisions.
+* Allocation: for b1, b2 >= 0 a value's condition
+  min(u1*b1, o) + min(u2*b2, o) >= o is exactly u1*b1 + u2*b2 >= o, linear
+  in the position, so pc_bounds solves it for every value at once.
+
+The kernels count probes: one per ``fill_limit`` bisection step, and one per
+value each time a pair's allocation condition is solved.  The reference scan
+counts one probe per constraint evaluated at one position.
 """
 
 from __future__ import annotations
@@ -18,166 +29,58 @@ def _fill_ok(b, size, u, o):
     return int(np.minimum(u * b, o).sum()) >= size * b
 
 
-def fc_bounds(kp, b1f, d1, b2f, d2, s1, s2, u1, u2, o):
-    """Interval of positions in [0, kp] passing both fill constraints.
+def fill_limit(size, u, o):
+    """Largest bucket count b such that b buckets of this size can be filled.
 
-    The small-size fill constraint holds on a suffix of positions, the
-    large-size one on a prefix, so two binary searches bound the interval.
-    Returns (lo, hi, probes); the interval is empty iff lo > hi.
+    The slack sum(min(u*b, o)) - size*b is concave in b and 0 at b = 0, so
+    filling succeeds exactly for b in [0, limit]; above sum(o) // size it
+    fails.  Returns (limit, probes).
     """
-    probes = 1
-    if not _fill_ok(b1f - kp * d1, s1, u1, o):
-        return 1, 0, probes
-    lo = 0
-    probes += 1
-    if not _fill_ok(b1f, s1, u1, o):
-        a, b = 0, kp
-        while b - a > 1:
-            mid = (a + b) // 2
-            probes += 1
-            if _fill_ok(b1f - mid * d1, s1, u1, o):
-                b = mid
-            else:
-                a = mid
-        lo = b
-    probes += 1
-    if not _fill_ok(b2f, s2, u2, o):
-        return 1, 0, probes
-    hi = kp
-    probes += 1
-    if not _fill_ok(b2f + kp * d2, s2, u2, o):
-        a, b = 0, kp
-        while b - a > 1:
-            mid = (a + b) // 2
-            probes += 1
-            if _fill_ok(b2f + mid * d2, s2, u2, o):
-                a = mid
-            else:
-                b = mid
-        hi = a
-    return lo, hi, probes
-
-
-def pc_gap(kp, b1f, d1, b2f, d2, u1i, u2i, oi):
-    """Positions in [0, kp] where one value's allocation condition fails.
-
-    The failure set is a single (possibly empty) run: the small-size cap alone
-    suffices on a prefix, the large-size cap alone on a suffix, and in between
-    the combined cap is linear in the position.  Returns (lo, hi, probes);
-    empty iff lo > hi.
-    """
+    ok, bad = 0, int(o.sum()) // size + 1
     probes = 0
-    if oi <= 0:
-        return 1, 0, probes
-    # small-size cap alone: u1i*b1 >= oi, true on a prefix
-    probes += 1
-    if u1i * (b1f - kp * d1) >= oi:
-        return 1, 0, probes
-    p1 = -1
-    probes += 1
-    if u1i * b1f >= oi:
-        a, b = 0, kp
-        while b - a > 1:
-            mid = (a + b) // 2
-            probes += 1
-            if u1i * (b1f - mid * d1) >= oi:
-                a = mid
-            else:
-                b = mid
-        p1 = a
-    # large-size cap alone: u2i*b2 >= oi, true on a suffix
-    p2 = kp + 1
-    probes += 1
-    if u2i * (b2f + kp * d2) >= oi:
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
         probes += 1
-        if u2i * b2f >= oi:
-            p2 = 0
+        if _fill_ok(mid, size, u, o):
+            ok = mid
         else:
-            a, b = 0, kp
-            while b - a > 1:
-                mid = (a + b) // 2
-                probes += 1
-                if u2i * (b2f + mid * d2) >= oi:
-                    b = mid
-                else:
-                    a = mid
-            p2 = b
-    lo = p1 + 1
-    hi = p2 - 1
-    if lo > hi:
-        return 1, 0, probes
-    # in the middle both caps bind, so the condition is u1i*b1 + u2i*b2 >= oi,
-    # linear in the position with slope u2i*d2 - u1i*d1
-    slope = u2i * d2 - u1i * d1
-    if slope >= 0:
-        probes += 1
-        if u1i * (b1f - lo * d1) + u2i * (b2f + lo * d2) >= oi:
-            return 1, 0, probes
-        probes += 1
-        if u1i * (b1f - hi * d1) + u2i * (b2f + hi * d2) < oi:
-            return lo, hi, probes
-        a, b = lo, hi
-        while b - a > 1:
-            mid = (a + b) // 2
-            probes += 1
-            if u1i * (b1f - mid * d1) + u2i * (b2f + mid * d2) >= oi:
-                b = mid
-            else:
-                a = mid
-        return lo, b - 1, probes
-    else:
-        probes += 1
-        if u1i * (b1f - hi * d1) + u2i * (b2f + hi * d2) >= oi:
-            return 1, 0, probes
-        probes += 1
-        if u1i * (b1f - lo * d1) + u2i * (b2f + lo * d2) < oi:
-            return lo, hi, probes
-        a, b = lo, hi
-        while b - a > 1:
-            mid = (a + b) // 2
-            probes += 1
-            if u1i * (b1f - mid * d1) + u2i * (b2f + mid * d2) >= oi:
-                a = mid
-            else:
-                b = mid
-        return a + 1, hi, probes
+            bad = mid
+    return ok, probes
 
 
-def first_valid_pos(kp, b1f, d1, b2f, d2, s1, s2, u1, u2, o):
-    """First position in [0, kp] passing every constraint, by region pruning.
+def pc_bounds(kp, b1f, d1, b2f, d2, u1, u2, o):
+    """Interval of positions in [0, kp] where every value's allocation
+    condition u1*b1 + u2*b2 >= o holds; empty iff lo > hi.
 
-    Returns (position or -1, probes, split_count) where split_count is how many
-    values produced an interior failure run (the two-interval case).
+    Per value the condition reads pos * slope >= need: a lower bound on the
+    position where the slope is positive, an upper bound where it is
+    negative, all or nothing where it is zero.
     """
-    lo, hi, probes = fc_bounds(kp, b1f, d1, b2f, d2, s1, s2, u1, u2, o)
+    slope = u2 * d2 - u1 * d1
+    need = o - u1 * b1f - u2 * b2f
+    if np.any(need[slope == 0] > 0):
+        return 1, 0
+    lo, hi = 0, kp
+    up = slope > 0
+    if up.any():
+        lo = max(lo, int((-(-need[up] // slope[up])).max()))
+    down = slope < 0
+    if down.any():
+        hi = min(hi, int((need[down] // slope[down]).min()))
+    return lo, hi
+
+
+def first_valid_pos(kp, b1f, d1, b2f, d2, lim1, lim2, u1, u2, o):
+    """First position in [0, kp] passing every constraint, given both sizes'
+    fill limits.  Returns (position or -1, probes).
+    """
+    lo = max(0, -((lim1 - b1f) // d1))  # b1 <= lim1
+    hi = min(kp, (lim2 - b2f) // d2)    # b2 <= lim2
     if lo > hi:
-        return -1, probes, 0
-    m = o.shape[0]
-    gap_lo = np.empty(m, dtype=np.int64)
-    gap_hi = np.empty(m, dtype=np.int64)
-    ng = 0
-    splits = 0
-    for i in range(m):
-        glo, ghi, pr = pc_gap(kp, b1f, d1, b2f, d2, u1[i], u2[i], o[i])
-        probes += pr
-        if glo <= ghi:
-            if glo > 0 and ghi < kp:
-                splits += 1
-            gap_lo[ng] = glo
-            gap_hi[ng] = ghi
-            ng += 1
-    cand = lo
-    if ng > 0:
-        order = np.argsort(gap_lo[:ng])
-        for idx in range(ng):
-            g = order[idx]
-            if gap_lo[g] > cand:
-                break
-            if gap_hi[g] >= cand:
-                cand = gap_hi[g] + 1
-    if cand > hi:
-        return -1, probes, splits
-    return cand, probes, splits
+        return -1, 0
+    plo, phi = pc_bounds(kp, b1f, d1, b2f, d2, u1, u2, o)
+    lo, hi = max(lo, plo), min(hi, phi)
+    return (lo if lo <= hi else -1), o.shape[0]
 
 
 def first_valid_scan(kp, b1f, d1, b2f, d2, s1, s2, u1, u2, o):

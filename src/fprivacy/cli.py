@@ -231,9 +231,7 @@ def cmd_optimize(args) -> int:
                 raise InfeasiblePrivacyError(
                     "no valid two-size bucketing within the size bounds")
             buckets = [(g.size, g.count) for g in result.setting]
-            report.update(loss=result.loss,
-                          cond_evals=result.cond_evals,
-                          pc_splits=result.pc_splits)
+            report.update(loss=result.loss, cond_evals=result.cond_evals)
         else:
             _, loss, sizes = _bucketize(table, hist, spec, cfg, "multi")
             buckets = sorted(sizes.items())

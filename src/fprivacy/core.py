@@ -47,13 +47,15 @@ class Record(NamedTuple):
 
 
 @contextlib.contextmanager
-def utf8_errors(path):
-    """Re-raise a UnicodeDecodeError met while reading path as an
-    IngestionError naming the file."""
+def ingestion_errors(path):
+    """Re-raise a UnicodeDecodeError or csv.Error met while reading path as
+    an IngestionError naming the file."""
     try:
         yield
     except UnicodeDecodeError as e:
         raise IngestionError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except csv.Error as e:
+        raise IngestionError(f"{path}: malformed CSV ({e})") from None
 
 
 def read_columns(reader, width: int, path) -> list[list[str]]:
@@ -184,7 +186,7 @@ class PrivacySpec:
         t = self.thresholds
         if t.ndim != 1 or len(t) < 1:
             raise ConfigError("thresholds must be a non-empty vector")
-        if np.any(t <= 0.0) or np.any(t > 1.0):
+        if not np.all((t > 0.0) & (t <= 1.0)):
             raise ConfigError("thresholds must lie in (0, 1]")
 
     @property
@@ -202,7 +204,7 @@ def ingest_csv(path, sa_column: str) -> MicrodataTable:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as e:
         raise IngestionError(f"cannot open {path}: {e}") from e
-    with fh, utf8_errors(path):
+    with fh, ingestion_errors(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -231,10 +233,11 @@ def linear_privacy_spec(h: SaHistogram, theta: float, intercept: float) -> Priva
     theta and intercept must be non-negative and must produce positive
     thresholds (theta=0 with intercept=0 would forbid everything).
     """
-    if theta < 0 or intercept < 0:
-        raise ConfigError("theta and intercept must be non-negative")
+    if not (theta >= 0 and intercept >= 0):
+        raise ConfigError(f"theta and intercept must be non-negative numbers, "
+                          f"got {theta} and {intercept}")
     t = np.minimum(1.0, theta * h.freqs + intercept)
-    if np.any(t <= 0.0):
+    if not np.all(t > 0.0):
         raise ConfigError("privacy rule yields a non-positive threshold")
     return PrivacySpec(thresholds=t)
 
@@ -250,7 +253,7 @@ def load_privacy_spec(path, sa_domain: Sequence[str]) -> PrivacySpec:
     except OSError as e:
         raise IngestionError(f"cannot open {path}: {e}") from e
     got: dict[str, float] = {}
-    with fh, utf8_errors(path):
+    with fh, ingestion_errors(path):
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
@@ -276,7 +279,7 @@ def load_privacy_spec(path, sa_domain: Sequence[str]) -> PrivacySpec:
     if unknown:
         raise IngestionError(f"{path}: unknown SA values {unknown}")
     t = np.array([got[v] for v in sa_domain], dtype=np.float64)
-    if np.any(t <= 0.0) or np.any(t > 1.0):
+    if not np.all((t > 0.0) & (t <= 1.0)):
         raise IngestionError(f"{path}: thresholds must lie in (0, 1]")
     return PrivacySpec(thresholds=t)
 

@@ -4,8 +4,9 @@ The two-size search walks size pairs in ascending order and, for each pair,
 cuts the candidate list (``fprivacy.gamma``) to the prefix below the
 incumbent loss and asks ``fprivacy._kernels`` for its first valid position.
 Three pruning modes exist so their agreement can be checked: "full" uses the
-loss prefix plus region binary searches, "loss" uses the prefix with a linear
-scan, and "none" scans every list end to end.
+loss prefix plus the kernels' closed forms (each size's fill limit, found
+once per search, and the linear allocation bounds), "loss" uses the prefix
+with a linear scan, and "none" scans every list end to end.
 
 A brute-force oracle validated by the max-flow check and the classic
 equal-size baseline round out the module.
@@ -90,16 +91,14 @@ class SearchConfig:
 class SearchResult:
     """Outcome of a bucket-setting search.
 
-    cond_evals counts constraint-at-position evaluations performed by the
-    kernels; pc_splits counts per-value regions that split in two (expected
-    zero, kept as a diagnostic).  trace records (size1, size2, best loss so
-    far) per examined pair.
+    cond_evals counts the kernels' probes (``fprivacy._kernels`` defines
+    one per mode).  trace records (size1, size2, best loss so far) per
+    examined pair.
     """
 
     setting: BucketSetting
     loss: int
     cond_evals: int = 0
-    pc_splits: int = 0
     trace: tuple = ()
 
 
@@ -116,19 +115,24 @@ def two_size_bucketing(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
     if h.total < 1:
         raise ConfigError("cannot search an empty table")
     counts = h.counts
-    slots_cache: dict[int, np.ndarray] = {}
+    # per size: its value slots and, in "full" mode, its fill limit
+    slots_cache: dict[int, tuple[np.ndarray, Optional[int]]] = {}
 
-    def slots(size: int) -> np.ndarray:
+    def slots(size: int) -> tuple[np.ndarray, Optional[int]]:
+        nonlocal evals
         got = slots_cache.get(size)
         if got is None:
-            got = value_slots(spec, size)
-            slots_cache[size] = got
+            u = value_slots(spec, size)
+            limit = None
+            if pruning == "full":
+                limit, probes = _kernels.fill_limit(size, u, counts)
+                evals += probes
+            got = slots_cache[size] = (u, limit)
         return got
 
     best_setting = None
     best_loss = math.inf
     evals = 0
-    splits = 0
     trace = []
     for s1 in range(cfg.min_size, cfg.max_size):
         for s2 in range(s1 + 1, cfg.max_size + 1):
@@ -143,12 +147,11 @@ def two_size_bucketing(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
                     trace.append((s1, s2, best_loss))
                     continue
                 kp = prefix - 1
-            u1, u2 = slots(s1), slots(s2)
+            (u1, lim1), (u2, lim2) = slots(s1), slots(s2)
             if pruning == "full":
-                pos, probes, sp = _kernels.first_valid_pos(
+                pos, probes = _kernels.first_valid_pos(
                     kp, g.b1_first, g.step1, g.b2_first, g.step2,
-                    s1, s2, u1, u2, counts)
-                splits += int(sp)
+                    lim1, lim2, u1, u2, counts)
             else:
                 pos, probes = _kernels.first_valid_scan(
                     kp, g.b1_first, g.step1, g.b2_first, g.step2,
@@ -163,7 +166,7 @@ def two_size_bucketing(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
             trace.append((s1, s2, best_loss))
     if best_setting is None:
         return None
-    return SearchResult(best_setting, int(best_loss), evals, splits, tuple(trace))
+    return SearchResult(best_setting, int(best_loss), evals, tuple(trace))
 
 
 def multi_size_bucketing(table: MicrodataTable, current: Optional[BucketGroup],

@@ -18,9 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConfigError, IngestionError, MicrodataTable, intern_labels,
-                   read_columns, smallest_admitting_size, threshold_slots,
-                   utf8_errors)
+from .core import (ConfigError, IngestionError, MicrodataTable,
+                   ingestion_errors, intern_labels, read_columns,
+                   smallest_admitting_size, threshold_slots)
 from .validate import Assignment
 
 __all__ = [
@@ -469,7 +469,7 @@ def _read_table(path) -> tuple[list[str], list[list[str]]]:
     """Header and columns of a published CSV with at least one data row."""
     if not path.exists():
         raise IngestionError(f"missing published file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh, utf8_errors(path):
+    with open(path, newline="", encoding="utf-8") as fh, ingestion_errors(path):
         reader = csv.reader(fh)
         header = next(reader, [])
         columns = read_columns(reader, len(header), path)

@@ -135,7 +135,6 @@ class TestOptimize:
         assert report["loss"] <= 250
         assert report["buckets"] == [[4, 9], [14, 1]]
         assert report["mse"] == pytest.approx(250 / 49)
-        assert report["pc_splits"] == 0
 
     def test_modes_agree_on_optimum(self, capsys, walkthrough_csv):
         losses = {}
@@ -443,6 +442,52 @@ def test_non_utf8_file_exits_four(capsys, tmp_path, walkthrough_csv, target):
     bad.write_bytes(bad.read_bytes() + b"d00,\xff\n")
     capsys.readouterr()
     code = main(["evaluate", *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert bad.name in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "optimize", "publish"])
+@pytest.mark.parametrize("flag", ["--theta", "--intercept"])
+def test_nan_rule_flag_exits_three(capsys, tmp_path, walkthrough_csv,
+                                   command, flag):
+    code = main([command, "--input", str(walkthrough_csv), "--sa", "Disease",
+                 flag, "nan", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "non-negative" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "optimize", "publish"])
+def test_nan_privacy_file_exits_four(capsys, tmp_path, walkthrough_csv,
+                                     command):
+    privacy = tmp_path / "privacy.csv"
+    privacy.write_text("".join(f"d{c:02d},{'nan' if c == 3 else 1.0}\n"
+                               for c in range(14)))
+    code = main([command, "--input", str(walkthrough_csv), "--sa", "Disease",
+                 "--privacy-file", str(privacy), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "privacy.csv" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("target", ["input.csv", "privacy.csv", "st.csv"])
+def test_oversized_field_exits_four(capsys, tmp_path, walkthrough_csv, target):
+    """A field past the csv module's 131072-character limit is an input
+    fault like any other malformed file."""
+    privacy = tmp_path / "privacy.csv"
+    privacy.write_text("".join(f"d{c:02d},1.0\n" for c in range(14)))
+    out = tmp_path / "pub"
+    flags = ["--input", str(walkthrough_csv), "--sa", "Disease",
+             "--privacy-file", str(privacy)]
+    assert main(["publish", *flags, "--out", str(out)]) == 0
+    bad = {"input.csv": walkthrough_csv, "privacy.csv": privacy,
+           "st.csv": out / "st.csv"}[target]
+    with open(bad, "a", encoding="utf-8") as fh:
+        fh.write("x" * 140_000 + ",d00\n")
+    capsys.readouterr()
+    command = "analyze" if target == "input.csv" else "evaluate"
+    code = main([command, *flags, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 4
     assert bad.name in err and len(err.strip().splitlines()) == 1

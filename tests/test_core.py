@@ -138,6 +138,11 @@ def test_linear_spec_rejects_bad_params():
         linear_privacy_spec(h, theta=-1.0, intercept=0.1)
     with pytest.raises(ConfigError):
         linear_privacy_spec(h, theta=0.0, intercept=0.0)
+    # NaN fails every comparison, so a check must ask for the range to hold
+    with pytest.raises(ConfigError):
+        linear_privacy_spec(h, theta=float("nan"), intercept=0.1)
+    with pytest.raises(ConfigError):
+        linear_privacy_spec(h, theta=1.0, intercept=float("nan"))
 
 
 def test_spec_threshold_range_enforced():
@@ -145,6 +150,8 @@ def test_spec_threshold_range_enforced():
         PrivacySpec(thresholds=np.array([0.5, 1.2]))
     with pytest.raises(ConfigError):
         PrivacySpec(thresholds=np.array([0.0, 0.5]))
+    with pytest.raises(ConfigError):
+        PrivacySpec(thresholds=np.array([0.5, np.nan]))
 
 
 def test_eligibility_walkthrough(walkthrough_table, walkthrough_spec):
@@ -209,6 +216,7 @@ def test_load_privacy_spec_roundtrip(tmp_path):
     ("flu,0.5\nhiv,0.05\nflu,0.4\n", "duplicate"),
     ("flu,0.5\nhiv,0.05\nplague,0.9\n", "unknown SA values"),
     ("flu,0.5\nhiv,1.5\n", "lie in"),
+    ("flu,0.5\nhiv,nan\n", "lie in"),
     ("", "no thresholds"),
 ])
 def test_load_privacy_spec_errors(tmp_path, content, msg):

@@ -45,26 +45,48 @@ def scan_valid_positions(g, h, p, limit):
 
 
 def kernel_args(g, h, p):
-    """The list, slot and count arguments every kernel takes after kp."""
+    """The list, size, slot and count arguments first_valid_scan takes
+    after kp."""
     return (g.b1_first, g.step1, g.b2_first, g.step2, g.size1, g.size2,
             value_slots(p, g.size1), value_slots(p, g.size2),
             h.counts.astype(np.int64))
 
 
-def pc_gap(g, h, p, kp, value):
+def fill_limits(g, h, p):
+    """Both sizes' (fill limit, probes) from _kernels.fill_limit."""
+    o = h.counts.astype(np.int64)
+    return tuple(_kernels.fill_limit(size, value_slots(p, size), o)
+                 for size in (g.size1, g.size2))
+
+
+def pos_args(g, h, p):
+    """The arguments first_valid_pos takes after kp: kernel_args with each
+    size replaced by its fill limit."""
     b1f, d1, b2f, d2, _, _, u1, u2, o = kernel_args(g, h, p)
-    return _kernels.pc_gap(kp, b1f, d1, b2f, d2, u1[value], u2[value], o[value])
+    (lim1, _), (lim2, _) = fill_limits(g, h, p)
+    return b1f, d1, b2f, d2, lim1, lim2, u1, u2, o
+
+
+def fill_positions(g, h, p, kp):
+    """Positions in [0, kp] whose pair lies within both fill limits."""
+    (lim1, _), (lim2, _) = fill_limits(g, h, p)
+    return [pos for pos in range(kp + 1)
+            if g.pair_at(pos)[0] <= lim1 and g.pair_at(pos)[1] <= lim2]
+
+
+def pc_bounds(g, h, p, kp, value):
+    """pc_bounds of one value, as length-1 arrays."""
+    b1f, d1, b2f, d2, _, _, u1, u2, o = kernel_args(g, h, p)
+    one = slice(value, value + 1)
+    return _kernels.pc_bounds(kp, b1f, d1, b2f, d2, u1[one], u2[one], o[one])
 
 
 def region_positions(g, h, p, kp):
-    """Positions in [0, kp] inside the fill interval and outside every gap."""
-    args = kernel_args(g, h, p)
-    lo, hi, _ = _kernels.fc_bounds(kp, *args)
-    keep = set(range(lo, hi + 1))
-    for value in range(h.m):
-        glo, ghi, _ = pc_gap(g, h, p, kp, value)
-        keep -= set(range(glo, ghi + 1))
-    return sorted(keep)
+    """Positions in [0, kp] inside the fill limits and every value's
+    allocation interval."""
+    b1f, d1, b2f, d2, _, _, u1, u2, o = kernel_args(g, h, p)
+    lo, hi = _kernels.pc_bounds(kp, b1f, d1, b2f, d2, u1, u2, o)
+    return [pos for pos in fill_positions(g, h, p, kp) if lo <= pos <= hi]
 
 
 class TestGammaList:
@@ -178,28 +200,26 @@ class TestRegions:
     def test_example_pair_inside_fc_region(self, walkthrough_table, walkthrough_spec):
         h = histogram(walkthrough_table)
         g = build_gamma(50, 4, 14)
-        lo, hi, _ = _kernels.fc_bounds(g.last_index,
-                                       *kernel_args(g, h, walkthrough_spec))
-        assert lo <= 0 <= hi  # position of (9, 1)
+        assert 0 in fill_positions(g, h, walkthrough_spec, g.last_index)
+        (lim1, _), (lim2, _) = fill_limits(g, h, walkthrough_spec)
+        assert g.pair_at(0) == (9, 1) and 9 <= lim1 and 1 <= lim2
 
     def test_example_pair_inside_every_pc_region(self, walkthrough_table,
                                                  walkthrough_spec):
         h = histogram(walkthrough_table)
         g = build_gamma(50, 4, 14)
         for value in range(h.m):
-            glo, ghi, _ = pc_gap(g, h, walkthrough_spec, g.last_index, value)
-            assert not glo <= 0 <= ghi
+            lo, hi = pc_bounds(g, h, walkthrough_spec, g.last_index, value)
+            assert lo <= 0 <= hi
 
     def test_slack_everywhere_gives_full_region(self):
         h = hist([2, 3, 3])
         p = PrivacySpec(np.array([1.0, 1.0, 1.0]))
         g = build_gamma(8, 2, 4)
         kp = g.last_index
-        lo, hi, _ = _kernels.fc_bounds(kp, *kernel_args(g, h, p))
-        assert (lo, hi) == (0, kp)
+        assert fill_positions(g, h, p, kp) == list(range(kp + 1))
         for value in range(3):
-            glo, ghi, _ = pc_gap(g, h, p, kp, value)
-            assert glo > ghi
+            assert pc_bounds(g, h, p, kp, value) == (0, kp)
 
     def test_empty_prefix_gives_empty_region(self):
         h = hist([2, 3, 3])
@@ -208,10 +228,9 @@ class TestRegions:
         # a loss bound of 0 leaves no position for the kernels to search
         assert loss_prefix(g, best_loss=0) == 0
         # a one-position prefix confines every kernel to position 0
-        args = kernel_args(g, h, p)
-        assert _kernels.fc_bounds(0, *args)[:2] == (0, 0)
-        assert _kernels.first_valid_pos(0, *args)[0] == 0
-        assert _kernels.first_valid_scan(0, *args)[0] == 0
+        assert fill_positions(g, h, p, 0) == [0]
+        assert _kernels.first_valid_pos(0, *pos_args(g, h, p))[0] == 0
+        assert _kernels.first_valid_scan(0, *kernel_args(g, h, p))[0] == 0
 
     def test_pc_region_matches_brute_scan(self):
         rng = np.random.default_rng(61)
@@ -224,13 +243,13 @@ class TestRegions:
             u1 = value_slots(p, s1)
             u2 = value_slots(p, s2)
             value = int(rng.integers(0, h.m))
-            glo, ghi, _ = pc_gap(g, h, p, g.last_index, value)
+            lo, hi = pc_bounds(g, h, p, g.last_index, value)
             o = int(h.counts[value])
             expected = [pos for pos in range(len(g))
                         if min(int(u1[value]) * g.pair_at(pos)[0], o)
                         + min(int(u2[value]) * g.pair_at(pos)[1], o) >= o]
             assert [pos for pos in range(len(g))
-                    if not glo <= pos <= ghi] == expected
+                    if lo <= pos <= hi] == expected
             checked += 1
         assert checked > 200
 
@@ -247,8 +266,7 @@ class TestRegions:
             expected = scan_valid_positions(g, h, p, prefix)
             if prefix > 0:
                 assert region_positions(g, h, p, prefix - 1) == expected
-                pos, _, _ = _kernels.first_valid_pos(prefix - 1,
-                                                     *kernel_args(g, h, p))
+                pos, _ = _kernels.first_valid_pos(prefix - 1, *pos_args(g, h, p))
                 assert pos == (expected[0] if expected else -1)
             else:
                 assert expected == []
@@ -264,8 +282,7 @@ class TestRegions:
             g = build_gamma(h.total, s1, s2)
             if g is None:
                 continue
-            pos, _, _ = _kernels.first_valid_pos(g.last_index,
-                                                 *kernel_args(g, h, p))
+            pos, _ = _kernels.first_valid_pos(g.last_index, *pos_args(g, h, p))
             expected = scan_valid_positions(g, h, p, len(g))
             if expected:
                 assert pos == expected[0]
@@ -282,8 +299,8 @@ class TestRegions:
             g = build_gamma(50, s1, s2)
             if g is not None:
                 assert region_positions(g, h, p, g.last_index) == []
-                pos, _, _ = _kernels.first_valid_pos(g.last_index,
-                                                     *kernel_args(g, h, p))
+                pos, _ = _kernels.first_valid_pos(g.last_index,
+                                                  *pos_args(g, h, p))
                 assert pos == -1
 
     def test_fused_kernel_agrees_with_region(self):
@@ -294,14 +311,13 @@ class TestRegions:
             if g is None:
                 continue
             region = region_positions(g, h, p, g.last_index)
-            args = kernel_args(g, h, p)
-            pos, _, splits = _kernels.first_valid_pos(g.last_index, *args)
-            scan_pos, _ = _kernels.first_valid_scan(g.last_index, *args)
+            pos, _ = _kernels.first_valid_pos(g.last_index, *pos_args(g, h, p))
+            scan_pos, _ = _kernels.first_valid_scan(g.last_index,
+                                                    *kernel_args(g, h, p))
             if not region:
                 assert pos == -1 and scan_pos == -1
             else:
                 assert pos == region[0] == scan_pos
-            assert splits == 0  # failure runs always touch an end of the list
 
     def test_probe_count_logarithmic(self):
         rng = np.random.default_rng(65)
@@ -310,8 +326,8 @@ class TestRegions:
             g = build_gamma(h.total, s1, s2)
             if g is None:
                 continue
-            _, probes, _ = _kernels.first_valid_pos(g.last_index,
-                                                    *kernel_args(g, h, p))
+            _, probes = _kernels.first_valid_pos(g.last_index, *pos_args(g, h, p))
+            probes += sum(fill_probes for _, fill_probes in fill_limits(g, h, p))
             bound = (3 * h.m + 2) * (math.ceil(math.log2(len(g))) + 4)
             assert probes <= bound
 
@@ -330,9 +346,66 @@ class TestRegions:
         if g is None:
             return
         kp = int(cut * g.last_index)
-        args = kernel_args(g, h, p)
-        pos, _, splits = _kernels.first_valid_pos(kp, *args)
-        scan_pos, _ = _kernels.first_valid_scan(kp, *args)
+        pos, _ = _kernels.first_valid_pos(kp, *pos_args(g, h, p))
+        scan_pos, _ = _kernels.first_valid_scan(kp, *kernel_args(g, h, p))
         valid = scan_valid_positions(g, h, p, kp + 1)
         assert pos == scan_pos == (valid[0] if valid else -1)
-        assert splits == 0
+
+    @given(counts=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+           slots=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 12)),
+                          min_size=4, max_size=4),
+           s1=st.integers(1, 8), span=st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_first_valid_pos_agrees_with_scan_on_any_slots(self, counts, slots,
+                                                           s1, span):
+        """Slots drawn freely, not from thresholds, so that either size's
+        fill limit can be the binding constraint."""
+        o = np.array(counts, dtype=np.int64)
+        if o.sum() == 0:
+            return
+        g = build_gamma(int(o.sum()), s1, s1 + span)
+        if g is None:
+            return
+        u1 = np.array([a for a, _ in slots[:len(o)]], dtype=np.int64)
+        u2 = np.array([b for _, b in slots[:len(o)]], dtype=np.int64)
+        lim1, _ = _kernels.fill_limit(g.size1, u1, o)
+        lim2, _ = _kernels.fill_limit(g.size2, u2, o)
+        head = (g.last_index, g.b1_first, g.step1, g.b2_first, g.step2)
+        pos, _ = _kernels.first_valid_pos(*head, lim1, lim2, u1, u2, o)
+        scan_pos, _ = _kernels.first_valid_scan(*head, g.size1, g.size2,
+                                                u1, u2, o)
+        assert pos == scan_pos
+
+    @given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+           slots=st.lists(st.integers(0, 12), min_size=8, max_size=8),
+           size=st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_fill_limit_matches_brute_scan(self, counts, slots, size):
+        o = np.array(counts, dtype=np.int64)
+        u = np.array(slots[:len(counts)], dtype=np.int64)
+        top = int(o.sum()) // size + 1
+        passing = [b for b in range(top + 1)
+                   if _kernels._fill_ok(b, size, u, o)]
+        limit, _ = _kernels.fill_limit(size, u, o)
+        assert limit == max(passing)
+        assert passing == list(range(limit + 1))
+
+    @given(count=st.integers(0, 60), u1=st.integers(0, 12),
+           u2=st.integers(0, 12), s1=st.integers(1, 11),
+           span=st.integers(1, 10), n=st.integers(1, 300),
+           cut=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_pc_bounds_single_value_matches_brute_scan(self, count, u1, u2,
+                                                       s1, span, n, cut):
+        g = build_gamma(n, s1, s1 + span)
+        if g is None:
+            return
+        kp = int(cut * g.last_index)
+        lo, hi = _kernels.pc_bounds(
+            kp, g.b1_first, g.step1, g.b2_first, g.step2,
+            np.array([u1], dtype=np.int64), np.array([u2], dtype=np.int64),
+            np.array([count], dtype=np.int64))
+        expected = [pos for pos in range(kp + 1)
+                    if min(u1 * g.pair_at(pos)[0], count)
+                    + min(u2 * g.pair_at(pos)[1], count) >= count]
+        assert [pos for pos in range(kp + 1) if lo <= pos <= hi] == expected

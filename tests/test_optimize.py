@@ -85,7 +85,6 @@ class TestTwoSize:
         assert tuple((g.size, g.count) for g in res.setting) == ((4, 9), (14, 1))
         assert validate_two_size(h, p, res.setting)
         assert flow_feasibility_oracle(h, p, res.setting)
-        assert res.pc_splits == 0
 
     def test_walkthrough_needs_a_size_hosting_rare_values(self):
         h, p = walkthrough_instance()
