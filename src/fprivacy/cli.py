@@ -23,15 +23,22 @@ from .core import (ConfigError, IngestionError, InfeasiblePrivacyError,
 from .dpsim import LaplaceMech, convergence_sweep
 from .metrics import (gen_queries, loss_of, mse_of, relative_error,
                       write_xy_dat)
-from .optimize import (SearchConfig, anatomy_baseline_loss,
-                       brute_force_optimal, multi_size_bucketing,
-                       two_size_bucketing)
+from .optimize import (SearchConfig, anatomy_setting, brute_force_optimal,
+                       multi_size_bucketing, two_size_bucketing)
 from .publish import (check_published_privacy, inject_fakes,
                       published_max_ratios, publish, read_published,
                       write_published)
-from .validate import allocation_bounds, build_assignment, partition_records
+from .validate import (BucketSetting, allocation_bounds, build_assignment,
+                       partition_records)
 
 OPTIMIZE_MODES = ("two", "multi", "brute", "anatomy")
+
+
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="largest bucket size the search considers")
 
     seed_flag = _Parser(add_help=False)
-    seed_flag.add_argument("--seed", type=int, default=0)
+    seed_flag.add_argument("--seed", type=_non_negative_int, default=0)
 
     parser = _Parser(prog="fprivacy",
                      description="Per-value disclosure-capped bucketization")
@@ -87,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 seed_flag],
                        help="bucketize and write qit.csv/st.csv")
     p.add_argument("--mode", choices=("two", "multi"), default="two")
-    p.add_argument("--sigma", type=int, default=0,
+    p.add_argument("--sigma", type=_non_negative_int, default=0,
                    help="fake sensitive rows added per bucket")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_publish)
@@ -209,12 +216,8 @@ def cmd_optimize(args) -> int:
     _require_eligible(hist, spec, table.sa_domain)
     report = {"mode": args.mode, "records": int(hist.total)}
     if args.mode == "anatomy":
-        ell = ell_for_spec(spec)
-        loss = anatomy_baseline_loss(hist.total, ell)
-        upgraded = hist.total % ell
-        plain = hist.total // ell - upgraded
-        buckets = [(ell, plain), (ell + 1, upgraded)]
-        report.update(loss=loss, ell=ell)
+        report["ell"] = ell_for_spec(spec)
+        setting = anatomy_setting(hist.total, report["ell"])
     else:
         cfg = SearchConfig.for_spec(spec, max_size=args.max_size,
                                     min_size=args.min_size)
@@ -223,24 +226,20 @@ def cmd_optimize(args) -> int:
             if result is None:
                 raise InfeasiblePrivacyError(
                     "no valid bucketing within the size bounds")
-            buckets = [(g.size, g.count) for g in result.setting]
-            report.update(loss=result.loss)
+            setting = result.setting
         elif args.mode == "two":
             result = two_size_bucketing(hist, spec, cfg)
             if result is None:
                 raise InfeasiblePrivacyError(
                     "no valid two-size bucketing within the size bounds")
-            buckets = [(g.size, g.count) for g in result.setting]
-            report.update(loss=result.loss, cond_evals=result.cond_evals)
+            setting = result.setting
+            report["cond_evals"] = result.cond_evals
         else:
-            _, loss, sizes = _bucketize(table, hist, spec, cfg, "multi")
-            buckets = sorted(sizes.items())
-            report.update(loss=loss)
-    report["buckets"] = [[int(size), int(count)] for size, count in buckets
-                         if count > 0]
-    report["mse"] = mse_of([size for size, count in report["buckets"]
-                            for _ in range(count)], hist.total) \
-        if hist.total > 1 else 0.0
+            _, _, sizes = _bucketize(table, hist, spec, cfg, "multi")
+            setting = BucketSetting.of(*sorted(sizes.items()))
+    report["loss"] = setting.loss
+    report["buckets"] = [[g.size, g.count] for g in setting if g.count > 0]
+    report["mse"] = mse_of(setting, hist.total) if hist.total > 1 else 0.0
     _emit(report, args.out)
     return 0
 

@@ -8,8 +8,8 @@ loss prefix plus the kernels' closed forms (each size's fill limit, found
 once per search, and the linear allocation bounds), "loss" uses the prefix
 with a linear scan, and "none" scans every list end to end.
 
-A brute-force oracle validated by the max-flow check and the classic
-equal-size baseline round out the module.
+A brute-force oracle checked by the subset-cut test (Gale 1957) and the
+classic equal-size baseline round out the module.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
     "multi_size_bucketing",
     "brute_force_optimal",
     "anatomy_baseline_loss",
+    "anatomy_setting",
 ]
 
 PRUNING_MODES = ("full", "loss", "none")
@@ -239,12 +240,13 @@ def brute_force_optimal(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
                         max_q: int = 2, budget: int = 10_000_000,
                         candidates: Optional[Iterable[BucketSetting]] = None,
                         ) -> Optional[SearchResult]:
-    """Exact minimum-loss valid setting by enumeration plus the flow oracle.
+    """Exact minimum-loss valid setting by enumeration plus the cut test.
 
-    Settings are checked in ascending loss order, so the first feasible one
-    is optimal.  max_q bounds the number of distinct sizes.  candidates, when
-    given, replaces enumeration with an explicit list (used to interrogate a
-    forced configuration).  Exceeding the step budget raises.
+    Settings are checked in ascending loss order by the subset-cut test
+    (Gale 1957), so the first feasible one is optimal.  max_q bounds the
+    number of distinct sizes.  candidates, when given, replaces enumeration
+    with an explicit list (used to interrogate a forced configuration).
+    Exceeding the step budget raises.
     """
     if max_q < 1:
         raise ConfigError(f"max_q must be >= 1, got {max_q}")
@@ -270,8 +272,8 @@ def brute_force_optimal(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
     return None
 
 
-def anatomy_baseline_loss(n: int, ell: int) -> int:
-    """Loss of the classic covering by sizes ell and ell+1, most ell first.
+def anatomy_setting(n: int, ell: int) -> BucketSetting:
+    """The classic covering by sizes ell and ell+1, most ell first.
 
     This baseline ignores per-value thresholds entirely; it is the utility
     yardstick the searches are compared against.
@@ -285,4 +287,9 @@ def anatomy_baseline_loss(n: int, ell: int) -> int:
     if plain < 0:
         raise ConfigError(
             f"{n} records cannot be covered by sizes {ell} and {ell + 1}")
-    return plain * (ell - 1) ** 2 + upgraded * ell ** 2
+    return BucketSetting.of((ell, plain), (ell + 1, upgraded))
+
+
+def anatomy_baseline_loss(n: int, ell: int) -> int:
+    """Loss of ``anatomy_setting(n, ell)``."""
+    return anatomy_setting(n, ell).loss

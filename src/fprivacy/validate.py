@@ -2,10 +2,16 @@
 
 A bucket setting is a list of groups, each holding ``count`` buckets of equal
 ``size``.  A setting is valid when records can be distributed so that within
-every bucket the share of each SA value stays at or below its threshold.  For
-one group this has an exact closed form; for two groups the per-value
-allocation bounds give an exact test; for three or more groups the analogous
-conditions are only necessary, so a max-flow oracle decides ground truth.
+every bucket the share of each SA value stays at or below its threshold.
+
+Gale's subset-cut test (``flow_feasibility_oracle``) decides validity for any
+number of groups: CC (capacity = n) and, for every subset S of the groups,
+cap(S) <= sum_v min(h_v, alloc_v(S)).  ``constraint_report`` checks two kinds
+of cut.  A single group {j} gives FC, cap_j <= sum_v alloc_vj, as alloc_vj <=
+h_v.  Under CC the full set gives n <= sum_v min(h_v, sum_j alloc_vj), that is
+PC: sum_j alloc_vj >= h_v for every v.  A zero-count group adds 0 to every
+cut, so with at most two nonempty groups these are all the cuts and
+``validate_two_size`` is exact; with more, the report is only necessary.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from .core import (
     threshold_slots,
     value_slots,
 )
+
+# Most groups the cut test takes; its (m, 2^q) int64 sums are 16 MB at m = 500.
+MAX_CUT_GROUPS = 12
 
 
 @dataclass(frozen=True)
@@ -148,9 +157,8 @@ class ValidityReport:
 def constraint_report(h: SaHistogram, p: PrivacySpec, setting: BucketSetting) -> ValidityReport:
     """Evaluate the PC/FC/CC conditions for any number of groups.
 
-    Exact for settings of at most two groups.  For three or more groups the
-    conditions are necessary but not sufficient; use flow_feasibility_oracle
-    for ground truth there.
+    They are the single-group and full-set cuts of the subset-cut test, so
+    exact for at most two nonempty groups and only necessary for more.
     """
     bounds = allocation_bounds(h, p, setting)
     pc_bad = np.nonzero(bounds.alloc.sum(axis=1) < h.counts)[0]
@@ -317,39 +325,21 @@ def partition_records(table: MicrodataTable, bounds: AllocationBounds,
 
 
 def flow_feasibility_oracle(h: SaHistogram, p: PrivacySpec, setting: BucketSetting) -> bool:
-    """Ground-truth validity via max flow, for any number of groups.
+    """Exact validity for any number of groups: Gale's subset-cut test.
 
-    Values feed groups through per-(value, group) capacities equal to the
-    group's total slot budget for the value; a valid assignment exists iff the
-    flow saturates the record count.  Within one group the per-group budget is
-    exactly achievable by round-robin, so collapsing buckets into group nodes
-    loses nothing.
+    Max-flow/min-cut on the supply-demand graph (Gale, Pacific J. Math.
+    1957): value v supplies h_v, group j demands cap_j, and v reaches j
+    through alloc_vj, which round-robin achieves inside a group.  More than
+    MAX_CUT_GROUPS groups raise ConfigError before any cut is built.
     """
-    from scipy.sparse import csgraph, csr_matrix  # kept off the import path
+    q = len(setting.groups)
+    if q > MAX_CUT_GROUPS:
+        raise ConfigError(
+            f"feasibility test takes at most {MAX_CUT_GROUPS} groups, got {q}")
     if setting.capacity != h.total:
         return False
-    groups = [g for g in setting.groups if g.count > 0]
-    q = len(groups)
-    m = h.m
-    src, snk = 0, 1 + m + q
-    nodes = snk + 1
-    rows, cols, caps = [], [], []
-    for i in range(m):
-        if h.counts[i] > 0:
-            rows.append(src)
-            cols.append(1 + i)
-            caps.append(int(h.counts[i]))
-    for j, g in enumerate(groups):
-        slots = value_slots(p, g.size)
-        for i in range(m):
-            cap = int(slots[i]) * g.count
-            if cap > 0 and h.counts[i] > 0:
-                rows.append(1 + i)
-                cols.append(1 + m + j)
-                caps.append(min(cap, int(h.counts[i])))
-        rows.append(1 + m + j)
-        cols.append(snk)
-        caps.append(g.capacity)
-    graph = csr_matrix((np.array(caps, dtype=np.int32), (rows, cols)),
-                       shape=(nodes, nodes))
-    return int(csgraph.maximum_flow(graph, src, snk).flow_value) == h.total
+    subsets = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1  # (2^q, q) 0/1
+    supply = np.minimum(allocation_bounds(h, p, setting).alloc @ subsets.T,
+                        h.counts[:, None]).sum(axis=0)
+    demand = subsets @ np.array([g.capacity for g in setting.groups], np.int64)
+    return bool(np.all(demand <= supply))

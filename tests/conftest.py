@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fprivacy.core import MicrodataTable, PrivacySpec, histogram, linear_privacy_spec
+from fprivacy.core import (MicrodataTable, PrivacySpec, histogram,
+                           linear_privacy_spec, value_slots)
 
 
 def table_from_counts(counts, qi_width=1, labels=None):
@@ -52,3 +53,40 @@ def random_instance(rng, max_n=60, max_m=8):
     slack = rng.uniform(0.8, 3.0, size=m)
     thresholds = np.minimum(1.0, np.maximum(freqs * slack, 0.02))
     return counts, PrivacySpec(thresholds=thresholds)
+
+
+def max_flow_feasible(h, p, setting):
+    """Reference validity test by scipy max flow, for any number of groups.
+
+    Source -> value (h_v) -> group (min(slots * count, h_v)) -> sink (group
+    capacity); a valid assignment exists iff the flow saturates the record
+    count.  Cross-checks the package's subset-cut test.
+    """
+    from scipy.sparse import csgraph, csr_matrix
+    if setting.capacity != h.total:
+        return False
+    groups = [g for g in setting.groups if g.count > 0]
+    q = len(groups)
+    m = h.m
+    src, snk = 0, 1 + m + q
+    nodes = snk + 1
+    rows, cols, caps = [], [], []
+    for i in range(m):
+        if h.counts[i] > 0:
+            rows.append(src)
+            cols.append(1 + i)
+            caps.append(int(h.counts[i]))
+    for j, g in enumerate(groups):
+        slots = value_slots(p, g.size)
+        for i in range(m):
+            cap = int(slots[i]) * g.count
+            if cap > 0 and h.counts[i] > 0:
+                rows.append(1 + i)
+                cols.append(1 + m + j)
+                caps.append(min(cap, int(h.counts[i])))
+        rows.append(1 + m + j)
+        cols.append(snk)
+        caps.append(g.capacity)
+    graph = csr_matrix((np.array(caps, dtype=np.int32), (rows, cols)),
+                       shape=(nodes, nodes))
+    return int(csgraph.maximum_flow(graph, src, snk).flow_value) == h.total

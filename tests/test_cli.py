@@ -458,6 +458,26 @@ def test_nan_rule_flag_exits_three(capsys, tmp_path, walkthrough_csv,
     assert "non-negative" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("publish", "--seed"), ("evaluate", "--seed"), ("plot", "--seed"),
+    ("dpdemo", "--seed"), ("publish", "--sigma")])
+def test_negative_count_flag_exits_three(capsys, tmp_path, walkthrough_csv,
+                                         command, flag):
+    table_flags = ["--input", str(walkthrough_csv), "--sa", "Disease"]
+    out = tmp_path / "out"
+    if command == "evaluate":  # a real release, so only the flag can fail
+        assert main(["publish", *table_flags, "--out", str(out)]) == 0
+    written = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    argv = [] if command == "dpdemo" else [*table_flags, "--out", str(out)]
+    code = main([command, *argv, flag, "-1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert flag in err and "non-negative" in err
+    assert len(err.strip().splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == written
+
+
 @pytest.mark.parametrize("command", ["analyze", "optimize", "publish"])
 def test_nan_privacy_file_exits_four(capsys, tmp_path, walkthrough_csv,
                                      command):
@@ -550,13 +570,27 @@ class TestUsage:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Only the max-flow oracle (``optimize --mode brute``) needs scipy, so
-    importing the CLI must not load it."""
+    """numpy is the only runtime dependency, so importing the CLI must not
+    load scipy."""
     env = dict(os.environ, PYTHONPATH=str(Path(fprivacy.__file__).parents[1]))
     probe = "import sys, fprivacy.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_brute_mode_leaves_scipy_unloaded(tmp_path):
+    """``optimize --mode brute`` checks feasibility with numpy alone."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fprivacy.__file__).parents[1]))
+    argv = ["optimize", "--mode", "brute", "--input",
+            str(write_walkthrough_csv(tmp_path / "w.csv")), "--sa", "Disease",
+            *WALK_PRIVACY, "--out", str(tmp_path / "report.json")]
+    probe = ("import sys; from fprivacy.cli import main; "
+             f"print(main({argv!r}), 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "False"]
+    assert json.loads((tmp_path / "report.json").read_text())["loss"] == 250
 
 
 def test_benchmark_env_report_runs():

@@ -17,6 +17,7 @@ from fprivacy.optimize import (
     PRUNING_MODES,
     SearchConfig,
     anatomy_baseline_loss,
+    anatomy_setting,
     brute_force_optimal,
     multi_size_bucketing,
     two_size_bucketing,
@@ -318,6 +319,7 @@ class TestAnatomyBaseline:
 
     def test_mixed_sizes(self):
         assert anatomy_baseline_loss(10, 3) == 17
+        assert anatomy_setting(10, 3) == BucketSetting.of((3, 2), (4, 1))
 
     def test_singletons_cost_nothing(self):
         assert anatomy_baseline_loss(17, 1) == 0

@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import event, given, settings, strategies as st
 from fprivacy.core import (ConfigError, MicrodataTable, PrivacySpec,
                            SaHistogram, histogram)
 from fprivacy.validate import (
+    MAX_CUT_GROUPS,
     Assignment,
     BucketGroup,
     BucketSetting,
@@ -20,7 +22,7 @@ from fprivacy.validate import (
     validate_one_size,
     validate_two_size,
 )
-from conftest import random_instance, table_from_counts
+from conftest import max_flow_feasible, random_instance, table_from_counts
 
 
 def hist(counts):
@@ -384,6 +386,58 @@ class TestFlowOracle:
         h = hist([4])
         p = PrivacySpec(np.ones(1))
         assert not flow_feasibility_oracle(h, p, BucketSetting.of((3, 1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_cut_test_matches_max_flow(data):
+    """Zero-count values and groups, capacity mismatches, one to four groups:
+    the subset-cut test agrees with max flow, and with constraint_report
+    whenever at most two groups are nonempty."""
+    counts = data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=6))
+    p = PrivacySpec(np.array(data.draw(st.lists(
+        st.integers(2, 20).map(lambda k: k / 20),
+        min_size=len(counts), max_size=len(counts)))))
+    sizes = data.draw(st.sets(st.integers(1, 8), min_size=1, max_size=4)
+                      .map(sorted))
+    group_counts = data.draw(st.lists(st.integers(0, 4), min_size=len(sizes),
+                                      max_size=len(sizes)))
+    setting = BucketSetting.of(*zip(sizes, group_counts))
+    if data.draw(st.booleans()):  # match: grow group 0, then pad one value
+        shortfall = sum(counts) - setting.capacity
+        if shortfall > 0:
+            group_counts[0] += -(-shortfall // sizes[0])
+            setting = BucketSetting.of(*zip(sizes, group_counts))
+        counts[data.draw(st.integers(0, len(counts) - 1))] += \
+            setting.capacity - sum(counts)
+    h = hist(counts)
+    feasible = flow_feasibility_oracle(h, p, setting)
+    event("feasible" if feasible else "capacity mismatch"
+          if setting.capacity != h.total else "infeasible")
+    assert feasible == max_flow_feasible(h, p, setting)
+    if len(setting.normalized()) <= 2:
+        assert feasible == bool(constraint_report(h, p, setting))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_cut_test_group_limit(extra):
+    """The limit itself is accepted; one group more raises before its
+    (m, 2^q) cut matrix, 13 MB here, is built."""
+    q = MAX_CUT_GROUPS + extra
+    setting = BucketSetting.of(*((s, 1) for s in range(1, q + 1)))
+    h = hist([1] * setting.capacity + [0] * (200 - setting.capacity))
+    p = PrivacySpec(np.ones(h.m))
+    if not extra:
+        assert flow_feasibility_oracle(h, p, setting)
+        return
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=str(MAX_CUT_GROUPS)):
+            flow_feasibility_oracle(h, p, setting)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_three_size_constraint_numbers():
