@@ -47,15 +47,21 @@ class Record(NamedTuple):
 
 
 @contextlib.contextmanager
-def ingestion_errors(path):
-    """Re-raise a UnicodeDecodeError or csv.Error met while reading path as
-    an IngestionError naming the file."""
+def open_csv(path):
+    """path opened as UTF-8 text for csv.reader.  An OSError on opening, or a
+    UnicodeDecodeError or csv.Error while reading, becomes an IngestionError
+    naming the file."""
     try:
-        yield
-    except UnicodeDecodeError as e:
-        raise IngestionError(f"{path}: not UTF-8 text ({e.reason})") from None
-    except csv.Error as e:
-        raise IngestionError(f"{path}: malformed CSV ({e})") from None
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as e:
+        raise IngestionError(f"cannot open {path}: {e}") from e
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise IngestionError(f"{path}: not UTF-8 text ({e.reason})") from None
+        except csv.Error as e:
+            raise IngestionError(f"{path}: malformed CSV ({e})") from None
 
 
 def read_columns(reader, width: int, path) -> list[list[str]]:
@@ -108,19 +114,12 @@ class MicrodataTable:
         return len(self.sa_codes)
 
     @property
-    def n_qi(self) -> int:
-        return len(self.qi_names)
-
-    @property
     def sa_domain_size(self) -> int:
         return len(self.sa_domain)
 
     def record(self, i: int) -> Record:
         qi = tuple(self.qi_domains[j][c] for j, c in enumerate(self.qi_codes[i]))
         return Record(qi=qi, sa=self.sa_domain[self.sa_codes[i]])
-
-    def records(self):
-        return (self.record(i) for i in range(len(self)))
 
     @classmethod
     def from_rows(cls, qi_rows: Sequence[Sequence[str]], sa_values: Sequence[str],
@@ -194,28 +193,33 @@ class PrivacySpec:
         return len(self.thresholds)
 
 
-def ingest_csv(path, sa_column: str) -> MicrodataTable:
-    """Read a header-ed CSV into a table; every non-SA column becomes a QI.
+def read_table(path) -> tuple[list[str], list[list[str]]]:
+    """Header and label columns of a header-ed CSV, input or release.
 
-    Raises IngestionError for a missing file, missing SA column, ragged rows,
-    or a file without data rows.
+    Raises IngestionError naming the file where open_csv does, and for an
+    empty file, a row of another width than the header, or no data rows.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as e:
-        raise IngestionError(f"cannot open {path}: {e}") from e
-    with fh, ingestion_errors(path):
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise IngestionError(f"{path}: empty file")
-        if sa_column not in header:
-            raise IngestionError(f"{path}: SA column {sa_column!r} not in header {header}")
-        sa_idx = header.index(sa_column)
         columns = read_columns(reader, len(header), path)
-    sa_values = columns.pop(sa_idx)
-    if not sa_values:
+    if not columns or not columns[0]:
         raise IngestionError(f"{path}: no data rows")
+    return header, columns
+
+
+def ingest_csv(path, sa_column: str) -> MicrodataTable:
+    """Read a header-ed CSV into a table; every non-SA column becomes a QI.
+
+    Raises IngestionError for what read_table rejects or a missing SA column.
+    """
+    header, columns = read_table(path)
+    if sa_column not in header:
+        raise IngestionError(f"{path}: SA column {sa_column!r} not in header {header}")
+    sa_idx = header.index(sa_column)
+    sa_values = columns.pop(sa_idx)
     qi_names = [h for i, h in enumerate(header) if i != sa_idx]
     return MicrodataTable.from_columns(columns, sa_values, qi_names, sa_column)
 
@@ -248,12 +252,8 @@ def load_privacy_spec(path, sa_domain: Sequence[str]) -> PrivacySpec:
     Expected format: ``sa_value,threshold`` per line, optionally with exactly
     that header.  Every SA domain value must be covered exactly once.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as e:
-        raise IngestionError(f"cannot open {path}: {e}") from e
     got: dict[str, float] = {}
-    with fh, ingestion_errors(path):
+    with open_csv(path) as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue

@@ -68,16 +68,17 @@ def build_gamma(n: int, size1: int, size2: int) -> GammaList | None:
         raise ConfigError(f"table size must be positive, got {n}")
     if not 1 <= size1 < size2:
         raise ConfigError(f"need 1 <= size1 < size2, got ({size1}, {size2})")
-    common = math.lcm(size1, size2)
-    step1 = common // size1
-    step2 = common // size2
-    for b2 in range(step2):
-        rem = n - size2 * b2
-        if rem >= 0 and rem % size1 == 0:
-            b1_first = rem // size1
-            return GammaList(size1, size2, b1_first, b2, step1, step2,
-                             b1_first // step1)
-    return None
+    # with g = gcd(s1, s2), the least b2 solves (s2/g)*b2 = n/g mod s1/g
+    g = math.gcd(size1, size2)
+    if n % g:
+        return None
+    step1, step2 = size2 // g, size1 // g
+    b2 = n // g * pow(step1, -1, step2) % step2
+    if size2 * b2 > n:
+        return None
+    b1_first = (n - size2 * b2) // size1
+    return GammaList(size1, size2, b1_first, b2, step1, step2,
+                     b1_first // step1)
 
 
 def loss_prefix(gamma: GammaList, best_loss: float) -> int:

@@ -208,7 +208,11 @@ def multi_size_bucketing(table: MicrodataTable, current: Optional[BucketGroup],
 
 
 def _enumerate_settings(n: int, cfg: SearchConfig, max_q: int, budget: int):
-    """All settings of <= max_q distinct sizes in range covering n exactly."""
+    """All settings of <= max_q distinct sizes in range covering n exactly.
+
+    Each visited prefix of fewer than max_q groups, the empty one too, costs
+    one budget step; the last group's count is fixed by what remains, free.
+    """
     found: list[tuple[tuple[int, int], ...]] = []
     chosen: list[tuple[int, int]] = []
     steps = 0
@@ -222,11 +226,11 @@ def _enumerate_settings(n: int, cfg: SearchConfig, max_q: int, budget: int):
         if remaining == 0:
             found.append(tuple(chosen))
             return
-        if q_left == 0:
-            return
-        for size in range(start, cfg.max_size + 1):
-            if size > remaining:
-                break
+        for size in range(start, min(cfg.max_size, remaining) + 1):
+            if q_left == 1:
+                if remaining % size == 0:
+                    found.append((*chosen, (size, remaining // size)))
+                continue
             for count in range(1, remaining // size + 1):
                 chosen.append((size, count))
                 descend(remaining - size * count, size + 1, q_left - 1)

@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (ConfigError, IngestionError, MicrodataTable,
-                   ingestion_errors, intern_labels, read_columns,
-                   smallest_admitting_size, threshold_slots)
+                   intern_labels, read_table, smallest_admitting_size,
+                   threshold_slots)
 from .validate import Assignment
 
 __all__ = [
@@ -418,26 +418,21 @@ def read_published(in_dir) -> PublishedTables:
     """
     src = Path(in_dir)
     qit_path, st_path = src / "qit.csv", src / "st.csv"
-    qit_header, qi_columns = _read_table(qit_path)
+    qit_header, columns = read_table(qit_path)
     if qit_header[-1] != "BID":
         raise IngestionError(f"{qit_path} must end with a BID column")
-    st_header, st_columns = _read_table(st_path)
+    qit_bids = _parse_bids(columns.pop(), qit_path)
+    qi_codes = np.empty((len(qit_bids), len(columns)), dtype=np.int32)
+    qi_domains = []
+    # columns hold one str per cell: each is popped, so freed once interned
+    for j in range(qi_codes.shape[1]):
+        qi_codes[:, j], domain = intern_labels(columns.pop(0))
+        qi_domains.append(domain)
+    st_header, columns = read_table(st_path)
     if len(st_header) != 2 or st_header[0] != "BID":
         raise IngestionError(f"{st_path} must have columns BID,<SA>")
-    try:
-        qit_bids, st_bids = (np.fromiter(map(int, column), np.int32, len(column))
-                             for column in (qi_columns.pop(), st_columns[0]))
-    except (ValueError, OverflowError) as exc:
-        raise IngestionError(f"malformed bucket id: {exc}") from None
-
-    qi_codes = np.empty((len(qit_bids), len(qi_columns)), dtype=np.int32)
-    qi_domains = []
-    for j, column in enumerate(qi_columns):
-        qi_codes[:, j], domain = intern_labels(column)
-        qi_domains.append(domain)
-    st_codes, sa_domain = intern_labels(st_columns[1])
-    # one str per cell: free them before the release's arrays are built
-    del qi_columns, st_columns
+    st_codes, sa_domain = intern_labels(columns.pop())
+    st_bids = _parse_bids(columns.pop(), st_path)
     sa_lookup = {label: i for i, label in enumerate(sa_domain)}
 
     order = np.argsort(st_bids, kind="stable")
@@ -465,17 +460,12 @@ def read_published(in_dir) -> PublishedTables:
                              f"{exc}") from None
 
 
-def _read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Header and columns of a published CSV with at least one data row."""
-    if not path.exists():
-        raise IngestionError(f"missing published file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh, ingestion_errors(path):
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        columns = read_columns(reader, len(header), path)
-    if not columns or not columns[0]:
-        raise IngestionError(f"{path} has no data rows")
-    return header, columns
+def _parse_bids(column, path) -> np.ndarray:
+    """int32 bucket ids of a release file's BID column."""
+    try:
+        return np.fromiter(map(int, column), np.int32, len(column))
+    except (ValueError, OverflowError) as exc:
+        raise IngestionError(f"{path}: malformed bucket id: {exc}") from None
 
 
 def _read_audit(path, sa_lookup) -> tuple[int, dict]:

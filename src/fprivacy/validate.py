@@ -196,17 +196,25 @@ class Assignment:
 
     ``bucket_of[i]`` is the bucket id of row i (indices are positions in
     whatever row array the assignment was built over); ``bucket_sizes[b]`` the
-    declared size of bucket b; ``value_counts[b, v]`` how many records of SA
-    code v landed in bucket b.
+    declared size of bucket b; ``sa_codes[i]`` row i's SA code (the caller's
+    array, not a copy) out of ``m`` values.
     """
 
     bucket_of: np.ndarray    # (rows,) int32
     bucket_sizes: np.ndarray  # (buckets,) int64
-    value_counts: np.ndarray  # (buckets, m) int64
+    sa_codes: np.ndarray  # (rows,) int32
+    m: int
 
     @property
     def bucket_count(self) -> int:
         return len(self.bucket_sizes)
+
+    @property
+    def value_counts(self) -> np.ndarray:
+        """(buckets, m) int64, counted on demand: [b, v] records of code v in bucket b."""
+        keys = np.multiply(self.bucket_of, self.m, dtype=np.int64) + self.sa_codes
+        return np.bincount(keys, minlength=self.bucket_count * self.m).reshape(
+            self.bucket_count, self.m)
 
 
 def round_robin_assign(sa_codes: np.ndarray, m: int, bucket_count: int) -> Assignment:
@@ -223,13 +231,11 @@ def round_robin_assign(sa_codes: np.ndarray, m: int, bucket_count: int) -> Assig
     order = np.argsort(sa_codes, kind="stable")
     bucket_of = np.empty(n, dtype=np.int32)
     bucket_of[order] = np.arange(n, dtype=np.int32) % bucket_count
-    size = n // bucket_count
-    value_counts = np.zeros((bucket_count, m), dtype=np.int64)
-    np.add.at(value_counts, (bucket_of, sa_codes), 1)
     return Assignment(
         bucket_of=bucket_of,
-        bucket_sizes=np.full(bucket_count, size, dtype=np.int64),
-        value_counts=value_counts,
+        bucket_sizes=np.full(bucket_count, n // bucket_count, dtype=np.int64),
+        sa_codes=sa_codes,
+        m=m,
     )
 
 
@@ -239,10 +245,8 @@ def build_assignment(table: MicrodataTable, parts) -> Assignment:
     Bucket ids run part-major in the order given, bucket-minor inside a part.
     Parts must cover every row exactly once.
     """
-    n = len(table)
-    bucket_of = np.full(n, -1, dtype=np.int32)
-    sizes, counts_blocks = [], []
-    offset = 0
+    bucket_of = np.full(len(table), -1, dtype=np.int32)
+    sizes: list[int] = []
     for rows, group in parts:
         rows = np.asarray(rows)
         if group.count == 0:
@@ -253,16 +257,15 @@ def build_assignment(table: MicrodataTable, parts) -> Assignment:
             raise ConfigError(
                 f"group {group} expects {group.capacity} records, got {len(rows)}")
         sub = round_robin_assign(table.sa_codes[rows], table.sa_domain_size, group.count)
-        bucket_of[rows] = sub.bucket_of + offset
-        sizes.append(sub.bucket_sizes)
-        counts_blocks.append(sub.value_counts)
-        offset += group.count
+        bucket_of[rows] = sub.bucket_of + len(sizes)
+        sizes += [group.size] * group.count
     if np.any(bucket_of < 0):
         raise ConfigError("parts do not cover the table")
     return Assignment(
         bucket_of=bucket_of,
-        bucket_sizes=np.concatenate(sizes) if sizes else np.empty(0, dtype=np.int64),
-        value_counts=np.vstack(counts_blocks) if counts_blocks else np.empty((0, table.sa_domain_size), dtype=np.int64),
+        bucket_sizes=np.array(sizes, dtype=np.int64),
+        sa_codes=table.sa_codes,
+        m=table.sa_domain_size,
     )
 
 

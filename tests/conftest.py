@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,45 @@ def max_flow_feasible(h, p, setting):
     graph = csr_matrix((np.array(caps, dtype=np.int32), (rows, cols)),
                        shape=(nodes, nodes))
     return int(csgraph.maximum_flow(graph, src, snk).flow_value) == h.total
+
+
+def eager_value_counts(bucket_of, sa_codes, bucket_count, m):
+    """Reference (bucket × value) count matrix, built eagerly with np.add.at."""
+    value_counts = np.zeros((bucket_count, m), dtype=np.int64)
+    np.add.at(value_counts, (bucket_of, sa_codes), 1)
+    return value_counts
+
+
+def gamma_first_covering(n, size1, size2):
+    """Reference first covering (b1, b2) of n by sizes size1 < size2, by
+    scanning b2 over one period; None when there is none."""
+    step2 = math.lcm(size1, size2) // size2
+    for b2 in range(step2):
+        rem = n - size2 * b2
+        if rem >= 0 and rem % size1 == 0:
+            return rem // size1, b2
+    return None
+
+
+def enumerate_settings_recursive(n, min_size, max_size, max_q):
+    """Reference enumeration of settings of <= max_q distinct sizes in
+    [min_size, max_size] covering n, recursing into every count of every
+    group, the last one included."""
+    found, chosen = [], []
+
+    def descend(remaining, start, q_left):
+        if remaining == 0:
+            found.append(tuple(chosen))
+            return
+        if q_left == 0:
+            return
+        for size in range(start, max_size + 1):
+            if size > remaining:
+                break
+            for count in range(1, remaining // size + 1):
+                chosen.append((size, count))
+                descend(remaining - size * count, size + 1, q_left - 1)
+                chosen.pop()
+
+    descend(n, min_size, max_q)
+    return found

@@ -426,6 +426,20 @@ class TestPublishEvaluate:
                       "--sa", "Disease", "--out", str(tmp_path / "nothing"))
         assert code == 4
 
+    @pytest.mark.parametrize("name", ["qit.csv", "st.csv"])
+    def test_missing_release_file_exits_four(self, capsys, tmp_path,
+                                             walkthrough_csv, name):
+        out = tmp_path / "pub"
+        code, _ = run(capsys, *self.publish_args(walkthrough_csv, out))
+        assert code == 0
+        (out / name).unlink()
+        code = main(["evaluate", "--input", str(walkthrough_csv),
+                     "--sa", "Disease", *WALK_PRIVACY, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert f"cannot open {out / name}" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 @pytest.mark.parametrize("target", ["input.csv", "privacy.csv", "st.csv",
                                     "fakes_audit.json"])

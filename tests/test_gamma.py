@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gamma_first_covering
 from fprivacy import _kernels
 from fprivacy.core import ConfigError, PrivacySpec, SaHistogram, histogram, value_slots
 from fprivacy.gamma import GammaList, build_gamma, loss_prefix
@@ -156,6 +157,13 @@ class TestGammaList:
             for b1, b2 in g.pairs():
                 assert b1 >= 0 and b2 >= 0
                 assert s1 * b1 + s2 * b2 == n
+
+    @given(n=st.integers(1, 400), s1=st.integers(1, 40), span=st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_first_covering_matches_scan(self, n, s1, span):
+        g = build_gamma(n, s1, s1 + span)
+        got = None if g is None else (g.b1_first, g.b2_first)
+        assert got == gamma_first_covering(n, s1, s1 + span)
 
     @given(n=st.integers(2, 400), s1=st.integers(1, 12), span=st.integers(1, 8))
     @settings(max_examples=150, deadline=None)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_instance, table_from_counts
+from conftest import (enumerate_settings_recursive, random_instance,
+                      table_from_counts)
 
 from fprivacy.core import (
     BudgetExceededError,
@@ -16,6 +19,7 @@ from fprivacy.core import (
 from fprivacy.optimize import (
     PRUNING_MODES,
     SearchConfig,
+    _enumerate_settings,
     anatomy_baseline_loss,
     anatomy_setting,
     brute_force_optimal,
@@ -306,6 +310,22 @@ class TestBruteForce:
         p = PrivacySpec(np.ones(8))
         with pytest.raises(BudgetExceededError):
             brute_force_optimal(h, p, SearchConfig(1, 10), max_q=3, budget=10)
+
+    def test_budget_counts_prefixes_only(self):
+        # 1 empty prefix + sum over sizes 1..50 of 3000 // size one-group
+        # prefixes; completing a prefix costs no step
+        found = _enumerate_settings(3000, SearchConfig(1, 50), 2, 13_481)
+        assert len(found) == 39_789
+        with pytest.raises(BudgetExceededError):
+            _enumerate_settings(3000, SearchConfig(1, 50), 2, 13_480)
+
+    @given(n=st.integers(1, 90), lo=st.integers(1, 6), span=st.integers(1, 40),
+           max_q=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_enumeration_matches_recursion(self, n, lo, span, max_q):
+        assert (_enumerate_settings(n, SearchConfig(lo, lo + span), max_q,
+                                    10_000_000)
+                == enumerate_settings_recursive(n, lo, lo + span, max_q))
 
     def test_bad_max_q(self):
         h, p = walkthrough_instance()

@@ -64,12 +64,10 @@ def releases(draw):
 
 def publish_buckets(table, bucket_of, buckets, seed):
     """publish of the assignment that puts record i in bucket_of[i]."""
-    value_counts = np.zeros((buckets, table.sa_domain_size), dtype=np.int64)
-    np.add.at(value_counts, (bucket_of, table.sa_codes), 1)
     assignment = Assignment(
         bucket_of=bucket_of,
         bucket_sizes=np.bincount(bucket_of, minlength=buckets),
-        value_counts=value_counts)
+        sa_codes=table.sa_codes, m=table.sa_domain_size)
     return publish(table, assignment, seed=seed)
 
 

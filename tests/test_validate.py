@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from fprivacy.core import (ConfigError, MicrodataTable, PrivacySpec,
                            SaHistogram, histogram)
+from fprivacy.metrics import gen_synthetic
 from fprivacy.validate import (
     MAX_CUT_GROUPS,
     Assignment,
@@ -22,7 +23,8 @@ from fprivacy.validate import (
     validate_one_size,
     validate_two_size,
 )
-from conftest import max_flow_feasible, random_instance, table_from_counts
+from conftest import (eager_value_counts, max_flow_feasible, random_instance,
+                      table_from_counts)
 
 
 def hist(counts):
@@ -451,3 +453,55 @@ def test_three_size_constraint_numbers():
     assert bounds.alloc[:10, 2].tolist() == [5] * 10
     # unconstrained value: capped by group capacities
     assert bounds.alloc[10].tolist() == [20, 20, 20]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_value_counts_match_eager_build(data):
+    """build_assignment's and round_robin_assign's derived value counts equal
+    the (bucket × value) matrix built eagerly, for random parts."""
+    m = data.draw(st.integers(1, 6), label="m")
+    groups = [BucketGroup(size, count) for size, count in data.draw(
+        st.lists(st.tuples(st.integers(1, 5), st.integers(0, 4)),
+                 min_size=1, max_size=4), label="groups")]
+    n = sum(g.capacity for g in groups)
+    assume(n > 0)
+    sa_codes = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n,
+                                           max_size=n), label="codes"),
+                        dtype=np.int32)
+    order = np.array(data.draw(st.permutations(range(n)), label="order"),
+                     dtype=np.int64)
+    table = MicrodataTable.from_codes(
+        np.zeros((n, 1), dtype=np.int32), sa_codes, qi_names=["q"],
+        sa_name="sa", qi_domains=[["z"]], sa_domain=[f"v{x}" for x in range(m)])
+    parts = list(zip(np.split(order, np.cumsum([g.capacity for g in groups])[:-1]),
+                     groups))
+    a = build_assignment(table, parts)
+    assert a.bucket_sizes.tolist() == [g.size for g in groups
+                                       for _ in range(g.count)]
+    counts = a.value_counts
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(
+        counts, eager_value_counts(a.bucket_of, sa_codes, a.bucket_count, m))
+    for rows, group in parts:
+        if group.count:
+            sub = round_robin_assign(sa_codes[rows], m, group.count)
+            np.testing.assert_array_equal(sub.value_counts, eager_value_counts(
+                sub.bucket_of, sa_codes[rows], group.count, m))
+
+
+def test_build_assignment_allocates_no_bucket_value_matrix():
+    """20k records of 500 values in 900 buckets: a (buckets × values) int64
+    matrix alone would take 3.6 MB."""
+    table = gen_synthetic(20_000, 500, 0, [8, 8], seed=1)
+    rows = np.arange(len(table), dtype=np.int64)
+    parts = [(rows[:10_000], BucketGroup(20, 500)),
+             (rows[10_000:], BucketGroup(25, 400))]
+    tracemalloc.start()
+    try:
+        a = build_assignment(table, parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.bucket_count == 900
+    assert peak < 2 << 20
