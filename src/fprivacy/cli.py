@@ -21,15 +21,12 @@ from .core import (ConfigError, IngestionError, InfeasiblePrivacyError,
                    ell_for_spec, histogram, ingest_csv, linear_privacy_spec,
                    load_privacy_spec, value_slots)
 from .dpsim import LaplaceMech, convergence_sweep
-from .metrics import (gen_queries, loss_of, mse_of, relative_error,
-                      write_xy_dat)
+from .metrics import gen_queries, mse_of, relative_error, write_xy_dat
 from .optimize import (SearchConfig, anatomy_setting, brute_force_optimal,
                        multi_size_bucketing, two_size_bucketing)
-from .publish import (check_published_privacy, inject_fakes,
-                      published_max_ratios, publish, read_published,
-                      write_published)
-from .validate import (BucketSetting, allocation_bounds, build_assignment,
-                       partition_records)
+from .publish import (check_published_privacy, published_max_ratios,
+                      read_published, release, write_published)
+from .validate import BucketSetting
 
 OPTIMIZE_MODES = ("two", "multi", "brute", "anatomy")
 
@@ -162,26 +159,6 @@ def _emit(payload: dict, out=None) -> None:
         Path(out).write_text(text + "\n", encoding="utf-8")
 
 
-def _bucketize(table, hist, spec, cfg, mode: str):
-    """Shared search step: returns the (row indices, group) parts, their
-    loss and {size: count}."""
-    if mode == "two":
-        result = two_size_bucketing(hist, spec, cfg)
-        if result is None:
-            raise InfeasiblePrivacyError(
-                "no valid two-size bucketing within the size bounds")
-        bounds = allocation_bounds(hist, spec, result.setting)
-        parts = list(zip(partition_records(table, bounds, result.setting),
-                         result.setting))
-    else:
-        parts = multi_size_bucketing(table, None, spec, cfg)
-    groups = [g for _, g in parts]
-    sizes = Counter()
-    for group in groups:
-        sizes[group.size] += group.count
-    return parts, loss_of(groups), sizes
-
-
 def cmd_analyze(args) -> int:
     table = _load_table(args)
     hist = histogram(table)
@@ -235,7 +212,9 @@ def cmd_optimize(args) -> int:
             setting = result.setting
             report["cond_evals"] = result.cond_evals
         else:
-            _, _, sizes = _bucketize(table, hist, spec, cfg, "multi")
+            sizes = Counter()
+            for _, group in multi_size_bucketing(table, None, spec, cfg):
+                sizes[group.size] += group.count
             setting = BucketSetting.of(*sorted(sizes.items()))
     report["loss"] = setting.loss
     report["buckets"] = [[g.size, g.count] for g in setting if g.count > 0]
@@ -251,50 +230,49 @@ def cmd_publish(args) -> int:
     _require_eligible(hist, spec, table.sa_domain)
     cfg = SearchConfig.for_spec(spec, max_size=args.max_size,
                                 min_size=args.min_size)
-    parts, loss, sizes = _bucketize(table, hist, spec, cfg, args.mode)
-    pt = publish(table, build_assignment(table, parts), seed=args.seed)
-    if args.sigma > 0:
-        caps = {label: float(spec.thresholds[i])
-                for i, label in enumerate(table.sa_domain)}
-        pt = inject_fakes(pt, args.sigma, seed=args.seed, thresholds=caps)
+    pt = release(table, spec, cfg, args.mode, args.sigma, args.seed)
     write_published(pt, args.out)
+    sizes = Counter(np.bincount(pt.qit_bids)[1:].tolist())
+    setting = BucketSetting.of(*sorted(sizes.items()))
     _emit({
         "records": int(len(table)),
         "buckets": int(pt.bucket_count),
-        "bucket_sizes": [[int(s), int(c)] for s, c in sorted(sizes.items())
-                         if c > 0],
-        "loss": int(loss),
+        "bucket_sizes": [[g.size, g.count] for g in setting],
+        "loss": setting.loss,
         "sigma": int(args.sigma),
         "out": str(args.out),
     })
     return 0
 
 
-def _align_published(pt, table):
-    """Re-express a read-back publication in the raw table's code space."""
-    if len(pt.qi_domains) != len(table.qi_domains):
-        raise ConfigError(
-            f"published tables carry {len(pt.qi_domains)} QI attributes, "
-            f"the raw table has {len(table.qi_domains)}")
-    qi_codes = np.empty_like(pt.qi_codes)
-    for j, domain in enumerate(pt.qi_domains):
-        target = {label: idx for idx, label in enumerate(table.qi_domains[j])}
-        try:
-            lut = np.array([target[label] for label in domain],
-                           dtype=np.int32)
-        except KeyError as e:
-            raise ConfigError(
-                f"published QI value {e.args[0]!r} not in the raw table")
-        qi_codes[:, j] = lut[pt.qi_codes[:, j]]
-    target = {label: idx for idx, label in enumerate(table.sa_domain)}
+def _recode(labels, domain, what: str) -> np.ndarray:
+    """Lookup table taking codes over ``labels`` to codes over ``domain``."""
+    target = {label: idx for idx, label in enumerate(domain)}
     try:
-        sa_lut = np.array([target[label] for label in pt.sa_domain],
-                          dtype=np.int32)
+        return np.array([target[label] for label in labels], dtype=np.int32)
     except KeyError as e:
         raise ConfigError(
-            f"published SA value {e.args[0]!r} not in the raw table")
+            f"published {what} value {e.args[0]!r} not in the raw table")
+
+
+def _align_published(pt, table):
+    """Re-express a read-back publication in the raw table's code space,
+    pairing QI columns by name."""
+    if sorted(pt.qi_names) != sorted(table.qi_names) or len(pt) != len(table):
+        raise ConfigError(
+            f"published tables hold {len(pt)} records with QI columns "
+            f"{list(pt.qi_names)}, the raw table {len(table)} with "
+            f"{list(table.qi_names)}")
+    published = sorted(range(len(pt.qi_names)), key=pt.qi_names.__getitem__)
+    raw = sorted(range(len(table.qi_names)), key=table.qi_names.__getitem__)
+    qi_codes = np.empty_like(pt.qi_codes)
+    for i, j in zip(published, raw):  # a repeated name pairs in column order
+        qi_codes[:, j] = _recode(pt.qi_domains[i], table.qi_domains[j],
+                                 "QI")[pt.qi_codes[:, i]]
+    sa_lut = _recode(pt.sa_domain, table.sa_domain, "SA")
     return dataclasses.replace(
-        pt, qi_codes=qi_codes, st_codes=sa_lut[pt.st_codes],
+        pt, qi_names=tuple(table.qi_names), qi_codes=qi_codes,
+        st_codes=sa_lut[pt.st_codes],
         qi_domains=tuple(tuple(d) for d in table.qi_domains),
         sa_domain=tuple(table.sa_domain),
         fake_map=tuple(tuple(sorted(int(sa_lut[c]) for c in codes))
@@ -355,12 +333,13 @@ def cmd_plot(args) -> int:
         cfg = SearchConfig.for_spec(spec, max_size=args.max_size,
                                     min_size=args.min_size)
         try:
-            parts, _, _ = _bucketize(table, hist, spec, cfg, "two")
+            pt = release(table, spec, cfg, seed=args.seed)
         except InfeasiblePrivacyError as e:
             raise InfeasiblePrivacyError(f"theta={theta}: {e}") from None
-        pt = publish(table, build_assignment(table, parts), seed=args.seed)
         report = relative_error(pool, table, pt)
-        mses.append(mse_of([group for _, group in parts], hist.total))
+        if hist.total < 2:
+            raise ConfigError(f"MSE needs at least 2 records, got {hist.total}")
+        mses.append(report.mse)
         res.append(report.re_mean)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

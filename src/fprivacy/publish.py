@@ -2,10 +2,11 @@
 
 A bucketized release is two tables: one mapping each record's QI values to a
 bucket id, one holding the bucket's sensitive values in scrambled order.  This
-module writes and reads that pair, optionally pads every bucket with fake
-sensitive values so an adversary who can exclude known records still faces
-ambiguity, learns which (QI value, SA value) pairs are conspicuously absent
-(an exclusion channel of its own), and simulates the corruption attack.
+module builds that pair (``release`` runs the whole sequence), writes and
+reads it, optionally pads every bucket with fake sensitive values so an
+adversary who can exclude known records still faces ambiguity, learns which
+(QI value, SA value) pairs are conspicuously absent (an exclusion channel of
+its own), and simulates the corruption attack.
 """
 
 from __future__ import annotations
@@ -18,16 +19,19 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConfigError, IngestionError, MicrodataTable,
-                   intern_labels, read_table, smallest_admitting_size,
-                   threshold_slots)
-from .validate import Assignment
+from .core import (ConfigError, IngestionError, InfeasiblePrivacyError,
+                   MicrodataTable, PrivacySpec, histogram, intern_labels,
+                   read_table, smallest_admitting_size, threshold_slots)
+from .optimize import SearchConfig, multi_size_bucketing, two_size_bucketing
+from .validate import (Assignment, allocation_bounds, build_assignment,
+                       partition_records)
 
 __all__ = [
     "PublishedTables",
     "NegAssociationModel",
     "BucketInference",
     "CorruptionReport",
+    "release",
     "publish",
     "inject_fakes",
     "learn_negative_associations",
@@ -107,6 +111,30 @@ def _bucket_bounds(sorted_bids: np.ndarray, bucket_count: int) -> np.ndarray:
                                                   dtype=sorted_bids.dtype))
 
 
+def release(table: MicrodataTable, spec: PrivacySpec, cfg: SearchConfig,
+            mode: str = "two", sigma: int = 0, seed: int = 0) -> PublishedTables:
+    """Search, partition, round-robin assignment, the QIT/ST pair, then
+    sigma fakes per bucket that the spec's thresholds admit.  Mode "two"
+    raises InfeasiblePrivacyError when no two-size setting is valid;
+    "multi" refines groups recursively."""
+    if mode == "two":
+        h = histogram(table)
+        found = two_size_bucketing(h, spec, cfg)
+        if found is None:
+            raise InfeasiblePrivacyError(
+                "no valid two-size bucketing within the size bounds")
+        bounds = allocation_bounds(h, spec, found.setting)
+        parts = zip(partition_records(table, bounds, found.setting),
+                    found.setting)
+    elif mode == "multi":
+        parts = multi_size_bucketing(table, None, spec, cfg)
+    else:
+        raise ConfigError(f"unknown release mode {mode!r}")
+    pt = publish(table, build_assignment(table, parts), seed=seed)
+    caps = dict(zip(table.sa_domain, spec.thresholds.tolist()))
+    return inject_fakes(pt, sigma, seed=seed, thresholds=caps)
+
+
 def publish(table: MicrodataTable, assignment: Assignment,
             seed: int = 0) -> PublishedTables:
     """Split a table into its published pair under a record assignment.
@@ -124,7 +152,7 @@ def publish(table: MicrodataTable, assignment: Assignment,
     # shuffle, which is what fixes the published bytes for a seed
     order = np.argsort(qit_bids, kind="stable")
     st_bids = qit_bids[order]
-    st_codes = table.sa_codes[order].astype(np.int32)
+    st_codes = table.sa_codes[order].astype(np.int32, copy=False)
     bounds = _bucket_bounds(st_bids, bucket_count)
     streams = np.random.SeedSequence(seed).spawn(bucket_count)
     for b in range(bucket_count):
@@ -133,7 +161,7 @@ def publish(table: MicrodataTable, assignment: Assignment,
     return PublishedTables(
         qi_names=tuple(table.qi_names),
         sa_name=table.sa_name,
-        qi_codes=table.qi_codes.copy(),
+        qi_codes=table.qi_codes,
         qit_bids=qit_bids,
         st_bids=st_bids,
         st_codes=st_codes,

@@ -16,6 +16,7 @@ cut, so with at most two nonempty groups these are all the cuts and
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,10 +280,12 @@ def partition_records(table: MicrodataTable, bounds: AllocationBounds,
                       setting: BucketSetting, rows: np.ndarray | None = None):
     """Split rows into (first-group, second-group) record sets.
 
-    The first group is seeded with each value's allocation-cap prefix (earliest
-    rows win); the overflow is then drained one record per value in ascending
-    code order, cycling until the first group shrinks to its capacity.  Records
-    move latest-first so the seeded prefix stays put.  Requires a valid
+    Each value offers the first group its allocation-cap prefix (earliest
+    rows); the overflow drains, latest rows first, one record per value per
+    round in code order until the first group fits.  Value v can give up
+    movable = min(a1, a1 + a2 - h) records, so r full rounds move
+    sum(min(movable, r)): a bisection finds the last full round, and the
+    first values still movable give one more each.  Requires a valid
     two-group setting.
     """
     if rows is None:
@@ -295,36 +298,21 @@ def partition_records(table: MicrodataTable, bounds: AllocationBounds,
     if int(a1.sum()) < g1.capacity or int(a2.sum()) < g2.capacity \
             or np.any(a1 + a2 < h.counts) or setting.capacity != h.total:
         raise ConfigError("partition_records called on an invalid setting")
+    # sum(movable) = sum(a1) - n + sum(a2) >= need, so the drain completes
+    need = int(a1.sum()) - g1.capacity
+    movable = np.minimum(a1, a1 + a2 - h.counts)
+    rounds = bisect.bisect_right(range(int(movable.max()) + 1), need,
+                                 key=lambda r: np.minimum(movable, r).sum()) - 1
+    keep = a1 - np.minimum(movable, rounds)
+    keep[np.flatnonzero(movable > rounds)[:int(keep.sum()) - g1.capacity]] -= 1
 
-    # one stable sort groups the rows by value, each group in row order
-    order = np.argsort(table.sa_codes[rows], kind="stable")
-    by_value = np.split(rows[order], np.cumsum(h.counts)[:-1])
-    seed = [arr[: a1[v]] for v, arr in enumerate(by_value)]
-    rest = [arr[a1[v]:] for v, arr in enumerate(by_value)]
-    t1_len = np.array([len(x) for x in seed])
-    t2_len = np.array([len(x) for x in rest])
-
-    need = int(t1_len.sum()) - g1.capacity
-    moved = 0
-    while moved < need:
-        progressed = False
-        for v in range(h.m):
-            if moved >= need:
-                break
-            if t1_len[v] > 0 and t2_len[v] < a2[v]:
-                t1_len[v] -= 1
-                t2_len[v] += 1
-                moved += 1
-                progressed = True
-        if not progressed:
-            raise ConfigError("partition stalled; setting was not valid")
-
-    # a table has at least one record, so there is at least one value
-    rows1 = np.concatenate([seed[v][: t1_len[v]] for v in range(h.m)])
-    rows2 = np.concatenate([seed[v][t1_len[v]:] for v in range(h.m)] + rest)
-    rows1.sort()
-    rows2.sort()
-    return rows1, rows2
+    # one stable sort ranks each value's rows in row order
+    codes = table.sa_codes[rows]
+    order = np.argsort(codes, kind="stable")
+    codes, rows = codes[order], rows[order]
+    rank = np.arange(len(rows)) - (np.cumsum(h.counts) - h.counts)[codes]
+    first = rank < keep[codes]
+    return np.sort(rows[first]), np.sort(rows[~first])
 
 
 def flow_feasibility_oracle(h: SaHistogram, p: PrivacySpec, setting: BucketSetting) -> bool:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fprivacy.core import (MicrodataTable, PrivacySpec, histogram,
-                           linear_privacy_spec, value_slots)
+from fprivacy.core import (ConfigError, MicrodataTable, PrivacySpec,
+                           histogram, linear_privacy_spec, value_slots)
 
 
 def table_from_counts(counts, qi_width=1, labels=None):
@@ -134,3 +134,48 @@ def enumerate_settings_recursive(n, min_size, max_size, max_q):
 
     descend(n, min_size, max_q)
     return found
+
+
+def partition_by_masks(table, bounds, setting, rows=None):
+    """Reference partition_records, moving one record at a time.
+
+    Each value's allocation-cap prefix (one boolean scan of the rows per
+    value) seeds the first group; the overflow drains one record per value
+    in ascending code order, cycling until the first group shrinks to its
+    capacity, latest rows first.
+    """
+    if rows is None:
+        rows = np.arange(len(table), dtype=np.int64)
+    rows = np.asarray(rows)
+    h = histogram(table, rows)
+    g1, g2 = setting.groups
+    a1 = bounds.alloc[:, 0]
+    a2 = bounds.alloc[:, 1]
+    if int(a1.sum()) < g1.capacity or int(a2.sum()) < g2.capacity \
+            or np.any(a1 + a2 < h.counts) or setting.capacity != h.total:
+        raise ConfigError("partition_records called on an invalid setting")
+    codes = table.sa_codes[rows]
+    by_value = [rows[codes == v] for v in range(h.m)]
+    seed = [arr[: a1[v]] for v, arr in enumerate(by_value)]
+    rest = [arr[a1[v]:] for v, arr in enumerate(by_value)]
+    t1_len = np.array([len(x) for x in seed])
+    t2_len = np.array([len(x) for x in rest])
+    need = int(t1_len.sum()) - g1.capacity
+    moved = 0
+    while moved < need:
+        progressed = False
+        for v in range(h.m):
+            if moved >= need:
+                break
+            if t1_len[v] > 0 and t2_len[v] < a2[v]:
+                t1_len[v] -= 1
+                t2_len[v] += 1
+                moved += 1
+                progressed = True
+        if not progressed:
+            raise ConfigError("partition stalled; setting was not valid")
+    rows1 = np.concatenate([seed[v][: t1_len[v]] for v in range(h.m)])
+    rows2 = np.concatenate([seed[v][t1_len[v]:] for v in range(h.m)] + rest)
+    rows1.sort()
+    rows2.sort()
+    return rows1, rows2

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line pipeline and its exit codes."""
 
+import collections
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +16,12 @@ import pytest
 
 import fprivacy
 from fprivacy.cli import main
-from fprivacy.metrics import gen_synthetic, true_count_cube
+from fprivacy.core import histogram, ingest_csv, linear_privacy_spec
+from fprivacy.metrics import (gen_queries, gen_synthetic, loss_of,
+                              relative_error, true_count_cube)
+from fprivacy.optimize import (SearchConfig, multi_size_bucketing,
+                               two_size_bucketing)
+from fprivacy.publish import read_published
 
 WALKTHROUGH_COUNTS = [1] * 8 + [6] * 4 + [9] * 2
 
@@ -46,6 +53,21 @@ def write_table_csv(path, table):
         for row, sa in zip(table.qi_codes, table.sa_codes):
             writer.writerow([table.qi_domains[j][c] for j, c in enumerate(row)]
                             + [table.sa_domain[sa]])
+    return path
+
+
+def write_qi_pair_csv(path, header="q1,q2,sa", records=3000):
+    """Records over QIs q1, q2 in {x, y}; q1 picks which half of the 20 SA
+    values a record holds.  ``header`` names the columns in the order the
+    rows are written, so "q2,q1,sa" writes the same records swapped; any
+    other QI name gets q1's values."""
+    rows = [{"q1": "x" if i < 1500 else "y",
+             "q2": "x" if (i // 10) % 3 == 0 else "y",
+             "sa": f"v{(i >= 1500) * 10 + i % 10:02d}"} for i in range(3000)]
+    names = header.split(",")
+    path.write_text(header + "\n" + "".join(
+        ",".join(row.get(name, row["q1"]) for name in names) + "\n"
+        for row in rows[:records]))
     return path
 
 
@@ -420,6 +442,58 @@ class TestPublishEvaluate:
                       "--sa", "Disease", "--out", str(out))
         assert code == 3
 
+    def test_evaluate_matches_qi_columns_by_name(self, capsys, tmp_path):
+        out = tmp_path / "pub"
+        code, _ = run(capsys, "publish", "--input",
+                      str(write_qi_pair_csv(tmp_path / "a.csv")),
+                      "--sa", "sa", "--out", str(out))
+        assert code == 0
+        swapped = write_qi_pair_csv(tmp_path / "b.csv", "q2,q1,sa")
+        code, report = run(capsys, "evaluate", "--input", str(swapped),
+                           "--sa", "sa", "--out", str(out), "--pool", "200")
+        assert code == 0
+        assert report["privacy_ok"] is True
+        # the release with its QI columns put in the raw table's order
+        pt = read_published(out)
+        pt = dataclasses.replace(pt, qi_names=pt.qi_names[::-1],
+                                 qi_codes=pt.qi_codes[:, ::-1].copy(),
+                                 qi_domains=pt.qi_domains[::-1])
+        table = ingest_csv(swapped, sa_column="sa")
+        pool = gen_queries(table.qi_domains, table.sa_domain, 200, 0.05,
+                           seed=0)
+        assert report["re_mean"] == relative_error(pool, table, pt).re_mean
+
+    def test_evaluate_keeps_repeated_qi_names_in_order(self, capsys,
+                                                       tmp_path):
+        raw = write_qi_pair_csv(tmp_path / "a.csv")
+        raw.write_text(raw.read_text().replace("q1,q2,", "q,q,", 1))
+        out = tmp_path / "pub"
+        flags = ["--input", str(raw), "--sa", "sa", "--out", str(out)]
+        assert run(capsys, "publish", *flags)[0] == 0
+        code, report = run(capsys, "evaluate", *flags, "--pool", "200")
+        assert code == 0
+        table = ingest_csv(raw, sa_column="sa")
+        pool = gen_queries(table.qi_domains, table.sa_domain, 200, 0.05,
+                           seed=0)
+        expected = relative_error(pool, table, read_published(out))
+        assert report["re_mean"] == expected.re_mean
+
+    @pytest.mark.parametrize("header,records", [
+        ("q2,q3,sa", 3000), ("q2,q1,sa", 2999)], ids=["qi-names", "records"])
+    def test_evaluate_other_raw_table_exits_three(self, capsys, tmp_path,
+                                                  header, records):
+        out = tmp_path / "pub"
+        code, _ = run(capsys, "publish", "--input",
+                      str(write_qi_pair_csv(tmp_path / "a.csv")),
+                      "--sa", "sa", "--out", str(out))
+        assert code == 0
+        raw = write_qi_pair_csv(tmp_path / "b.csv", header, records)
+        code = main(["evaluate", "--input", str(raw), "--sa", "sa",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+
     def test_evaluate_missing_dir_exits_four(self, capsys, tmp_path,
                                              walkthrough_csv):
         code, _ = run(capsys, "evaluate", "--input", str(walkthrough_csv),
@@ -549,6 +623,49 @@ class TestDpdemo:
     def test_gate_violation_exits_three(self, capsys):
         code, _ = run(capsys, "dpdemo", "--epsilon", "0.1", "--x", "50")
         assert code == 3
+
+
+@pytest.mark.parametrize("mode", ["two", "multi"])
+@pytest.mark.parametrize("sigma", [0, 2])
+def test_publish_reports_the_search_groups(capsys, tmp_path, mode, sigma):
+    """publish reads bucket_sizes and loss off the release; they must be
+    those of the groups the search chose."""
+    table = gen_synthetic(2000, 50, 0.0, [4, 4], seed=5)
+    code, report = run(
+        capsys, "publish", "--input",
+        str(write_table_csv(tmp_path / "t.csv", table)), "--sa", "sa",
+        "--theta", "8", "--intercept", "0.04", "--mode", mode,
+        "--sigma", str(sigma), "--out", str(tmp_path / "pub"))
+    assert code == 0
+    h = histogram(table)
+    spec = linear_privacy_spec(h, 8.0, 0.04)
+    cfg = SearchConfig.for_spec(spec, max_size=50)
+    if mode == "two":
+        groups = list(two_size_bucketing(h, spec, cfg).setting)
+    else:
+        groups = [g for _, g in multi_size_bucketing(table, None, spec, cfg)]
+    sizes = collections.Counter()
+    for group in groups:
+        sizes[group.size] += group.count
+    assert report["bucket_sizes"] == [[s, c] for s, c in sorted(sizes.items())
+                                      if c > 0]
+    assert report["loss"] == loss_of(groups)
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch):
+    """The README's Library code publishes a table that reads back whole."""
+    readme = (Path(fprivacy.__file__).parents[2] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    table = dataclasses.replace(gen_synthetic(600, 20, 0.0, [4, 3], seed=2),
+                                sa_name="Disease")
+    write_table_csv(tmp_path / "patients.csv", table)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    pt = read_published(tmp_path / "published")
+    assert len(pt) == len(table)
+    assert pt.sa_name == "Disease"
+    assert sorted(pt.st_codes.tolist()) == sorted(table.sa_codes.tolist())
 
 
 class TestPlot:

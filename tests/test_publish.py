@@ -11,6 +11,7 @@ from conftest import table_from_counts
 
 from fprivacy.core import (
     ConfigError,
+    InfeasiblePrivacyError,
     IngestionError,
     histogram,
     ingest_csv,
@@ -26,6 +27,7 @@ from fprivacy.publish import (
     publish,
     published_max_ratios,
     read_published,
+    release,
     write_published,
 )
 from fprivacy.validate import (
@@ -73,6 +75,22 @@ def walkthrough_publication(seed=0):
     parts = list(zip((rows1, rows2), res.setting))
     assignment = build_assignment(table, parts)
     return table, p, publish(table, assignment, seed=seed)
+
+
+class TestRelease:
+    def test_two_mode_matches_the_step_functions(self):
+        table, p, expected = walkthrough_publication(seed=3)
+        pt = release(table, p, SearchConfig.for_spec(p, max_size=14), seed=3)
+        for field in ("qi_codes", "qit_bids", "st_bids", "st_codes"):
+            assert np.array_equal(getattr(pt, field), getattr(expected, field))
+
+    def test_refusals(self):
+        table, p, _ = walkthrough_publication()
+        with pytest.raises(InfeasiblePrivacyError, match="no valid two-size"):
+            release(table, p, SearchConfig.for_spec(p, max_size=11))
+        with pytest.raises(ConfigError, match="unknown release mode"):
+            release(table, p, SearchConfig.for_spec(p, max_size=14),
+                    mode="three")
 
 
 class TestPublish:

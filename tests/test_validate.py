@@ -10,6 +10,7 @@ from fprivacy.core import (ConfigError, MicrodataTable, PrivacySpec,
 from fprivacy.metrics import gen_synthetic
 from fprivacy.validate import (
     MAX_CUT_GROUPS,
+    AllocationBounds,
     Assignment,
     BucketGroup,
     BucketSetting,
@@ -23,8 +24,8 @@ from fprivacy.validate import (
     validate_one_size,
     validate_two_size,
 )
-from conftest import (eager_value_counts, max_flow_feasible, random_instance,
-                      table_from_counts)
+from conftest import (eager_value_counts, max_flow_feasible,
+                      partition_by_masks, random_instance, table_from_counts)
 
 
 def hist(counts):
@@ -286,45 +287,6 @@ class TestPartition:
         assert built > 60
 
 
-def partition_by_masks(table, bounds, setting, rows=None):
-    """Reference partition_records: one boolean scan of the rows per value."""
-    if rows is None:
-        rows = np.arange(len(table), dtype=np.int64)
-    rows = np.asarray(rows)
-    h = histogram(table, rows)
-    g1, g2 = setting.groups
-    a1 = bounds.alloc[:, 0]
-    a2 = bounds.alloc[:, 1]
-    if int(a1.sum()) < g1.capacity or int(a2.sum()) < g2.capacity \
-            or np.any(a1 + a2 < h.counts) or setting.capacity != h.total:
-        raise ConfigError("partition_records called on an invalid setting")
-    codes = table.sa_codes[rows]
-    by_value = [rows[codes == v] for v in range(h.m)]
-    seed = [arr[: a1[v]] for v, arr in enumerate(by_value)]
-    rest = [arr[a1[v]:] for v, arr in enumerate(by_value)]
-    t1_len = np.array([len(x) for x in seed])
-    t2_len = np.array([len(x) for x in rest])
-    need = int(t1_len.sum()) - g1.capacity
-    moved = 0
-    while moved < need:
-        progressed = False
-        for v in range(h.m):
-            if moved >= need:
-                break
-            if t1_len[v] > 0 and t2_len[v] < a2[v]:
-                t1_len[v] -= 1
-                t2_len[v] += 1
-                moved += 1
-                progressed = True
-        if not progressed:
-            raise ConfigError("partition stalled; setting was not valid")
-    rows1 = np.concatenate([seed[v][: t1_len[v]] for v in range(h.m)])
-    rows2 = np.concatenate([seed[v][t1_len[v]:] for v in range(h.m)] + rest)
-    rows1.sort()
-    rows2.sort()
-    return rows1, rows2
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_partition_matches_boolean_mask_reference(data):
@@ -363,6 +325,46 @@ def test_partition_matches_boolean_mask_reference(data):
             return str(exc)
 
     assert outcome(partition_records) == outcome(partition_by_masks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_closed_form_partition_matches_drain(data):
+    """Random counts (zeros included), per-group caps and bucket counts,
+    row subsets in any order: the closed-form partition returns the drain
+    loop's rows, or raises its ConfigError text.  Capacities are off by up
+    to a bucket either way, so invalid settings and stalls are drawn too."""
+    counts = data.draw(st.lists(st.integers(0, 16), min_size=1, max_size=8))
+    assume(sum(counts) > 0)
+    table = table_from_counts(counts)
+    rows = None
+    if data.draw(st.booleans()):
+        order = data.draw(st.permutations(range(len(table))))
+        rows = np.array(order[:data.draw(st.integers(0, len(table)))],
+                        dtype=np.int64)
+    h = histogram(table, rows)
+    s1 = data.draw(st.integers(1, 3))
+    s2 = data.draw(st.integers(s1 + 1, s1 + 6))
+    b2 = data.draw(st.integers(0, h.total // s2 + 1))
+    b1 = max(0, (h.total - s2 * b2) // s1
+             + data.draw(st.sampled_from([0, 0, 0, -1, 1])))
+    setting = BucketSetting.of((s1, b1), (s2, b2))
+    # caps near each value's count, so that many drawn settings are valid
+    upper = np.maximum(0, np.array(counts)[:, None] + np.array(data.draw(
+        st.lists(st.lists(st.integers(-4, 3), min_size=2, max_size=2),
+                 min_size=len(counts), max_size=len(counts)))))
+    bounds = AllocationBounds(upper=upper,
+                              alloc=np.minimum(upper, h.counts[:, None]))
+
+    def outcome(partition):
+        try:
+            return [part.tolist() for part in partition(table, bounds, setting, rows)]
+        except ConfigError as exc:
+            return str(exc)
+
+    expected = outcome(partition_by_masks)
+    event(expected if isinstance(expected, str) else "partitioned")
+    assert outcome(partition_records) == expected
 
 
 class TestFlowOracle:
