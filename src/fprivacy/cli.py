@@ -232,7 +232,7 @@ def cmd_publish(args) -> int:
                                 min_size=args.min_size)
     pt = release(table, spec, cfg, args.mode, args.sigma, args.seed)
     write_published(pt, args.out)
-    sizes = Counter(np.bincount(pt.qit_bids)[1:].tolist())
+    sizes = Counter(pt.bucket_sizes.tolist())
     setting = BucketSetting.of(*sorted(sizes.items()))
     _emit({
         "records": int(len(table)),
@@ -275,8 +275,7 @@ def _align_published(pt, table):
         st_codes=sa_lut[pt.st_codes],
         qi_domains=tuple(tuple(d) for d in table.qi_domains),
         sa_domain=tuple(table.sa_domain),
-        fake_map=tuple(tuple(sorted(int(sa_lut[c]) for c in codes))
-                       for codes in pt.fake_map))
+        fakes=np.sort(sa_lut[pt.fakes], axis=1))
 
 
 def cmd_evaluate(args) -> int:

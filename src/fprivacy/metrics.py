@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import ConfigError, MicrodataTable
-from .publish import PublishedTables, _bucket_bounds, _bucket_value_counts
+from .publish import PublishedTables
 from .validate import BucketGroup, BucketSetting
 
 __all__ = [
@@ -211,8 +211,8 @@ def estimated_count_cube(pt: PublishedTables) -> Optional[CountCube]:
     keys, qi_counts = np.unique(pt.qit_bids.astype(np.int64) * u + cell_of,
                                 return_counts=True)
     qi_bids, qi_cells = np.divmod(keys, u)
-    st_bids, st_codes, st_counts, st_sizes = _bucket_value_counts(pt)
-    st_bounds = _bucket_bounds(st_bids, pt.bucket_count)
+    st_bids, st_codes, st_counts, st_sizes = pt.st_value_counts
+    st_bounds = np.searchsorted(st_bids, np.arange(1, pt.bucket_count + 2))
     # QIT triple t pairs with every ST triple of its bucket; those are the
     # pairs pair_bounds[t]..pair_bounds[t+1] of the join, and pair k of
     # them is ST triple k + offset[t]
@@ -278,12 +278,11 @@ def answer_estimated(pt: PublishedTables, query: CountQuery,
     for attr, values in query.qi_predicates:
         qi_mask &= _admits(pt.qi_codes[:, attr], values,
                            len(pt.qi_domains[attr]))
-    qi_per_bucket = np.bincount(pt.qit_bids[qi_mask],
-                                minlength=pt.bucket_count + 1)
-    # ST sizes from the ascending st_bids, indexed by bucket id (0 is empty)
-    st_total = np.diff(_bucket_bounds(pt.st_bids, pt.bucket_count), prepend=0)
+    qi_per_bucket = np.bincount(pt.qit_bids[qi_mask] - 1,
+                                minlength=pt.bucket_count)
+    st_total = pt.bucket_sizes + pt.sigma
     sa_mask = _admits(pt.st_codes, query.sa_values, pt.m)
-    st_match = np.bincount(pt.st_bids[sa_mask], minlength=pt.bucket_count + 1)
+    st_match = np.bincount(pt.st_bids[sa_mask] - 1, minlength=pt.bucket_count)
     occupied = st_total > 0
     return float(np.sum(qi_per_bucket[occupied] * st_match[occupied]
                         / st_total[occupied]))
@@ -334,9 +333,7 @@ def relative_error(pool: Iterable[CountQuery], table: MicrodataTable,
     if not answered:
         raise ConfigError("every query in the pool has a zero true answer")
     re_mean = float(np.mean([abs(act - est) / act for act, est in answered]))
-    sizes = np.bincount(pt.qit_bids)[1:]
-    sizes = sizes[sizes > 0]
-    loss = loss_of(sizes.tolist())
+    loss = loss_of(pt.bucket_sizes[pt.bucket_sizes > 0].tolist())
     return UtilityReport(
         loss=loss,
         mse=loss / (len(table) - 1) if len(table) > 1 else 0.0,

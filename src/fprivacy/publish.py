@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -45,49 +46,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PublishedTables:
-    """The released pair of tables plus the publisher's private fake map.
+    """The released pair of tables plus the publisher's private fakes.
 
-    Bucket ids are 1-based.  qi_codes/qit_bids follow original record order;
-    st_bids ascend and st_codes are shuffled within each bucket.  The arrays
-    are treated as immutable.  fake_map holds, per bucket, the injected fake
-    SA codes; it never leaves the publisher's side.
+    Bucket ids are 1-based; qi_codes/qit_bids follow original record order.
+    ST rows hold each bucket's records plus sigma fakes, buckets ascending, a
+    layout derived from qit_bids and sigma; st_codes are shuffled within each
+    bucket.  Arrays are treated as immutable.  Row b-1 of fakes holds bucket
+    b's fake SA codes, ascending; it never leaves the publisher's side.
     """
 
     qi_names: tuple[str, ...]
     sa_name: str
     qi_codes: np.ndarray   # (n, d) int32
     qit_bids: np.ndarray   # (n,) int32
-    st_bids: np.ndarray    # (n + sigma*B,) int32, ascending
-    st_codes: np.ndarray   # same length as st_bids, int32 SA codes
+    st_codes: np.ndarray   # (n + sigma*B,) int32 SA codes, grouped by bucket
     qi_domains: tuple[tuple[str, ...], ...]
     sa_domain: tuple[str, ...]
     bucket_count: int
-    sigma: int = 0
-    fake_map: tuple[tuple[int, ...], ...] = ()
+    fakes: np.ndarray      # (B, sigma) int32, rows ascending
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
         if self.bucket_count < 1:
             raise ConfigError("published tables need at least one bucket")
+        if self.fakes.ndim != 2 or len(self.fakes) != self.bucket_count:
+            raise ConfigError("fakes must hold one row per bucket")
         if len(self.qi_codes) != len(self.qit_bids):
             raise ConfigError("QIT row arrays disagree in length")
-        if len(self.st_bids) != len(self.st_codes):
-            raise ConfigError("ST row arrays disagree in length")
-        if np.any(np.diff(self.st_bids) < 0):
-            raise ConfigError("ST rows must be grouped by ascending bucket id")
-        if (self.qit_bids.max(initial=1) > self.bucket_count
-                or self.st_bids.max(initial=1) > self.bucket_count):
-            raise ConfigError("bucket id exceeds the bucket count")
-        if self.qit_bids.min(initial=1) < 1 or self.st_bids.min(initial=1) < 1:
-            raise ConfigError("bucket ids are 1-based")
-        qit_per = np.bincount(self.qit_bids, minlength=self.bucket_count + 1)
-        st_per = np.bincount(self.st_bids, minlength=self.bucket_count + 1)
-        if np.any(qit_per[1:] + self.sigma != st_per[1:]):
+        low, high = self.qit_bids.min(initial=1), self.qit_bids.max(initial=1)
+        if not 1 <= low <= high <= self.bucket_count:
+            raise ConfigError("bucket ids are 1-based, up to the bucket count")
+        if len(self.st_codes) != len(self) + self.sigma * self.bucket_count:
             raise ConfigError(
                 "each bucket must hold its record count plus sigma ST rows")
-        if len(self.fake_map) != self.bucket_count:
-            raise ConfigError("fake map must cover every bucket")
 
     def __len__(self) -> int:
         return len(self.qit_bids)
@@ -96,19 +86,39 @@ class PublishedTables:
     def m(self) -> int:
         return len(self.sa_domain)
 
+    @property
+    def sigma(self) -> int:
+        """Fake ST rows per bucket."""
+        return self.fakes.shape[1]
+
+    @cached_property
+    def bucket_sizes(self) -> np.ndarray:
+        """Record count of buckets 1..bucket_count."""
+        return np.bincount(self.qit_bids, minlength=self.bucket_count + 1)[1:]
+
+    @cached_property
+    def st_bounds(self) -> np.ndarray:
+        """ST row offsets: bucket b's are [st_bounds[b-1], st_bounds[b])."""
+        return np.concatenate(([0], np.cumsum(self.bucket_sizes + self.sigma)))
+
+    @cached_property
+    def st_bids(self) -> np.ndarray:
+        """Bucket id of every ST row, ascending."""
+        return np.repeat(np.arange(1, self.bucket_count + 1, dtype=np.int32),
+                         self.bucket_sizes + self.sigma)
+
+    @cached_property
+    def st_value_counts(self):
+        """(bucket id, SA code, count, bucket ST size with fakes) of each
+        (bucket, value) pair in the ST rows, ascending by bucket then code."""
+        keys, counts = np.unique(self.st_bids.astype(np.int64) * self.m
+                                 + self.st_codes, return_counts=True)
+        bids, codes = np.divmod(keys, self.m)
+        return bids, codes, counts, (self.bucket_sizes + self.sigma)[bids - 1]
+
     def st_slice(self, bid: int) -> np.ndarray:
         """SA codes of one bucket's ST rows (fakes included)."""
-        lo = np.searchsorted(self.st_bids, bid, side="left")
-        hi = np.searchsorted(self.st_bids, bid, side="right")
-        return self.st_codes[lo:hi]
-
-
-def _bucket_bounds(sorted_bids: np.ndarray, bucket_count: int) -> np.ndarray:
-    """Row offsets of buckets 1..bucket_count in ascending bucket ids: bucket
-    b's rows are [bounds[b-1], bounds[b]).  The probes take the ids' dtype,
-    so the ids are searched in place, not cast to a wider copy first."""
-    return np.searchsorted(sorted_bids, np.arange(1, bucket_count + 2,
-                                                  dtype=sorted_bids.dtype))
+        return self.st_codes[self.st_bounds[bid - 1]:self.st_bounds[bid]]
 
 
 def release(table: MicrodataTable, spec: PrivacySpec, cfg: SearchConfig,
@@ -151,26 +161,21 @@ def publish(table: MicrodataTable, assignment: Assignment,
     # a stable sort keeps each bucket's values in record order before the
     # shuffle, which is what fixes the published bytes for a seed
     order = np.argsort(qit_bids, kind="stable")
-    st_bids = qit_bids[order]
-    st_codes = table.sa_codes[order].astype(np.int32, copy=False)
-    bounds = _bucket_bounds(st_bids, bucket_count)
-    streams = np.random.SeedSequence(seed).spawn(bucket_count)
-    for b in range(bucket_count):
-        np.random.default_rng(streams[b]).shuffle(
-            st_codes[bounds[b]:bounds[b + 1]])
-    return PublishedTables(
+    pt = PublishedTables(
         qi_names=tuple(table.qi_names),
         sa_name=table.sa_name,
         qi_codes=table.qi_codes,
         qit_bids=qit_bids,
-        st_bids=st_bids,
-        st_codes=st_codes,
+        st_codes=table.sa_codes[order].astype(np.int32, copy=False),
         qi_domains=tuple(tuple(d) for d in table.qi_domains),
         sa_domain=tuple(table.sa_domain),
         bucket_count=bucket_count,
-        sigma=0,
-        fake_map=tuple(() for _ in range(bucket_count)),
+        fakes=np.empty((bucket_count, 0), dtype=np.int32),
     )
+    streams = np.random.SeedSequence(seed).spawn(bucket_count)
+    for b in range(bucket_count):
+        np.random.default_rng(streams[b]).shuffle(pt.st_slice(b + 1))
+    return pt
 
 
 def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
@@ -200,8 +205,7 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
         raise ConfigError("fake values are already present; start from a "
                           "plain published pair")
     B = pt.bucket_count
-    bounds = _bucket_bounds(pt.st_bids, B)
-    sizes = np.diff(bounds)
+    sizes = pt.bucket_sizes
     present = np.zeros((B, pt.m), dtype=bool)
     present[pt.st_bids - 1, pt.st_codes] = True
     duplicated = present.sum(axis=1) != sizes
@@ -233,28 +237,23 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
             f"bucket {b + 1} has only {choices[b]} admissible fake values "
             f"but sigma={sigma}")
 
+    padded = replace(
+        pt, st_codes=np.empty(len(pt.st_codes) + sigma * B, dtype=np.int32),
+        fakes=np.empty((B, sigma), dtype=np.int32))
     # each bucket's stream draws its fakes, then shuffles real + fakes in
     # place; these calls alone fix the output bytes for a seed
-    new_bounds = bounds + sigma * np.arange(B + 1)
-    new_codes = np.empty(new_bounds[-1], dtype=np.int32)
     streams = np.random.SeedSequence(seed).spawn(B)
-    fake_map = []
     for b in range(B):
         rng = np.random.default_rng(streams[b])
         fakes = rng.choice(np.flatnonzero(eligible[b]).astype(np.int32),
                            size=sigma, replace=False)
-        merged = new_codes[new_bounds[b]:new_bounds[b + 1]]
-        merged[:sizes[b]] = pt.st_codes[bounds[b]:bounds[b + 1]]
+        merged = padded.st_slice(b + 1)
+        merged[:sizes[b]] = pt.st_slice(b + 1)
         merged[sizes[b]:] = fakes
         rng.shuffle(merged)
-        fake_map.append(tuple(sorted(fakes.tolist())))
-    return replace(
-        pt,
-        st_bids=np.repeat(np.arange(1, B + 1, dtype=np.int32), sizes + sigma),
-        st_codes=new_codes,
-        sigma=sigma,
-        fake_map=tuple(fake_map),
-    )
+        padded.fakes[b] = fakes
+    padded.fakes.sort(axis=1)
+    return padded
 
 
 @dataclass(frozen=True)
@@ -375,20 +374,9 @@ def corruption_attack_sim(pt: PublishedTables,
     return CorruptionReport(buckets=tuple(buckets), max_record_prob=worst)
 
 
-def _bucket_value_counts(pt: PublishedTables):
-    """(bucket id, SA code, count, bucket ST size) of every (bucket, value)
-    pair present in the ST rows, ascending by bucket then code; sizes
-    include fakes."""
-    keys, counts = np.unique(pt.st_bids.astype(np.int64) * pt.m + pt.st_codes,
-                             return_counts=True)
-    bids, codes = np.divmod(keys, pt.m)
-    sizes = np.bincount(pt.st_bids, minlength=pt.bucket_count + 1)[bids]
-    return bids, codes, counts, sizes
-
-
 def published_max_ratios(pt: PublishedTables) -> dict[str, float]:
     """Worst in-bucket frequency of every SA label across the release."""
-    _, codes, counts, sizes = _bucket_value_counts(pt)
+    _, codes, counts, sizes = pt.st_value_counts
     worst = np.zeros(pt.m)
     np.maximum.at(worst, codes, counts / sizes)
     return {pt.sa_domain[code]: float(worst[code])
@@ -403,7 +391,7 @@ def check_published_privacy(pt: PublishedTables,
     A value passes a bucket when its count there is within threshold_slots of
     the bucket's ST size, the capacity the search and partitioning fill to.
     """
-    _, codes, counts, sizes = _bucket_value_counts(pt)
+    _, codes, counts, sizes = pt.st_value_counts
     caps = np.ones(pt.m)
     for code in np.unique(codes):
         label = pt.sa_domain[code]
@@ -431,7 +419,7 @@ def write_published(pt: PublishedTables, out_dir) -> None:
     audit = {
         "sigma": pt.sigma,
         "buckets": {str(b + 1): [pt.sa_domain[c] for c in fakes]
-                    for b, fakes in enumerate(pt.fake_map)},
+                    for b, fakes in enumerate(pt.fakes.tolist())},
     }
     with open(out / "fakes_audit.json", "w", encoding="utf-8") as fh:
         json.dump(audit, fh, indent=2, sort_keys=True)
@@ -461,31 +449,34 @@ def read_published(in_dir) -> PublishedTables:
         raise IngestionError(f"{st_path} must have columns BID,<SA>")
     st_codes, sa_domain = intern_labels(columns.pop())
     st_bids = _parse_bids(columns.pop(), st_path)
-    sa_lookup = {label: i for i, label in enumerate(sa_domain)}
-
     order = np.argsort(st_bids, kind="stable")
-    st_bids, st_codes = st_bids[order], st_codes[order]
     bucket_count = int(qit_bids.max())
 
-    sigma = 0
-    fake_map: tuple[tuple[int, ...], ...] = tuple(() for _ in range(bucket_count))
-    audit_path = src / "fakes_audit.json"
-    if audit_path.exists():
-        sigma, fakes = _read_audit(audit_path, sa_lookup)
-        if sigma:
-            fake_map = tuple(
-                tuple(sorted(sa_lookup[v] for v in fakes.get(str(b), [])))
-                for b in range(1, bucket_count + 1))
+    fakes = _read_audit(src / "fakes_audit.json", sa_domain, bucket_count)
     try:
-        return PublishedTables(
+        pt = PublishedTables(
             qi_names=tuple(qit_header[:-1]), sa_name=st_header[1],
-            qi_codes=qi_codes, qit_bids=qit_bids,
-            st_bids=st_bids, st_codes=st_codes,
+            qi_codes=qi_codes, qit_bids=qit_bids, st_codes=st_codes[order],
             qi_domains=tuple(qi_domains), sa_domain=sa_domain,
-            bucket_count=bucket_count, sigma=sigma, fake_map=fake_map)
+            bucket_count=bucket_count, fakes=fakes)
+        if not np.array_equal(st_bids[order], pt.st_bids):
+            raise ConfigError(
+                "bucket ids are 1-based" if st_bids.min(initial=1) < 1 else
+                "each bucket must hold its record count plus sigma ST rows")
+        if pt.sigma:
+            bids, codes, _, _ = pt.st_value_counts
+            # unique keys: triples are distinct, and so are a bucket's fakes
+            keys = fakes + pt.m * np.arange(1, bucket_count + 1)[:, None]
+            held = np.isin(keys, bids * pt.m + codes, assume_unique=True)
+            if not held.all():
+                b, j = np.argwhere(~held)[0]
+                raise ConfigError(
+                    f"fakes_audit.json: bucket {b + 1}'s fake "
+                    f"{sa_domain[fakes[b, j]]!r} is not in its ST rows")
     except ConfigError as exc:
         raise IngestionError(f"{src} does not hold a consistent release: "
                              f"{exc}") from None
+    return pt
 
 
 def _parse_bids(column, path) -> np.ndarray:
@@ -496,9 +487,12 @@ def _parse_bids(column, path) -> np.ndarray:
         raise IngestionError(f"{path}: malformed bucket id: {exc}") from None
 
 
-def _read_audit(path, sa_lookup) -> tuple[int, dict]:
-    """sigma and the bucket id -> fake labels map of a fakes_audit.json,
-    checked to name only SA values that st.csv holds."""
+def _read_audit(path, sa_domain, bucket_count) -> np.ndarray:
+    """The (bucket_count, sigma) fake SA codes of a fakes_audit.json, rows
+    ascending, checked to give every bucket sigma distinct values that
+    st.csv holds; a missing file lists no fakes."""
+    if not path.exists():
+        return np.empty((bucket_count, 0), dtype=np.int32)
     try:
         with open(path, encoding="utf-8") as fh:
             audit = json.load(fh)
@@ -510,6 +504,7 @@ def _read_audit(path, sa_lookup) -> tuple[int, dict]:
     sigma = audit.get("sigma", 0)
     if not isinstance(sigma, int) or sigma < 0:
         raise IngestionError(f"{path}: sigma must be a non-negative integer")
+    sa_lookup = {label: i for i, label in enumerate(sa_domain)}
     for bid, labels in fakes.items():
         if not isinstance(labels, list):
             raise IngestionError(f"{path}: bucket {bid} fakes are not a list")
@@ -518,4 +513,11 @@ def _read_audit(path, sa_lookup) -> tuple[int, dict]:
                 raise IngestionError(
                     f"{path}: bucket {bid} names fake value {label!r}, which "
                     f"{path.with_name('st.csv')} does not hold")
-    return sigma, fakes
+    rows = [fakes.get(str(b), []) for b in range(1, bucket_count + 1)]
+    for b, labels in enumerate(rows, start=1):
+        if len(labels) != sigma or len(set(labels)) != sigma:
+            raise IngestionError(f"{path}: bucket {b} lists {len(labels)} "
+                                 f"fakes, not {sigma} distinct values")
+    codes = np.array([[sa_lookup[label] for label in labels]
+                      for labels in rows], dtype=np.int32)
+    return np.sort(codes.reshape(bucket_count, sigma), axis=1)

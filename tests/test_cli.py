@@ -85,6 +85,24 @@ def run(capsys, *argv):
 WALK_PRIVACY = ["--theta", "2", "--intercept", "0.05"]
 
 
+def ragged_audit(audit, st_rows):
+    """A sigma=2 audit whose bucket 1 lists 1 fake, bucket 2 lists 4 and
+    bucket 3 none."""
+    buckets = audit["buckets"]
+    buckets["1"] = buckets["1"][:1]
+    buckets["2"] += buckets.pop("3")
+    return json.dumps(audit)
+
+
+def foreign_fake_audit(audit, st_rows):
+    """An audit whose bucket 1 names a value st.csv holds, but not in bucket
+    1's rows."""
+    held = {label for bid, label in st_rows[1:] if bid == "1"}
+    audit["buckets"]["1"][0] = next(label for _, label in st_rows[1:]
+                                    if label not in held)
+    return json.dumps(audit)
+
+
 class TestAnalyze:
 
     def test_feasible_report(self, capsys, walkthrough_csv):
@@ -379,18 +397,26 @@ class TestPublishEvaluate:
         '{"sigma": 1}',
         '{"sigma": 1, "buckets": {"1": ["no such value"]}}',
         '{"sigma": 1, "buckets": {}}',
-    ], ids=["bad-json", "no-buckets", "unknown-label", "sigma-mismatch"])
-    def test_malformed_audit_exits_four(self, capsys, tmp_path,
-                                        walkthrough_csv, audit):
-        out = tmp_path / "pub"
-        code, _ = run(capsys, *self.publish_args(walkthrough_csv, out))
+        ragged_audit,
+        foreign_fake_audit,
+    ], ids=["bad-json", "no-buckets", "unknown-label", "sigma-mismatch",
+            "ragged", "fake-not-in-bucket"])
+    def test_malformed_audit_exits_four(self, capsys, tmp_path, audit):
+        csv_path = write_uniform_csv(tmp_path / "uniform.csv")
+        flags = ["--input", str(csv_path), "--sa", "Illness",
+                 "--out", str(tmp_path / "pub")]
+        code, _ = run(capsys, "publish", *flags, "--sigma", "2")
         assert code == 0
-        (out / "fakes_audit.json").write_text(audit)
-        code = main(["evaluate", "--input", str(walkthrough_csv),
-                     "--sa", "Disease", *WALK_PRIVACY, "--out", str(out)])
+        path = tmp_path / "pub" / "fakes_audit.json"
+        if not isinstance(audit, str):
+            with open(path.with_name("st.csv"), newline="") as fh:
+                st_rows = list(csv.reader(fh))
+            audit = audit(json.loads(path.read_text()), st_rows)
+        path.write_text(audit)
+        code = main(["evaluate", *flags])
         err = capsys.readouterr().err
         assert code == 4
-        assert len(err.strip().splitlines()) == 1
+        assert "fakes_audit.json" in err and len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("name,edit", [
         ("st.csv", lambda lines: lines[:1] + [""] + lines[1:]),

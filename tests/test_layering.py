@@ -1,0 +1,43 @@
+"""Modules of the package import only public names from their siblings.
+
+A name with a leading underscore is private to its module; a sibling that
+imports it depends on internals the owner may change.  Importing a private
+module itself (``from . import _kernels``) is allowed.
+"""
+
+import ast
+from pathlib import Path
+
+import fprivacy
+
+PACKAGE = Path(fprivacy.__file__).parent
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """Each ``module.name`` a module imports that is private to a sibling."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level == 0 and node.module.split(".")[0] != "fprivacy":
+            continue
+        found += [f"{node.module}.{alias.name}" for alias in node.names
+                  if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_sibling_name():
+    offenders = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+                 if (names := private_sibling_imports(
+                     path.read_text(encoding="utf-8")))}
+    assert offenders == {}
+
+
+def test_check_tells_private_names_from_private_modules():
+    assert private_sibling_imports("from .publish import _x, y") == \
+        ["publish._x"]
+    assert private_sibling_imports("from fprivacy.core import _y") == \
+        ["fprivacy.core._y"]
+    assert private_sibling_imports(
+        "from . import _kernels\nfrom ._kernels import pc_bounds\n"
+        "from os import _exit\nfrom __future__ import annotations") == []

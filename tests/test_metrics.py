@@ -283,12 +283,10 @@ def relabel_buckets(pt, perm):
     qit_bids = mapping[pt.qit_bids - 1]
     st_bids = mapping[pt.st_bids - 1]
     order = np.argsort(st_bids, kind="stable")
-    fake_map = [()] * pt.bucket_count
-    for old, codes in enumerate(pt.fake_map):
-        fake_map[int(mapping[old]) - 1] = codes
+    fakes = np.empty_like(pt.fakes)
+    fakes[mapping - 1] = pt.fakes
     return dataclasses.replace(
-        pt, qit_bids=qit_bids, st_bids=st_bids[order],
-        st_codes=pt.st_codes[order], fake_map=tuple(fake_map))
+        pt, qit_bids=qit_bids, st_codes=pt.st_codes[order], fakes=fakes)
 
 
 class TestRelativeError:

@@ -198,7 +198,7 @@ class TestInjectFakes:
             assert set(full) <= set(range(12))
             assert max(full.values()) == 1  # distinct within the bucket
             extras = full - real
-            assert tuple(sorted(extras)) == padded.fake_map[bid - 1]
+            assert sorted(extras) == padded.fakes[bid - 1].tolist()
             assert not set(extras) & set(real)
 
     def test_duplicate_values_refused(self):
@@ -237,7 +237,7 @@ class TestInjectFakes:
         seen = set()
         for seed in range(20):
             padded = inject_fakes(pt, sigma=1, seed=seed, thresholds=caps)
-            seen.update(padded.fake_map[0])
+            seen.update(padded.fakes[0].tolist())
             assert check_published_privacy(padded, caps)
         assert seen == {6, 7}
 
@@ -276,7 +276,7 @@ class TestInjectFakes:
     def test_fake_filter_admits_what_the_recheck_accepts(self):
         pt, caps = self.large_bucket_caps((1 - 0.5e-9) / 2000)
         padded = inject_fakes(pt, sigma=1, thresholds=caps)
-        assert padded.fake_map == ((1999,),)
+        assert padded.fakes.tolist() == [[1999]]
         assert check_published_privacy(padded, caps)
 
 
@@ -335,7 +335,7 @@ class TestNegativeAssociations:
         for bid in range(1, padded.bucket_count + 1):
             rows = np.flatnonzero(padded.qit_bids == bid)
             qi_values = {int(z) for z in padded.qi_codes[rows, 0]}
-            for fake in padded.fake_map[bid - 1]:
+            for fake in padded.fakes[bid - 1].tolist():
                 for z in qi_values:
                     assert not model.is_flagged(0, z, fake)
 

@@ -1,11 +1,11 @@
 """Property tests of the release path against per-bucket Counter references.
 
 Random small tables are split into random buckets, published, optionally
-padded with fakes, and every bucket-level computation (max ratios, the
-privacy recheck, fake injection and its refusals, true and estimated query
-answers) is compared with a plain loop over the rows written here.  Tables
-of labels that CSV must quote are written and read back, through the release
-files and through ingestion.
+padded with fakes, and every bucket-level computation (the derived ST
+layout, max ratios, the privacy recheck, fake injection and its refusals,
+true and estimated query answers) is compared with a plain loop over the
+rows written here.  Tables of labels that CSV must quote are written and
+read back, through the release files and through ingestion.
 """
 
 import csv
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from fprivacy.cli import _align_published
 from fprivacy.core import (ConfigError, IngestionError, MicrodataTable,
                            PrivacySpec, ingest_csv, read_columns,
                            smallest_admitting_size, value_slots)
@@ -122,7 +123,7 @@ def padded_or_refused(pt, sigma, seed, caps, flagged=frozenset()):
                           thresholds=thresholds)
     before, after, rows = st_counters(pt), st_counters(padded), qi_rows(pt)
     for bid in range(1, pt.bucket_count + 1):
-        fakes = padded.fake_map[bid - 1]
+        fakes = padded.fakes[bid - 1].tolist()
         assert len(set(fakes)) == sigma
         assert after[bid] == before[bid] + Counter(fakes)
         for x in fakes:
@@ -276,6 +277,37 @@ def test_indexed_answers_match_reference(case):
 
 
 @SETTINGS
+@given(st.one_of(releases_with_fakes(), indexed_cases()))
+def test_derived_layout_matches_reference(release):
+    table, pt, _ = release
+    B, sigma = pt.bucket_count, pt.sigma
+    qit_counts = Counter(pt.qit_bids.tolist())
+    assert pt.bucket_sizes.tolist() == [qit_counts[b] for b in range(1, B + 1)]
+    # ST bucket ids as they were stored before being derived: the QIT ids
+    # in stable sorted order, then sigma more rows per bucket
+    ranked = pt.qit_bids[np.argsort(pt.qit_bids, kind="stable")].tolist()
+    st_bids = [bid for bid in range(1, B + 1)
+               for _ in range(ranked.count(bid) + sigma)]
+    assert pt.st_bids.tolist() == st_bids
+    assert pt.st_bounds.tolist() == np.searchsorted(
+        st_bids, np.arange(1, B + 2)).tolist()
+    pairs = Counter(zip(st_bids, pt.st_codes.tolist()))
+    bids, codes, counts, sizes = (a.tolist() for a in pt.st_value_counts)
+    assert list(zip(bids, codes, counts, sizes)) == [
+        (b, x, count, qit_counts[b] + sigma)
+        for (b, x), count in sorted(pairs.items())]
+    event(f"sigma={sigma}, " + ("round trip" if pt.bucket_sizes.all()
+                                 else "empty bucket"))
+    if not pt.bucket_sizes.all():
+        return  # the read-back bucket count stops at the last QIT bucket
+    with tempfile.TemporaryDirectory() as out:
+        write_published(pt, out)
+        back = _align_published(read_published(out), table)
+    assert np.array_equal(back.fakes, pt.fakes)
+    assert st_counters(back) == st_counters(pt)
+
+
+@SETTINGS
 @given(st.data())
 def test_model_steered_fakes_avoid_flagged_values(data):
     _, pt, thresholds = data.draw(releases())
@@ -390,7 +422,7 @@ def row_labels(pt):
 def bucket_labels(pt):
     """Bucket id -> (its ST labels in row order, its sorted fake labels)."""
     return {bid: ([pt.sa_domain[c] for c in pt.st_slice(bid)],
-                  sorted(pt.sa_domain[c] for c in pt.fake_map[bid - 1]))
+                  sorted(pt.sa_domain[c] for c in pt.fakes[bid - 1]))
             for bid in range(1, pt.bucket_count + 1)}
 
 
