@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -47,6 +48,18 @@ class Record(NamedTuple):
 
 
 @contextlib.contextmanager
+def csv_errors(path):
+    """A UnicodeDecodeError or csv.Error raised inside becomes an
+    IngestionError naming path."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise IngestionError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except csv.Error as e:
+        raise IngestionError(f"{path}: malformed CSV ({e})") from None
+
+
+@contextlib.contextmanager
 def open_csv(path):
     """path opened as UTF-8 text for csv.reader.  An OSError on opening, or a
     UnicodeDecodeError or csv.Error while reading, becomes an IngestionError
@@ -55,13 +68,8 @@ def open_csv(path):
         fh = open(path, newline="", encoding="utf-8")
     except OSError as e:
         raise IngestionError(f"cannot open {path}: {e}") from e
-    with fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as e:
-            raise IngestionError(f"{path}: not UTF-8 text ({e.reason})") from None
-        except csv.Error as e:
-            raise IngestionError(f"{path}: malformed CSV ({e})") from None
+    with fh, csv_errors(path):
+        yield fh
 
 
 def read_columns(reader, width: int, path) -> list[list[str]]:
@@ -193,21 +201,139 @@ class PrivacySpec:
         return len(self.thresholds)
 
 
-def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Header and label columns of a header-ed CSV, input or release.
+Column = tuple[np.ndarray, tuple[str, ...]]
 
-    Raises IngestionError naming the file where open_csv does, and for an
-    empty file, a row of another width than the header, or no data rows.
+
+def read_table(path) -> tuple[list[str], list[Column]]:
+    """Header and interned columns of a header-ed CSV, input or release:
+    per column, intern_labels' int32 codes and sorted label domain.
+
+    Quote-free text is split with numpy (split_plain); any other text goes
+    through csv.reader, read_columns and intern_labels.  Both give the same
+    header, codes and domains, and the same errors: IngestionError naming
+    the file where open_csv raises one, and for an empty file, a record of
+    another width than the header, or no data rows.
     """
-    with open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestionError(f"{path}: empty file")
-        columns = read_columns(reader, len(header), path)
-    if not columns or not columns[0]:
+    try:
+        fh = open(path, "rb")
+    except OSError as e:
+        raise IngestionError(f"cannot open {path}: {e}") from e
+    with fh:
+        data = fh.read()
+    table = split_plain(data, path)
+    if table is None:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                              newline="") as text, csv_errors(path):
+            reader = csv.reader(text)
+            header = next(reader, None)
+            if header is None:
+                raise IngestionError(f"{path}: empty file")
+            table = header, list(map(intern_labels,
+                                     read_columns(reader, len(header), path)))
+    header, columns = table
+    if not columns or not len(columns[0][0]):
         raise IngestionError(f"{path}: no data rows")
     return header, columns
+
+
+# _PREFIX_MASKS[k] keeps the first k bytes of a big-endian 8-byte word
+_PREFIX_MASKS = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)],
+                         dtype=np.uint64)
+
+
+def split_plain(data: bytes, path) -> tuple[list[str], list[Column]] | None:
+    """read_table's header and columns of quote-free CSV bytes, split with
+    numpy; None for text csv.reader must parse: text that holds a '"', a
+    NUL or a CR not followed by LF, is not UTF-8, has an empty first line,
+    or has a line longer than csv.field_size_limit().
+
+    Without quotes a record is one line (its CRLF or LF dropped), and its
+    fields are the text between commas; an empty line is a zero-field
+    record, as csv.reader reads it.  A record of another width than the
+    header raises IngestionError at path:N (header = 1).
+    """
+    if b'"' in data or b"\0" in data:
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    size = len(data)
+    # eight zero bytes past the end, so every field start opens a word
+    buf = np.zeros(size + 8, dtype=np.uint8)
+    buf[:size] = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(buf[:size] == ord("\n"))
+    # line i spans [starts[i], ends[i]); a last line without LF ends the text
+    starts = np.concatenate(([0], newlines + 1))
+    ends = np.append(newlines, size)
+    if data.endswith(b"\n"):
+        starts, ends = starts[:-1], ends[:-1]
+    crlf = buf[newlines - 1] == ord("\r")  # buf[-1] is padding
+    if data.count(b"\r") != np.count_nonzero(crlf):
+        return None
+    ends[:len(newlines)] -= crlf  # the lines that end in LF come first
+    if ends[0] == starts[0] or (ends - starts).max() > csv.field_size_limit():
+        return None
+    commas = np.flatnonzero(buf[:size] == ord(","))
+    # commas only lie inside lines, so line i holds those after line i - 1's
+    fields = np.diff(np.searchsorted(commas, ends), prepend=0)
+    fields = np.where(ends > starts, fields + 1, 0)
+    width = int(fields[0])
+    ragged = np.flatnonzero(fields != width)
+    if len(ragged):
+        lineno = int(ragged[0])
+        raise IngestionError(f"{path}:{lineno + 1}: expected {width} fields, "
+                             f"got {fields[lineno]}")
+    header = data[starts[0]:ends[0]].decode("utf-8").split(",")
+    # each record holds width - 1 commas; the header's come first
+    inner = commas[width - 1:].reshape(len(starts) - 1, width - 1)
+    words = np.ndarray((size + 1,), dtype=">u8", buffer=buf, strides=(1,))
+    return header, [
+        _intern_spans(data, words, inner[:, j - 1] + 1 if j else starts[1:],
+                      inner[:, j] if j < width - 1 else ends[1:])
+        for j in range(width)]
+
+
+def _intern_spans(data: bytes, words: np.ndarray, starts: np.ndarray,
+                  ends: np.ndarray) -> Column:
+    """intern_labels of the UTF-8 fields data[starts[i]:ends[i]].
+
+    Fields are ranked by their zero-padded big-endian 8-byte words, one
+    np.unique per word; with no NUL in the text, that order is the byte
+    order of the fields, which UTF-8 makes code-point order, so codes and
+    domain are intern_labels' own.  words[k] is the word at byte k.
+    """
+    if not len(starts):
+        return np.empty(0, dtype=np.int32), ()
+    lengths = ends - starts
+    keys = None
+    for offset in range(0, max(int(lengths.max()), 1), 8):
+        word = words[np.minimum(starts + offset, len(words) - 1)]
+        word = word.astype(np.uint64) & _PREFIX_MASKS[
+            np.clip(lengths - offset, 0, 8)]
+        if keys is not None:
+            # rank by (prefix rank, this word)
+            _, prefix = np.unique(keys, return_inverse=True)
+            uniq, rank = np.unique(word, return_inverse=True)
+            word = prefix * len(uniq) + rank
+        keys = word
+    uniq, codes = np.unique(keys, return_inverse=True)
+    first = np.empty(len(uniq), dtype=np.intp)
+    first[codes] = np.arange(len(codes))  # some field of each label
+    domain = tuple(data[a:b].decode("utf-8") for a, b in
+                   zip(starts[first].tolist(), ends[first].tolist()))
+    return codes.astype(np.int32), domain
+
+
+def code_matrix(columns: Sequence[Column], rows: int
+                ) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
+    """The (rows, len(columns)) int32 codes and the domains of interned
+    columns."""
+    codes = np.empty((rows, len(columns)), dtype=np.int32)
+    for j, (column, _) in enumerate(columns):
+        codes[:, j] = column
+    return codes, tuple(domain for _, domain in columns)
 
 
 def ingest_csv(path, sa_column: str) -> MicrodataTable:
@@ -219,9 +345,11 @@ def ingest_csv(path, sa_column: str) -> MicrodataTable:
     if sa_column not in header:
         raise IngestionError(f"{path}: SA column {sa_column!r} not in header {header}")
     sa_idx = header.index(sa_column)
-    sa_values = columns.pop(sa_idx)
-    qi_names = [h for i, h in enumerate(header) if i != sa_idx]
-    return MicrodataTable.from_columns(columns, sa_values, qi_names, sa_column)
+    sa_codes, sa_domain = columns.pop(sa_idx)
+    qi_codes, qi_domains = code_matrix(columns, len(sa_codes))
+    qi_names = tuple(h for i, h in enumerate(header) if i != sa_idx)
+    return MicrodataTable(qi_names, sa_column, qi_codes, sa_codes, qi_domains,
+                          sa_domain)
 
 
 def histogram(table: MicrodataTable, rows: np.ndarray | None = None) -> SaHistogram:

@@ -12,6 +12,8 @@ its own), and simulates the corruption attack.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -21,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (ConfigError, IngestionError, InfeasiblePrivacyError,
-                   MicrodataTable, PrivacySpec, histogram, intern_labels,
+                   MicrodataTable, PrivacySpec, code_matrix, histogram,
                    read_table, smallest_admitting_size, threshold_slots)
 from .optimize import SearchConfig, multi_size_bucketing, two_size_bucketing
 from .validate import (Assignment, allocation_bounds, build_assignment,
@@ -402,20 +404,28 @@ def check_published_privacy(pt: PublishedTables,
 
 
 def write_published(pt: PublishedTables, out_dir) -> None:
-    """Write qit.csv, st.csv and the private fakes_audit.json."""
+    """Write qit.csv, st.csv and the private fakes_audit.json.
+
+    The CSV bytes are csv.writer's in its default dialect.  Each distinct QI
+    label, SA label and bucket id is formatted once by csv.writer, and rows
+    are joined from those texts.  Raises ConfigError when a bucket holds no
+    record, since read_published could not rebuild such a release.
+    """
+    empty = np.flatnonzero(pt.bucket_sizes == 0)
+    if len(empty):
+        raise ConfigError(f"bucket {empty[0] + 1} holds no record; a release "
+                          f"with an empty bucket does not read back")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    qi_labels = [np.array(domain, dtype=object)[pt.qi_codes[:, j]].tolist()
-                 for j, domain in enumerate(pt.qi_domains)]
-    with open(out / "qit.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(pt.qi_names) + ["BID"])
-        writer.writerows(zip(*qi_labels, pt.qit_bids.tolist()))
-    with open(out / "st.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["BID", pt.sa_name])
-        writer.writerows(zip(pt.st_bids.tolist(), np.array(
-            pt.sa_domain, dtype=object)[pt.st_codes].tolist()))
+    end = csv.excel.lineterminator
+    bids = _field_texts(range(1, pt.bucket_count + 1))
+    qi_columns = [_field_texts(domain)[pt.qi_codes[:, j]]
+                  for j, domain in enumerate(pt.qi_domains)]
+    _write_rows(out / "qit.csv", [*pt.qi_names, "BID"],
+                [*qi_columns, (bids + end)[pt.qit_bids - 1]])
+    _write_rows(out / "st.csv", ["BID", pt.sa_name],
+                [bids[pt.st_bids - 1],
+                 (_field_texts(pt.sa_domain) + end)[pt.st_codes]])
     audit = {
         "sigma": pt.sigma,
         "buckets": {str(b + 1): [pt.sa_domain[c] for c in fakes]
@@ -426,29 +436,53 @@ def write_published(pt: PublishedTables, out_dir) -> None:
         fh.write("\n")
 
 
+def _field_texts(labels) -> np.ndarray:
+    """Object array of each label as csv.writer writes it as one field of a
+    row: quoted when it holds a comma, quote or line break."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    texts = []
+    for label in labels:
+        buf.seek(0)
+        buf.truncate()
+        # a second field keeps csv.writer from quoting "" as a lone field
+        writer.writerow((label, ""))
+        texts.append(buf.getvalue()[:-len("," + csv.excel.lineterminator)])
+    return np.array(texts, dtype=object)
+
+
+def _write_rows(path, header, columns) -> None:
+    """header by csv.writer, then one row per index of the columns' field
+    texts, the last column's texts ending the row.  Rows are written 8192
+    at a time: one write per row costs more than the join."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        rows = map(",".join, zip(*(c.tolist() for c in columns)))
+        while chunk := "".join(itertools.islice(rows, 8192)):
+            fh.write(chunk)
+
+
 def read_published(in_dir) -> PublishedTables:
     """Rebuild a PublishedTables from a written directory.
 
-    Domains are re-derived from the labels present, so code numbering may
-    differ from the writer's; bucket contents and labels round-trip exactly.
+    Both CSVs are read with read_table.  Domains are re-derived from the
+    labels present, so code numbering may differ from the writer's; bucket
+    contents and labels round-trip exactly.  Bucket ids are parsed once per
+    distinct label, so of several malformed ids the first in sorted order is
+    named.
     """
     src = Path(in_dir)
     qit_path, st_path = src / "qit.csv", src / "st.csv"
     qit_header, columns = read_table(qit_path)
     if qit_header[-1] != "BID":
         raise IngestionError(f"{qit_path} must end with a BID column")
-    qit_bids = _parse_bids(columns.pop(), qit_path)
-    qi_codes = np.empty((len(qit_bids), len(columns)), dtype=np.int32)
-    qi_domains = []
-    # columns hold one str per cell: each is popped, so freed once interned
-    for j in range(qi_codes.shape[1]):
-        qi_codes[:, j], domain = intern_labels(columns.pop(0))
-        qi_domains.append(domain)
+    qit_bids = _parse_bids(*columns.pop(), qit_path)
+    qi_codes, qi_domains = code_matrix(columns, len(qit_bids))
     st_header, columns = read_table(st_path)
     if len(st_header) != 2 or st_header[0] != "BID":
         raise IngestionError(f"{st_path} must have columns BID,<SA>")
-    st_codes, sa_domain = intern_labels(columns.pop())
-    st_bids = _parse_bids(columns.pop(), st_path)
+    st_codes, sa_domain = columns.pop()
+    st_bids = _parse_bids(*columns.pop(), st_path)
     order = np.argsort(st_bids, kind="stable")
     bucket_count = int(qit_bids.max())
 
@@ -457,7 +491,7 @@ def read_published(in_dir) -> PublishedTables:
         pt = PublishedTables(
             qi_names=tuple(qit_header[:-1]), sa_name=st_header[1],
             qi_codes=qi_codes, qit_bids=qit_bids, st_codes=st_codes[order],
-            qi_domains=tuple(qi_domains), sa_domain=sa_domain,
+            qi_domains=qi_domains, sa_domain=sa_domain,
             bucket_count=bucket_count, fakes=fakes)
         if not np.array_equal(st_bids[order], pt.st_bids):
             raise ConfigError(
@@ -479,12 +513,14 @@ def read_published(in_dir) -> PublishedTables:
     return pt
 
 
-def _parse_bids(column, path) -> np.ndarray:
-    """int32 bucket ids of a release file's BID column."""
+def _parse_bids(codes, labels, path) -> np.ndarray:
+    """int32 bucket ids of a release file's interned BID column, one int()
+    per distinct label."""
     try:
-        return np.fromiter(map(int, column), np.int32, len(column))
+        values = np.fromiter(map(int, labels), np.int32, len(labels))
     except (ValueError, OverflowError) as exc:
         raise IngestionError(f"{path}: malformed bucket id: {exc}") from None
+    return values[codes]
 
 
 def _read_audit(path, sa_domain, bucket_count) -> np.ndarray:

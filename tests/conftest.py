@@ -1,10 +1,14 @@
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fprivacy.core import (ConfigError, MicrodataTable, PrivacySpec,
-                           histogram, linear_privacy_spec, value_slots)
+from fprivacy.core import (ConfigError, IngestionError, MicrodataTable,
+                           PrivacySpec, histogram, intern_labels,
+                           linear_privacy_spec, open_csv, read_columns,
+                           value_slots)
 
 
 def table_from_counts(counts, qi_width=1, labels=None):
@@ -179,3 +183,34 @@ def partition_by_masks(table, bounds, setting, rows=None):
     rows1.sort()
     rows2.sort()
     return rows1, rows2
+
+
+def read_table_csv_module(path):
+    """Reference read_table for any CSV: csv.reader over the UTF-8 text,
+    read_columns, then intern_labels of each column."""
+    with open_csv(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise IngestionError(f"{path}: empty file")
+        columns = read_columns(reader, len(header), path)
+    if not columns or not columns[0]:
+        raise IngestionError(f"{path}: no data rows")
+    return header, [intern_labels(column) for column in columns]
+
+
+def write_published_csv_writer(pt, out_dir):
+    """Reference qit.csv and st.csv of a release: csv.writer rows of each
+    record's labels and each ST row's bucket id and label."""
+    out = Path(out_dir)
+    qi_labels = [np.array(domain, dtype=object)[pt.qi_codes[:, j]].tolist()
+                 for j, domain in enumerate(pt.qi_domains)]
+    with open(out / "qit.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(pt.qi_names) + ["BID"])
+        writer.writerows(zip(*qi_labels, pt.qit_bids.tolist()))
+    with open(out / "st.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["BID", pt.sa_name])
+        writer.writerows(zip(pt.st_bids.tolist(), np.array(
+            pt.sa_domain, dtype=object)[pt.st_codes].tolist()))

@@ -1,5 +1,6 @@
 """Tests for table publishing, fake injection and the exclusion attacks."""
 
+import csv
 import itertools
 import math
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import table_from_counts
 
+from fprivacy import core
 from fprivacy.core import (
     ConfigError,
     InfeasiblePrivacyError,
@@ -17,6 +19,7 @@ from fprivacy.core import (
     ingest_csv,
     linear_privacy_spec,
 )
+from fprivacy.metrics import gen_synthetic
 from fprivacy.optimize import SearchConfig, multi_size_bucketing, two_size_bucketing
 from fprivacy.publish import (
     NegAssociationModel,
@@ -31,6 +34,7 @@ from fprivacy.publish import (
     write_published,
 )
 from fprivacy.validate import (
+    Assignment,
     BucketGroup,
     allocation_bounds,
     build_assignment,
@@ -153,6 +157,44 @@ class TestPublish:
         for name in ("qit.csv", "st.csv", "fakes_audit.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+    def test_empty_bucket_refused(self, tmp_path):
+        table = table_from_counts([1, 1, 1])
+        pt = publish(table, Assignment(
+            bucket_of=np.array([0, 0, 1]), bucket_sizes=np.array([2, 1, 0]),
+            sa_codes=table.sa_codes, m=3))
+        with pytest.raises(ConfigError, match="^bucket 3 holds no record"):
+            write_published(pt, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_benchmark_shaped_files_skip_the_csv_module(self, tmp_path,
+                                                         monkeypatch):
+        """csv.writer output of plain labels is split without csv.reader."""
+        table = gen_synthetic(3000, 50, 0.0, [8, 8], seed=1)
+        path = tmp_path / "input.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([*table.qi_names, table.sa_name])
+            writer.writerows(
+                [*record.qi, record.sa]
+                for record in map(table.record, range(len(table))))
+        spec = linear_privacy_spec(histogram(table), theta=2.0, intercept=0.04)
+        pt = release(table, spec, SearchConfig.for_spec(spec, max_size=50),
+                     sigma=2)
+        write_published(pt, tmp_path / "release")
+
+        def refuse(*args):
+            raise AssertionError("quote-free text went through csv.reader")
+
+        monkeypatch.setattr(core, "read_columns", refuse)
+        got = ingest_csv(path, "sa")
+        assert (got.qi_domains, got.sa_domain) == \
+            (table.qi_domains, table.sa_domain)
+        assert np.array_equal(got.qi_codes, table.qi_codes)
+        assert np.array_equal(got.sa_codes, table.sa_codes)
+        back = read_published(tmp_path / "release")
+        assert (back.sigma, back.bucket_count) == (2, pt.bucket_count)
+        assert st_labels_by_bucket(back) == st_labels_by_bucket(pt)
 
     def test_read_errors(self, tmp_path):
         with pytest.raises(IngestionError):

@@ -10,6 +10,7 @@ read back, through the release files and through ingestion.
 
 import csv
 import io
+import re
 import tempfile
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -19,10 +20,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import read_table_csv_module, write_published_csv_writer
+
 from fprivacy.cli import _align_published
 from fprivacy.core import (ConfigError, IngestionError, MicrodataTable,
-                           PrivacySpec, ingest_csv, read_columns,
-                           smallest_admitting_size, value_slots)
+                           PrivacySpec, ingest_csv, read_columns, read_table,
+                           smallest_admitting_size, split_plain, value_slots)
 from fprivacy.metrics import (CountQuery, answer_estimated, answer_true,
                               estimated_count_cube, true_count_cube)
 from fprivacy.publish import (NegAssociationModel, check_published_privacy,
@@ -299,7 +302,12 @@ def test_derived_layout_matches_reference(release):
     event(f"sigma={sigma}, " + ("round trip" if pt.bucket_sizes.all()
                                  else "empty bucket"))
     if not pt.bucket_sizes.all():
-        return  # the read-back bucket count stops at the last QIT bucket
+        # the read-back bucket count would stop at the last QIT bucket
+        empty = pt.bucket_sizes.tolist().index(0) + 1
+        with tempfile.TemporaryDirectory() as out, pytest.raises(
+                ConfigError, match=f"^bucket {empty} holds no record"):
+            write_published(pt, out)
+        return
     with tempfile.TemporaryDirectory() as out:
         write_published(pt, out)
         back = _align_published(read_published(out), table)
@@ -400,12 +408,12 @@ LABELS = st.one_of(
 
 
 @st.composite
-def label_tables(draw):
+def label_tables(draw, labels=LABELS):
     """(QI names, SA name, QI label rows, SA labels) with few distinct labels
     per column, so labels repeat across rows."""
     d = draw(st.integers(0, 2))
-    names = draw(st.lists(LABELS, min_size=d + 1, max_size=d + 1, unique=True))
-    pools = [draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(labels, min_size=d + 1, max_size=d + 1, unique=True))
+    pools = [draw(st.lists(labels, min_size=1, max_size=4, unique=True))
              for _ in range(d + 1)]
     rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)),
                          min_size=1, max_size=20))
@@ -426,10 +434,10 @@ def bucket_labels(pt):
             for bid in range(1, pt.bucket_count + 1)}
 
 
-@SETTINGS
-@given(st.data())
-def test_written_release_reads_back_label_for_label(data):
-    qi_names, sa_name, qi_rows, sa_values = data.draw(label_tables())
+def published_buckets(data, labels):
+    """A release of a drawn label table, every bucket non-empty, with 0-2
+    fakes per bucket when they fit."""
+    qi_names, sa_name, qi_rows, sa_values = data.draw(label_tables(labels))
     table = MicrodataTable.from_rows(qi_rows, sa_values, qi_names, sa_name)
     # every bucket is non-empty, as in any release the optimizer builds
     buckets = data.draw(st.integers(1, len(table)))
@@ -440,6 +448,13 @@ def test_written_release_reads_back_label_for_label(data):
     if sigma:
         pt = padded_or_refused(pt, sigma, data.draw(st.integers(0, 99)),
                                [1.0] * pt.m) or pt
+    return pt
+
+
+@SETTINGS
+@given(st.data())
+def test_written_release_reads_back_label_for_label(data):
+    pt = published_buckets(data, LABELS)
     with tempfile.TemporaryDirectory() as out:
         write_published(pt, out)
         back = read_published(out)
@@ -520,3 +535,104 @@ def test_read_columns_matches_per_cell_reference(data):
     assert got == outcome(read_columns_per_cell)
     if fault is None:
         assert got == [[row[j] for row in rows] for j in range(width)]
+
+
+# labels CSV must quote, a lone CR among them, and ones it need not
+WRITTEN_LABELS = st.one_of(
+    st.sampled_from(["", ",", '"', "\n", "\r", "\r\n", "a\rb", "naïve",
+                     "日本語", " x "]),
+    st.text(max_size=5))
+
+
+@SETTINGS
+@given(st.data())
+def test_written_release_matches_csv_writer_bytes(data):
+    pt = published_buckets(data, WRITTEN_LABELS)
+    with tempfile.TemporaryDirectory() as out, \
+            tempfile.TemporaryDirectory() as ref:
+        write_published(pt, out)
+        write_published_csv_writer(pt, ref)
+        for name in ("qit.csv", "st.csv"):
+            assert (Path(out) / name).read_bytes() == \
+                (Path(ref) / name).read_bytes()
+
+
+# plain labels of up to 20 UTF-8 bytes: empty, ASCII and not, some over 8 or
+# 16 bytes, some sharing an 8- or 16-byte prefix, some of 4-byte characters
+PLAIN_LABELS = st.one_of(
+    st.sampled_from(["", " ", "a", "abcdefgh", "abcdefgh0", "abcdefghé",
+                     "abcdefghijklmnop", "abcdefghijklmnopq",
+                     "abcdefghijklmnopqrst", "é", "日本語", "\uffff",
+                     "\U00010000", "\U0001f600x"]),
+    st.text(st.characters(codec="utf-8", exclude_characters=',"\r\n\x00'),
+            max_size=20).map(
+        lambda s: s.encode()[:20].decode("utf-8", errors="ignore")))
+
+
+@st.composite
+def csv_texts(draw):
+    """UTF-8 bytes of a header-ed CSV of plain labels, LF or CRLF line ends,
+    with or without a last line end, with blank lines, ragged rows, no rows
+    or no text at all; now and then a '"', NUL, lone CR or invalid byte."""
+    width = draw(st.integers(1, 4))
+    pool = draw(st.lists(PLAIN_LABELS, min_size=1, max_size=6, unique=True))
+    rarely = st.sampled_from([False] * 9 + [True])
+    row = st.lists(st.sampled_from(pool), min_size=width, max_size=width)
+    lines = [draw(st.lists(PLAIN_LABELS, min_size=width, max_size=width)),
+             *draw(st.lists(row, min_size=0 if draw(rarely) else 1,
+                            max_size=12))]
+    fault = draw(st.sampled_from([None, None, "blank", "ragged"]))
+    if fault:
+        count = 0 if fault == "blank" else \
+            draw(st.integers(1, 5).filter(lambda w: w != width))
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.lists(
+            st.sampled_from(pool), min_size=count, max_size=count)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(",".join(line) + end for line, end in zip(lines, ends))
+    if draw(rarely):
+        text = ""
+    special = draw(st.sampled_from([None] * 4 + ['"', "\x00", "\r"]))
+    if special:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + special + text[at:]
+    data = text.encode()
+    if draw(rarely):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def read_outcome(read, path):
+    """A reader's header and (dtype, codes, domain) per column, or its
+    IngestionError text."""
+    try:
+        header, columns = read(path)
+    except IngestionError as exc:
+        return str(exc)
+    return header, [(codes.dtype, codes.tolist(), domain)
+                    for codes, domain in columns]
+
+
+@SETTINGS
+@given(csv_texts())
+def test_read_table_matches_csv_module_reference(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(data)
+        got = read_outcome(read_table, path)
+        assert got == read_outcome(read_table_csv_module, path)
+    event(re.sub(r"\d+", "N", got.split(": ")[-1]) if isinstance(got, str)
+          else "columns")
+    try:
+        plain = split_plain(data, path) is not None
+    except IngestionError:
+        plain = True
+    text = data.decode("utf-8", errors="replace")
+    if '"' in text or "\x00" in text or re.search("\r(?!\n)", text):
+        assert not plain
+    elif b"\xff" not in data and text.split("\n")[0].rstrip("\r"):
+        event("split with numpy")
+        assert plain
