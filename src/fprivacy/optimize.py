@@ -135,8 +135,11 @@ def two_size_bucketing(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
     best_loss = math.inf
     evals = 0
     trace = []
-    for s1 in range(cfg.min_size, cfg.max_size):
-        for s2 in range(s1 + 1, cfg.max_size + 1):
+    # a size above n + 1 takes no bucket, giving a setting that its pair with
+    # n + 1 gave first, so the sizes stop there
+    max_size = min(cfg.max_size, h.total + 1)
+    for s1 in range(cfg.min_size, max_size):
+        for s2 in range(s1 + 1, max_size + 1):
             g = build_gamma(h.total, s1, s2)
             if g is None:
                 continue

@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import json
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -153,7 +154,10 @@ def publish(table: MicrodataTable, assignment: Assignment,
 
     QIT rows keep original record order; each bucket's ST rows are shuffled
     with a per-bucket stream derived from the seed, so output is deterministic
-    and buckets are independent.
+    and buckets are independent.  Bucket b's stream is the Generator that
+    numpy's PCG64 seeded by SeedSequence(seed).spawn(B)[b - 1] gives, which
+    fixes the published bytes for a seed; it is reproduced without building
+    the B SeedSequence objects.
     """
     n = len(table)
     if len(assignment.bucket_of) != n:
@@ -174,9 +178,9 @@ def publish(table: MicrodataTable, assignment: Assignment,
         bucket_count=bucket_count,
         fakes=np.empty((bucket_count, 0), dtype=np.int32),
     )
-    streams = np.random.SeedSequence(seed).spawn(bucket_count)
-    for b in range(bucket_count):
-        np.random.default_rng(streams[b]).shuffle(pt.st_slice(b + 1))
+    bounds = pt.st_bounds.tolist()
+    for b, rng in enumerate(_bucket_generators(seed, bucket_count)):
+        rng.shuffle(pt.st_codes[bounds[b]:bounds[b + 1]])
     return pt
 
 
@@ -198,6 +202,11 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
     threshold_slots, the rule check_published_privacy applies.  Real values
     only get diluted by padding, but a fake copy of a tightly capped value
     could push it over its cap, so such values are never picked as fakes.
+
+    Bucket b draws its fakes with Generator.choice and then shuffles its
+    padded ST rows, both from the stream publish uses for it: PCG64 seeded by
+    numpy's SeedSequence(seed).spawn(B)[b - 1], reproduced without building
+    the B SeedSequence objects.  These draws fix the output bytes for a seed.
     """
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
@@ -242,20 +251,109 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
     padded = replace(
         pt, st_codes=np.empty(len(pt.st_codes) + sigma * B, dtype=np.int32),
         fakes=np.empty((B, sigma), dtype=np.int32))
+    # a bucket's real rows move down sigma rows per earlier bucket, and its
+    # last sigma rows take its fakes
+    padded.st_codes[np.arange(len(pt.st_codes)) + sigma * (pt.st_bids - 1)] \
+        = pt.st_codes
+    bounds = padded.st_bounds.tolist()
     # each bucket's stream draws its fakes, then shuffles real + fakes in
     # place; these calls alone fix the output bytes for a seed
-    streams = np.random.SeedSequence(seed).spawn(B)
-    for b in range(B):
-        rng = np.random.default_rng(streams[b])
-        fakes = rng.choice(np.flatnonzero(eligible[b]).astype(np.int32),
-                           size=sigma, replace=False)
-        merged = padded.st_slice(b + 1)
-        merged[:sizes[b]] = pt.st_slice(b + 1)
-        merged[sizes[b]:] = fakes
+    for b, rng in enumerate(_bucket_generators(seed, B)):
+        fakes = rng.choice(eligible[b].nonzero()[0], size=sigma,
+                           replace=False)
+        merged = padded.st_codes[bounds[b]:bounds[b + 1]]
+        merged[-sigma:] = fakes
         rng.shuffle(merged)
         padded.fakes[b] = fakes
     padded.fakes.sort(axis=1)
     return padded
+
+
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, as in
+# numpy/random/bit_generator.pyx) and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+
+
+def _bucket_generators(seed: int, count: int):
+    """Yield one reused Generator, set for b = 0..count-1 to the state
+    default_rng(SeedSequence(seed).spawn(count)[b]) starts in.
+
+    Child b's entropy is the seed's 32-bit words, zero-padded to the 4-word
+    pool, then the spawn key b.  The seed's words are hashed into the pool
+    once; the key's word is mixed in and the pool hashed into
+    generate_state(4, uint64) for every b at once in uint32 numpy arithmetic.
+    PCG64 then seeds from those words with two LCG steps.  NumPy keeps both
+    algorithms stable (NEP 19); tests check the states against spawn.
+    Finish with each yielded generator before asking for the next.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = []
+    while seed or not words:
+        words.append(seed & _M32)
+        seed >>= 32
+    words += [0] * (4 - len(words))
+    hash_a = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * _MULT_A & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_L * x - _MIX_R * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # the spawn key, mix() and generate_state's hash, per child
+    keys = np.arange(count, dtype=np.uint32)
+    lanes = []
+    for dst in range(4):
+        hashed = keys ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _M32
+        hashed *= np.uint32(hash_a)
+        hashed ^= hashed >> 16
+        lane = np.uint32(_MIX_L * pool[dst] & _M32) - np.uint32(_MIX_R) * hashed
+        lanes.append(lane ^ lane >> 16)
+    hash_b = _INIT_B
+    halves = []
+    for k in range(8):
+        half = lanes[k % 4] ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _M32
+        half *= np.uint32(hash_b)
+        half ^= half >> 16
+        halves.append(half.astype(np.uint64))
+    # uint64 words are little-endian pairs: seed high, seed low, inc high,
+    # inc low
+    state_hi, state_lo, inc_hi, inc_lo = (
+        (halves[j] | halves[j + 1] << np.uint64(32)).tolist()
+        for j in range(0, 8, 2))
+
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for s_hi, s_lo, i_hi, i_lo in zip(state_hi, state_lo, inc_hi, inc_lo):
+        # PCG64's srandom: inc = 2·i + 1, state = (inc + s)·mult + inc
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 @dataclass(frozen=True)

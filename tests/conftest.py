@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fprivacy.core import (ConfigError, IngestionError, MicrodataTable,
                            PrivacySpec, histogram, intern_labels,
@@ -214,3 +215,45 @@ def write_published_csv_writer(pt, out_dir):
         writer.writerow(["BID", pt.sa_name])
         writer.writerows(zip(pt.st_bids.tolist(), np.array(
             pt.sa_domain, dtype=object)[pt.st_codes].tolist()))
+
+
+# random seeds of one to ten 32-bit words, and seeds on and next to the word
+# boundaries
+SEEDS = st.one_of(
+    st.integers(0, 2**32 - 1), st.integers(0, 2**300),
+    st.sampled_from([2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128,
+                     2**256]))
+
+
+def spawn_published_st_codes(sa_codes, bucket_of, bucket_count, seed):
+    """Reference ST codes of publish: each bucket's SA codes in record order,
+    buckets ascending, bucket b's shuffled by
+    default_rng(SeedSequence(seed).spawn(B)[b])."""
+    order = np.argsort(bucket_of, kind="stable")
+    st_codes = sa_codes[order].astype(np.int32)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(
+        bucket_of, minlength=bucket_count))))
+    streams = np.random.SeedSequence(seed).spawn(bucket_count)
+    for b in range(bucket_count):
+        np.random.default_rng(streams[b]).shuffle(
+            st_codes[bounds[b]:bounds[b + 1]])
+    return st_codes
+
+
+def spawn_injected_fakes(pt, sigma, seed):
+    """Reference (st_codes, fakes) of inject_fakes with no thresholds or
+    model: bucket b's generator default_rng(SeedSequence(seed).spawn(B)[b])
+    chooses sigma of the codes its ST rows lack, then shuffles its ST rows
+    followed by those fakes."""
+    streams = np.random.SeedSequence(seed).spawn(pt.bucket_count)
+    st_codes, fakes = [], []
+    for b in range(pt.bucket_count):
+        rng = np.random.default_rng(streams[b])
+        real = pt.st_slice(b + 1)
+        absent = np.setdiff1d(np.arange(pt.m, dtype=np.int32), real)
+        drawn = rng.choice(absent, size=sigma, replace=False)
+        merged = np.concatenate([real, drawn])
+        rng.shuffle(merged)
+        st_codes.append(merged)
+        fakes.append(np.sort(drawn))
+    return np.concatenate(st_codes), np.array(fakes, dtype=np.int32)

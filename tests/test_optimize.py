@@ -164,6 +164,22 @@ class TestTwoSize:
         seen = [entry[2] for entry in res.trace if entry[2] != float("inf")]
         assert seen == sorted(seen, reverse=True)
 
+    def test_sizes_beyond_the_record_count_are_not_walked(self):
+        h, p = walkthrough_instance()
+        capped = SearchConfig.for_spec(p, max_size=h.total + 1)
+        huge = SearchConfig.for_spec(p, max_size=10**9)
+        for mode in PRUNING_MODES:
+            want = two_size_bucketing(h, p, capped, pruning=mode)
+            got = two_size_bucketing(h, p, huge, pruning=mode)
+            assert (got.setting, got.loss) == (want.setting, want.loss)
+            assert got.cond_evals == want.cond_evals
+            assert len(got.trace) == len(want.trace)
+        table = table_from_counts(h.counts)
+        leaves = multi_size_bucketing(table, None, p, huge)
+        assert [(rows.tolist(), group) for rows, group in leaves] == \
+            [(rows.tolist(), group) for rows, group
+             in multi_size_bucketing(table, None, p, capped)]
+
     def test_empty_histogram_rejected(self):
         h = SaHistogram(counts=np.zeros(2, dtype=np.int64), total=0)
         with pytest.raises(ConfigError):

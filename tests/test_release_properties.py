@@ -20,7 +20,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import read_table_csv_module, write_published_csv_writer
+from conftest import (SEEDS, read_table_csv_module, spawn_injected_fakes,
+                      spawn_published_st_codes, write_published_csv_writer)
 
 from fprivacy.cli import _align_published
 from fprivacy.core import (ConfigError, IngestionError, MicrodataTable,
@@ -449,6 +450,33 @@ def published_buckets(data, labels):
         pt = padded_or_refused(pt, sigma, data.draw(st.integers(0, 99)),
                                [1.0] * pt.m) or pt
     return pt
+
+
+@SETTINGS
+@given(st.data())
+def test_bucket_streams_match_spawn_reference(data):
+    qi_names, sa_name, qi_rows, sa_values = data.draw(label_tables())
+    table = MicrodataTable.from_rows(qi_rows, sa_values, qi_names, sa_name)
+    # mostly small buckets, so fakes fit
+    buckets = data.draw(st.integers(max(1, len(table) // 2), len(table)))
+    bucket_of = np.array(data.draw(st.permutations(
+        [i % buckets for i in range(len(table))])), dtype=np.int32)
+    seed = data.draw(SEEDS)
+    pt = publish_buckets(table, bucket_of, buckets, seed)
+    assert pt.st_codes.tolist() == spawn_published_st_codes(
+        table.sa_codes, bucket_of, buckets, seed).tolist()
+    sigma = data.draw(st.integers(0, 2))
+    try:
+        padded = inject_fakes(pt, sigma, seed=seed)
+    except ConfigError:
+        event("fakes refused")
+        return
+    if sigma == 0:
+        assert padded is pt
+        return
+    st_codes, fakes = spawn_injected_fakes(pt, sigma, seed)
+    assert padded.st_codes.tolist() == st_codes.tolist()
+    assert padded.fakes.tolist() == fakes.tolist()
 
 
 @SETTINGS
