@@ -135,18 +135,10 @@ class MicrodataTable:
         """Build a table from label rows, interning every column."""
         if len(qi_rows) != len(sa_values):
             raise ConfigError("QI and SA row counts differ")
-        qi_columns = [[row[j] for row in qi_rows] for j in range(len(qi_names))]
-        return cls.from_columns(qi_columns, sa_values, qi_names, sa_name)
-
-    @classmethod
-    def from_columns(cls, qi_columns: Sequence[Sequence[str]],
-                     sa_values: Sequence[str], qi_names: Sequence[str],
-                     sa_name: str) -> "MicrodataTable":
-        """Build a table from one label list per QI column, interning each."""
         qi_codes = np.empty((len(sa_values), len(qi_names)), dtype=np.int32)
         qi_domains = []
-        for j, column in enumerate(qi_columns):
-            qi_codes[:, j], domain = intern_labels(column)
+        for j in range(len(qi_names)):
+            qi_codes[:, j], domain = intern_labels([row[j] for row in qi_rows])
             qi_domains.append(domain)
         sa_codes, sa_domain = intern_labels(sa_values)
         return cls(tuple(qi_names), sa_name, qi_codes, sa_codes,
@@ -445,8 +437,11 @@ def value_slots(p: PrivacySpec, size: int) -> np.ndarray:
 class Eligibility:
     """Outcome of the achievability test, truthy when the spec is satisfiable."""
 
-    ok: bool
     violations: tuple[tuple[int, int, float], ...] = ()  # (code, count, threshold)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def __bool__(self) -> bool:
         return self.ok
@@ -458,7 +453,7 @@ def check_eligibility(h: SaHistogram, p: PrivacySpec) -> Eligibility:
         raise ConfigError("privacy spec and histogram cover different domains")
     bad = np.flatnonzero(h.counts > value_slots(p, h.total))
     viol = tuple((int(i), int(h.counts[i]), float(p.thresholds[i])) for i in bad)
-    return Eligibility(ok=len(bad) == 0, violations=viol)
+    return Eligibility(violations=viol)
 
 
 def ell_for_spec(p: PrivacySpec) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,14 +66,11 @@ class LaplaceMech:
     def scale(self) -> float:
         return 1.0 / self.epsilon
 
-    def sample(self, n: int, seed_seq: Optional[np.random.SeedSequence] = None,
-               ) -> np.ndarray:
+    def sample(self, n: int) -> np.ndarray:
         """n noise draws; a fresh call with the same mech repeats them."""
         if n < 1:
             raise ConfigError(f"sample count must be positive, got {n}")
-        rng = np.random.default_rng(
-            seed_seq if seed_seq is not None else self.seed)
-        return _draw(rng, self.scale, n)
+        return _draw(np.random.default_rng(self.seed), self.scale, n)
 
 
 def noisy_count(true_count: float, mech: LaplaceMech) -> float:

@@ -280,7 +280,7 @@ def answer_estimated(pt: PublishedTables, query: CountQuery,
                            len(pt.qi_domains[attr]))
     qi_per_bucket = np.bincount(pt.qit_bids[qi_mask] - 1,
                                 minlength=pt.bucket_count)
-    st_total = pt.bucket_sizes + pt.sigma
+    st_total = np.diff(pt.st_bounds)
     sa_mask = _admits(pt.st_codes, query.sa_values, pt.m)
     st_match = np.bincount(pt.st_bids[sa_mask] - 1, minlength=pt.bucket_count)
     occupied = st_total > 0
@@ -292,15 +292,20 @@ def answer_estimated(pt: PublishedTables, query: CountQuery,
 class UtilityReport:
     """Loss, MSE and workload relative error of one published pair.
 
-    per_query holds (act, est) for the queries that contributed to re_mean
-    (those with a nonzero true answer); query_count is the full pool size.
+    per_query holds (act, est) for the queries with a nonzero true answer;
+    re_mean is the mean of |act - est| / act over them.  query_count is the
+    full pool size.
     """
 
     loss: int
     mse: float
-    re_mean: float
     query_count: int
     per_query: tuple[tuple[int, float], ...]
+
+    @property
+    def re_mean(self) -> float:
+        return float(np.mean([abs(act - est) / act
+                              for act, est in self.per_query]))
 
     def to_dict(self) -> dict:
         return {
@@ -332,12 +337,10 @@ def relative_error(pool: Iterable[CountQuery], table: MicrodataTable,
         answered.append((act, est))
     if not answered:
         raise ConfigError("every query in the pool has a zero true answer")
-    re_mean = float(np.mean([abs(act - est) / act for act, est in answered]))
     loss = loss_of(pt.bucket_sizes[pt.bucket_sizes > 0].tolist())
     return UtilityReport(
         loss=loss,
         mse=loss / (len(table) - 1) if len(table) > 1 else 0.0,
-        re_mean=re_mean,
         query_count=len(pool),
         per_query=tuple(answered),
     )

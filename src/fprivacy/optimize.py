@@ -6,7 +6,10 @@ incumbent loss and asks ``fprivacy._kernels`` for its first valid position.
 Three pruning modes exist so their agreement can be checked: "full" uses the
 loss prefix plus the kernels' closed forms (each size's fill limit, found
 once per search, and the linear allocation bounds), "loss" uses the prefix
-with a linear scan, and "none" scans every list end to end.
+with a linear scan, and "none" scans every list end to end.  A bucket of
+size s loses (s-1)^2/s per record, which grows with s, so "full" and "loss"
+stop the walk at the first s1 where n(s1-1)^2/s1 reaches the incumbent loss:
+no setting of larger sizes can beat it.  "none" walks every pair.
 
 A brute-force oracle checked by the subset-cut test (Gale 1957) and the
 classic equal-size baseline round out the module.
@@ -92,15 +95,18 @@ class SearchConfig:
 class SearchResult:
     """Outcome of a bucket-setting search.
 
-    cond_evals counts the kernels' probes (``fprivacy._kernels`` defines
-    one per mode).  trace records (size1, size2, best loss so far) per
-    examined pair.
+    loss is the setting's.  cond_evals counts the kernels' probes
+    (``fprivacy._kernels`` defines one per mode).  trace records (size1,
+    size2, best loss so far) per examined pair.
     """
 
     setting: BucketSetting
-    loss: int
     cond_evals: int = 0
     trace: tuple = ()
+
+    @property
+    def loss(self) -> int:
+        return self.setting.loss
 
 
 def two_size_bucketing(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
@@ -139,6 +145,9 @@ def two_size_bucketing(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
     # n + 1 gave first, so the sizes stop there
     max_size = min(cfg.max_size, h.total + 1)
     for s1 in range(cfg.min_size, max_size):
+        # n records in buckets of size >= s1 lose at least n(s1-1)^2/s1
+        if pruning != "none" and h.total * (s1 - 1) ** 2 >= best_loss * s1:
+            break
         for s2 in range(s1 + 1, max_size + 1):
             g = build_gamma(h.total, s1, s2)
             if g is None:
@@ -170,7 +179,7 @@ def two_size_bucketing(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
             trace.append((s1, s2, best_loss))
     if best_setting is None:
         return None
-    return SearchResult(best_setting, int(best_loss), evals, tuple(trace))
+    return SearchResult(best_setting, evals, tuple(trace))
 
 
 def multi_size_bucketing(table: MicrodataTable, current: Optional[BucketGroup],
@@ -275,7 +284,7 @@ def brute_force_optimal(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
     pool.sort(key=lambda s: (s.loss, s.sizes))
     for setting in pool:
         if flow_feasibility_oracle(h, spec, setting):
-            return SearchResult(setting, setting.loss)
+            return SearchResult(setting)
     return None
 
 

@@ -55,7 +55,8 @@ class PublishedTables:
     ST rows hold each bucket's records plus sigma fakes, buckets ascending, a
     layout derived from qit_bids and sigma; st_codes are shuffled within each
     bucket.  Arrays are treated as immutable.  Row b-1 of fakes holds bucket
-    b's fake SA codes, ascending; it never leaves the publisher's side.
+    b's fake SA codes, ascending; it never leaves the publisher's side.  The
+    bucket count is the row count of fakes.
     """
 
     qi_names: tuple[str, ...]
@@ -65,14 +66,13 @@ class PublishedTables:
     st_codes: np.ndarray   # (n + sigma*B,) int32 SA codes, grouped by bucket
     qi_domains: tuple[tuple[str, ...], ...]
     sa_domain: tuple[str, ...]
-    bucket_count: int
     fakes: np.ndarray      # (B, sigma) int32, rows ascending
 
     def __post_init__(self):
+        if self.fakes.ndim != 2:
+            raise ConfigError("fakes must be a (bucket, sigma) array")
         if self.bucket_count < 1:
             raise ConfigError("published tables need at least one bucket")
-        if self.fakes.ndim != 2 or len(self.fakes) != self.bucket_count:
-            raise ConfigError("fakes must hold one row per bucket")
         if len(self.qi_codes) != len(self.qit_bids):
             raise ConfigError("QIT row arrays disagree in length")
         low, high = self.qit_bids.min(initial=1), self.qit_bids.max(initial=1)
@@ -88,6 +88,10 @@ class PublishedTables:
     @property
     def m(self) -> int:
         return len(self.sa_domain)
+
+    @property
+    def bucket_count(self) -> int:
+        return len(self.fakes)
 
     @property
     def sigma(self) -> int:
@@ -175,7 +179,6 @@ def publish(table: MicrodataTable, assignment: Assignment,
         st_codes=table.sa_codes[order].astype(np.int32, copy=False),
         qi_domains=tuple(tuple(d) for d in table.qi_domains),
         sa_domain=tuple(table.sa_domain),
-        bucket_count=bucket_count,
         fakes=np.empty((bucket_count, 0), dtype=np.int32),
     )
     bounds = pt.st_bounds.tolist()
@@ -417,7 +420,12 @@ class BucketInference:
 @dataclass(frozen=True)
 class CorruptionReport:
     buckets: tuple[BucketInference, ...]
-    max_record_prob: float
+
+    @property
+    def max_record_prob(self) -> float:
+        """Largest max_prob of a bucket that keeps a real record, else 0."""
+        return max((b.max_prob for b in self.buckets if b.remaining_real > 0),
+                   default=0.0)
 
     def bucket(self, bid: int) -> BucketInference:
         for b in self.buckets:
@@ -442,7 +450,6 @@ def corruption_attack_sim(pt: PublishedTables,
         bid = int(pt.qit_bids[idx])
         exclusions.setdefault(bid, []).append(int(code))
     buckets = []
-    worst = 0.0
     for bid in range(1, pt.bucket_count + 1):
         values = list(pt.st_slice(bid))
         removed = exclusions.get(bid, [])
@@ -462,16 +469,13 @@ def corruption_attack_sim(pt: PublishedTables,
             certainty = remaining_real / remaining if remaining_real > 0 else 0.0
         else:
             certainty = 0.0
-        inference = BucketInference(
+        buckets.append(BucketInference(
             bid=bid,
             remaining_real=max(remaining_real, 0),
             value_probs=tuple(sorted(probs.items())),
             real_certainty=certainty,
-        )
-        buckets.append(inference)
-        if inference.remaining_real > 0:
-            worst = max(worst, inference.max_prob)
-    return CorruptionReport(buckets=tuple(buckets), max_record_prob=worst)
+        ))
+    return CorruptionReport(buckets=tuple(buckets))
 
 
 def published_max_ratios(pt: PublishedTables) -> dict[str, float]:
@@ -589,8 +593,7 @@ def read_published(in_dir) -> PublishedTables:
         pt = PublishedTables(
             qi_names=tuple(qit_header[:-1]), sa_name=st_header[1],
             qi_codes=qi_codes, qit_bids=qit_bids, st_codes=st_codes[order],
-            qi_domains=qi_domains, sa_domain=sa_domain,
-            bucket_count=bucket_count, fakes=fakes)
+            qi_domains=qi_domains, sa_domain=sa_domain, fakes=fakes)
         if not np.array_equal(st_bids[order], pt.st_bids):
             raise ConfigError(
                 "bucket ids are 1-based" if st_bids.min(initial=1) < 1 else

@@ -257,3 +257,13 @@ def spawn_injected_fakes(pt, sigma, seed):
         st_codes.append(merged)
         fakes.append(np.sort(drawn))
     return np.concatenate(st_codes), np.array(fakes, dtype=np.int32)
+
+
+def worst_record_prob(report):
+    """max_record_prob as corruption_attack_sim once accumulated it: from
+    0.0, the max of each bucket's max_prob while it keeps a real record."""
+    worst = 0.0
+    for inference in report.buckets:
+        if inference.remaining_real > 0:
+            worst = max(worst, inference.max_prob)
+    return worst

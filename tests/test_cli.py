@@ -791,3 +791,47 @@ def test_benchmark_gate_slack_matches_floor_eps():
     path = Path(fprivacy.__file__).parents[2] / "perfbench" / "gate.py"
     gate = runpy.run_path(str(path), run_name="perfbench_gate")
     assert gate["COUNT_SLACK"] == fprivacy.core.FLOOR_EPS
+
+
+@pytest.mark.parametrize("mode, sigma, shape", [
+    ("two", 2, (4000, 300, 0.0, [4, 4], 3)),
+    ("multi", 0, (3000, 40, 0.9, [4, 4], 2)),
+])
+def test_benchmark_replay_matches_the_cli(capsys, tmp_path, mode, sigma,
+                                          shape):
+    """``perfbench/stages.py replay --trace 1`` reads attributes of the
+    package's results and wraps module functions by name; it must run on
+    this checkout and agree with the CLI on loss, re_mean and both files."""
+    *args, seed = shape
+    table = gen_synthetic(*args, seed=seed)
+    csv_path = write_table_csv(tmp_path / "input.csv", table)
+    rule = ["--theta", "2", "--intercept", "0.04"]
+    flags = ["--input", str(csv_path), "--sa", "sa", *rule]
+    code, published = run(capsys, "publish", *flags, "--mode", mode,
+                          "--sigma", str(sigma), "--out", str(tmp_path / "cli"))
+    assert code == 0
+    code, evaluated = run(capsys, "evaluate", *flags, "--out",
+                          str(tmp_path / "cli"), "--pool", "200",
+                          "--selectivity", "0.05")
+    assert code == 0
+
+    src = Path(fprivacy.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, str(src.parent / "perfbench" / "stages.py"),
+         "replay", "--trace", "1", "--input", str(csv_path),
+         "--out", str(tmp_path / "replay"),
+         "--spans", str(tmp_path / "spans.json"), "--mode", mode,
+         "--sigma", str(sigma), *rule, "--pool", "200",
+         "--selectivity", "0.05"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    replay = json.loads(done.stdout.splitlines()[-1])
+    assert replay["loss"] == published["loss"]
+    assert replay["re_mean"] == evaluated["re_mean"]
+    for name in ("qit", "st"):
+        digest = hashlib.sha256(
+            (tmp_path / "cli" / f"{name}.csv").read_bytes()).hexdigest()
+        assert replay[f"{name}_sha256"] == digest
+    assert {"optimize.search", "validate.partition", "metrics.answer_true",
+            "metrics.answer_estimated"} <= set(replay["spans"])

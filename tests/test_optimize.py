@@ -16,6 +16,7 @@ from fprivacy.core import (
     histogram,
     linear_privacy_spec,
 )
+from fprivacy.metrics import gen_synthetic
 from fprivacy.optimize import (
     PRUNING_MODES,
     SearchConfig,
@@ -179,6 +180,17 @@ class TestTwoSize:
         assert [(rows.tolist(), group) for rows, group in leaves] == \
             [(rows.tolist(), group) for rows, group
              in multi_size_bucketing(table, None, p, capped)]
+
+    def test_walk_stops_where_no_larger_size_can_win(self):
+        """Sizes far above the optimum cost time only up to the first s1
+        whose per-record loss bound reaches the incumbent."""
+        table = gen_synthetic(50000, 500, 0, [8, 8], seed=1)
+        h = histogram(table)
+        p = linear_privacy_spec(h, theta=2.0, intercept=0.04)
+        want = two_size_bucketing(h, p, SearchConfig.for_spec(p, max_size=50))
+        got = two_size_bucketing(h, p, SearchConfig.for_spec(p, max_size=1000))
+        assert (got.setting, got.loss) == (want.setting, 1_055_432)
+        assert len(got.trace) < 2000
 
     def test_empty_histogram_rejected(self):
         h = SaHistogram(counts=np.zeros(2, dtype=np.int64), total=0)
