@@ -11,7 +11,7 @@ CDF) and verifies those predictions empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -99,21 +99,8 @@ class InferenceEstimate:
         if not 0 <= self.y <= self.x:
             raise ConfigError(f"need 0 <= y <= x, got y={self.y} x={self.x}")
 
-    @property
-    def ratio(self) -> float:
-        return self.y / self.x
-
     def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "sample_mean": self.sample_mean,
-            "sample_var": self.sample_var,
-            "predicted_mean": self.predicted_mean,
-            "predicted_var": self.predicted_var,
-            "sample_count": self.sample_count,
-            "rejected": self.rejected,
-        }
+        return asdict(self)
 
 
 def predicted_moments(x: float, y: float, scale: float) -> tuple[float, float]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import ConfigError, MicrodataTable
 from .publish import PublishedTables
-from .validate import BucketGroup, BucketSetting
+from .validate import BucketGroup
 
 __all__ = [
     "CountQuery",
@@ -38,8 +38,6 @@ __all__ = [
 
 
 def _bucket_sizes(buckets) -> list[int]:
-    if isinstance(buckets, BucketSetting):
-        return [g.size for g in buckets for _ in range(g.count)]
     sizes = []
     for item in buckets:
         if isinstance(item, BucketGroup):

@@ -27,6 +27,7 @@ from . import _kernels
 from .core import (
     BudgetExceededError,
     ConfigError,
+    InfeasiblePrivacyError,
     MicrodataTable,
     PrivacySpec,
     SaHistogram,
@@ -48,6 +49,7 @@ __all__ = [
     "SearchConfig",
     "SearchResult",
     "two_size_bucketing",
+    "two_size_parts",
     "multi_size_bucketing",
     "brute_force_optimal",
     "anatomy_baseline_loss",
@@ -182,6 +184,31 @@ def two_size_bucketing(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
     return SearchResult(best_setting, evals, tuple(trace))
 
 
+def two_size_parts(table: MicrodataTable, spec: PrivacySpec,
+                   cfg: SearchConfig, rows: Optional[np.ndarray] = None,
+                   current: Optional[BucketGroup] = None,
+                   ) -> Optional[list[tuple[np.ndarray, BucketGroup]]]:
+    """The optimal two-size split of a record set, as (rows, group) parts.
+
+    Searches the histogram of rows (default: the whole table) and, when the
+    setting has strictly lower loss than current, partitions the rows into
+    its nonempty groups.  Returns None when it does not beat current.  With
+    current=None any valid setting is taken, and a record set that has none
+    raises InfeasiblePrivacyError.
+    """
+    h = histogram(table, rows)
+    found = two_size_bucketing(h, spec, cfg)
+    if found is None and current is None:
+        raise InfeasiblePrivacyError(
+            "no valid two-size bucketing within the size bounds")
+    if found is None or (current is not None and found.loss >= current.loss):
+        return None
+    bounds = allocation_bounds(h, spec, found.setting)
+    parts = partition_records(table, bounds, found.setting, rows=rows)
+    return [(part, group) for part, group in zip(parts, found.setting)
+            if group.count > 0]
+
+
 def multi_size_bucketing(table: MicrodataTable, current: Optional[BucketGroup],
                          spec: PrivacySpec, cfg: SearchConfig,
                          rows: Optional[np.ndarray] = None,
@@ -190,31 +217,21 @@ def multi_size_bucketing(table: MicrodataTable, current: Optional[BucketGroup],
 
     The group is replaced whenever the optimal two-size setting of its record
     set has strictly lower loss; otherwise it becomes a leaf.  Pass
-    current=None to start from a single group holding the whole table.
+    current=None to start from the two-size split of the whole table, which
+    raises InfeasiblePrivacyError when no valid two-size setting exists.
     Returns (row indices, group) leaves in refinement order.
     """
-    if rows is None:
-        rows = np.arange(len(table), dtype=np.int64)
-    else:
-        rows = np.asarray(rows, dtype=np.int64)
-    if current is None:
-        if len(rows) == 0:
-            raise ConfigError("cannot bucketize an empty table")
-        current = BucketGroup(size=len(rows), count=1)
-    if current.capacity != len(rows):
+    rows = (np.arange(len(table), dtype=np.int64) if rows is None
+            else np.asarray(rows, dtype=np.int64))
+    if current is not None and current.capacity != len(rows):
         raise ConfigError(
             f"record set of {len(rows)} rows does not fill the group "
             f"capacity {current.capacity}")
-    h = histogram(table, rows)
-    found = two_size_bucketing(h, spec, cfg)
-    if found is None or found.loss >= current.loss:
+    parts = two_size_parts(table, spec, cfg, rows, current)
+    if parts is None:
         return [(rows, current)]
-    bounds = allocation_bounds(h, spec, found.setting)
-    rows1, rows2 = partition_records(table, bounds, found.setting, rows=rows)
     leaves: list[tuple[np.ndarray, BucketGroup]] = []
-    for sub_rows, group in zip((rows1, rows2), found.setting):
-        if group.count == 0:
-            continue
+    for sub_rows, group in parts:
         leaves.extend(multi_size_bucketing(table, group, spec, cfg, rows=sub_rows))
     return leaves
 

@@ -23,12 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConfigError, IngestionError, InfeasiblePrivacyError,
-                   MicrodataTable, PrivacySpec, code_matrix, histogram,
-                   read_table, smallest_admitting_size, threshold_slots)
-from .optimize import SearchConfig, multi_size_bucketing, two_size_bucketing
-from .validate import (Assignment, allocation_bounds, build_assignment,
-                       partition_records)
+from .core import (ConfigError, IngestionError, MicrodataTable, PrivacySpec,
+                   code_matrix, read_table, smallest_admitting_size,
+                   threshold_slots)
+from .optimize import SearchConfig, multi_size_bucketing, two_size_parts
+from .validate import Assignment, build_assignment
 
 __all__ = [
     "PublishedTables",
@@ -132,17 +131,10 @@ def release(table: MicrodataTable, spec: PrivacySpec, cfg: SearchConfig,
             mode: str = "two", sigma: int = 0, seed: int = 0) -> PublishedTables:
     """Search, partition, round-robin assignment, the QIT/ST pair, then
     sigma fakes per bucket that the spec's thresholds admit.  Mode "two"
-    raises InfeasiblePrivacyError when no two-size setting is valid;
-    "multi" refines groups recursively."""
+    publishes the table's two-size split, "multi" refines its groups; both
+    raise InfeasiblePrivacyError when no two-size setting is valid."""
     if mode == "two":
-        h = histogram(table)
-        found = two_size_bucketing(h, spec, cfg)
-        if found is None:
-            raise InfeasiblePrivacyError(
-                "no valid two-size bucketing within the size bounds")
-        bounds = allocation_bounds(h, spec, found.setting)
-        parts = zip(partition_records(table, bounds, found.setting),
-                    found.setting)
+        parts = two_size_parts(table, spec, cfg)
     elif mode == "multi":
         parts = multi_size_bucketing(table, None, spec, cfg)
     else:
@@ -626,8 +618,8 @@ def _parse_bids(codes, labels, path) -> np.ndarray:
 
 def _read_audit(path, sa_domain, bucket_count) -> np.ndarray:
     """The (bucket_count, sigma) fake SA codes of a fakes_audit.json, rows
-    ascending, checked to give every bucket sigma distinct values that
-    st.csv holds; a missing file lists no fakes."""
+    ascending; only ids 1..bucket_count may key it, each bucket gets sigma
+    distinct values that st.csv holds, and a missing file lists no fakes."""
     if not path.exists():
         return np.empty((bucket_count, 0), dtype=np.int32)
     try:
@@ -641,6 +633,10 @@ def _read_audit(path, sa_domain, bucket_count) -> np.ndarray:
     sigma = audit.get("sigma", 0)
     if not isinstance(sigma, int) or sigma < 0:
         raise IngestionError(f"{path}: sigma must be a non-negative integer")
+    ids = [str(b) for b in range(1, bucket_count + 1)]
+    if stray := fakes.keys() - ids:
+        raise IngestionError(f"{path}: {min(stray)!r} is not a bucket id "
+                             f"from 1 to {bucket_count}")
     sa_lookup = {label: i for i, label in enumerate(sa_domain)}
     for bid, labels in fakes.items():
         if not isinstance(labels, list):
@@ -650,7 +646,7 @@ def _read_audit(path, sa_domain, bucket_count) -> np.ndarray:
                 raise IngestionError(
                     f"{path}: bucket {bid} names fake value {label!r}, which "
                     f"{path.with_name('st.csv')} does not hold")
-    rows = [fakes.get(str(b), []) for b in range(1, bucket_count + 1)]
+    rows = [fakes.get(bid, []) for bid in ids]
     for b, labels in enumerate(rows, start=1):
         if len(labels) != sigma or len(set(labels)) != sigma:
             raise IngestionError(f"{path}: bucket {b} lists {len(labels)} "

@@ -94,6 +94,14 @@ def ragged_audit(audit, st_rows):
     return json.dumps(audit)
 
 
+def stray_key_audit(key):
+    """An audit that also lists bucket 1's fakes under key."""
+    def edit(audit, st_rows):
+        audit["buckets"][key] = audit["buckets"]["1"]
+        return json.dumps(audit)
+    return edit
+
+
 def foreign_fake_audit(audit, st_rows):
     """An audit whose bucket 1 names a value st.csv holds, but not in bucket
     1's rows."""
@@ -231,6 +239,24 @@ class TestOptimize:
         assert code == 2
         assert [v["max_count"] for v in report["values"]
                 if v["value"] == "x"] == [29]
+
+    @pytest.mark.parametrize("command", ["optimize", "publish"])
+    def test_multi_refuses_where_two_does(self, capsys, tmp_path, command):
+        # 7 distinct values at 0.2 need buckets of 5 or more, and no
+        # buckets of sizes 5 and 6 cover 7 records
+        csv_path = write_uniform_csv(tmp_path / "seven.csv", m=7, per=1)
+        privacy = tmp_path / "privacy.csv"
+        privacy.write_text("".join(f"v{code:02d},0.2\n" for code in range(7)))
+        flags = [command, "--input", str(csv_path), "--sa", "Illness",
+                 "--privacy-file", str(privacy), "--max-size", "6"]
+        if command == "publish":
+            flags += ["--out", str(tmp_path / "pub")]
+        errors = {}
+        for mode in ("two", "multi"):
+            assert main([*flags, "--mode", mode]) == 2
+            errors[mode] = capsys.readouterr().err
+        assert errors["multi"] == errors["two"] == (
+            "error: no valid two-size bucketing within the size bounds\n")
 
     def test_missing_input_exits_four(self, capsys, tmp_path):
         code, _ = run(capsys, "optimize", "--input",
@@ -399,8 +425,11 @@ class TestPublishEvaluate:
         '{"sigma": 1, "buckets": {}}',
         ragged_audit,
         foreign_fake_audit,
+        stray_key_audit("99999"),
+        stray_key_audit("01"),
     ], ids=["bad-json", "no-buckets", "unknown-label", "sigma-mismatch",
-            "ragged", "fake-not-in-bucket"])
+            "ragged", "fake-not-in-bucket", "unknown-bucket",
+            "non-canonical-key"])
     def test_malformed_audit_exits_four(self, capsys, tmp_path, audit):
         csv_path = write_uniform_csv(tmp_path / "uniform.csv")
         flags = ["--input", str(csv_path), "--sa", "Illness",

@@ -1,8 +1,11 @@
-"""Modules of the package import only public names from their siblings.
+"""Modules of the package import only public names from their siblings,
+and the two-size split is written once.
 
 A name with a leading underscore is private to its module; a sibling that
 imports it depends on internals the owner may change.  Importing a private
-module itself (``from . import _kernels``) is allowed.
+module itself (``from . import _kernels``) is allowed.  Records are
+partitioned only by ``optimize.two_size_parts``, so ``partition_records`` has
+callers in one module.
 """
 
 import ast
@@ -26,6 +29,14 @@ def private_sibling_imports(source: str) -> list[str]:
     return found
 
 
+def calls(source: str, name: str) -> bool:
+    """Whether the source calls ``name``, bare or as an attribute."""
+    return any(isinstance(node, ast.Call)
+               and name in (getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None))
+               for node in ast.walk(ast.parse(source)))
+
+
 def test_no_module_imports_a_private_sibling_name():
     offenders = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
                  if (names := private_sibling_imports(
@@ -41,3 +52,12 @@ def test_check_tells_private_names_from_private_modules():
     assert private_sibling_imports(
         "from . import _kernels\nfrom ._kernels import pc_bounds\n"
         "from os import _exit\nfrom __future__ import annotations") == []
+
+
+def test_records_are_partitioned_in_optimize_only():
+    callers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if calls(path.read_text(encoding="utf-8"), "partition_records")]
+    assert callers == ["optimize.py"]
+    assert calls("validate.partition_records(t, b, s)", "partition_records")
+    assert not calls("from .validate import partition_records",
+                     "partition_records")

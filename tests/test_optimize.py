@@ -11,6 +11,7 @@ from conftest import (enumerate_settings_recursive, random_instance,
 from fprivacy.core import (
     BudgetExceededError,
     ConfigError,
+    InfeasiblePrivacyError,
     PrivacySpec,
     SaHistogram,
     histogram,
@@ -27,6 +28,7 @@ from fprivacy.optimize import (
     multi_size_bucketing,
     two_size_bucketing,
 )
+from fprivacy.publish import release
 from fprivacy.validate import (
     BucketSetting,
     assignment_satisfies,
@@ -263,6 +265,15 @@ class TestMultiSize:
         assert len(first) == len(second)
         for (r1, g1), (r2, g2) in zip(first, second):
             assert np.array_equal(r1, r2) and g1 == g2
+
+    def test_no_two_size_setting_refuses_the_table(self):
+        # at 0.2 a bucket holds at most a fifth of its rows of a value, but
+        # 112 of the 200 records share one value: no bucketing exists
+        table = gen_synthetic(200, 5, 1.5, [3], seed=1)
+        spec = PrivacySpec(np.full(5, 0.2))
+        with pytest.raises(InfeasiblePrivacyError,
+                           match="no valid two-size bucketing"):
+            release(table, spec, SearchConfig(5, 20), mode="multi")
 
     def test_capacity_mismatch_rejected(self):
         from fprivacy.validate import BucketGroup

@@ -5,7 +5,9 @@ padded with fakes, and every bucket-level computation (the derived ST
 layout, max ratios, the privacy recheck, fake injection and its refusals,
 true and estimated query answers) is compared with a plain loop over the
 rows written here.  Tables of labels that CSV must quote are written and
-read back, through the release files and through ingestion.
+read back, through the release files and through ingestion.  The whole
+release sequence, in both modes, must refuse or publish within the
+thresholds and the size range.
 """
 
 import csv
@@ -24,14 +26,16 @@ from conftest import (SEEDS, read_table_csv_module, spawn_injected_fakes,
                       spawn_published_st_codes, write_published_csv_writer)
 
 from fprivacy.cli import _align_published
-from fprivacy.core import (ConfigError, IngestionError, MicrodataTable,
-                           PrivacySpec, ingest_csv, read_columns, read_table,
+from fprivacy.core import (ConfigError, InfeasiblePrivacyError,
+                           IngestionError, MicrodataTable, PrivacySpec,
+                           ingest_csv, read_columns, read_table,
                            smallest_admitting_size, split_plain, value_slots)
 from fprivacy.metrics import (CountQuery, answer_estimated, answer_true,
                               estimated_count_cube, true_count_cube)
+from fprivacy.optimize import SearchConfig
 from fprivacy.publish import (NegAssociationModel, check_published_privacy,
                               inject_fakes, publish, published_max_ratios,
-                              read_published, write_published)
+                              read_published, release, write_published)
 from fprivacy.validate import Assignment
 
 # thresholds on and next to the k/s boundaries of small buckets, plus a
@@ -664,3 +668,45 @@ def test_read_table_matches_csv_module_reference(data):
     elif b"\xff" not in data and text.split("\n")[0].rstrip("\r"):
         event("split with numpy")
         assert plain
+
+
+@st.composite
+def release_inputs(draw):
+    """(table, spec, cfg) of a small table, random thresholds and sizes."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 60))
+    sa_codes = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    table = MicrodataTable.from_codes(
+        np.zeros((n, 1), dtype=np.int32), np.array(sa_codes, dtype=np.int32),
+        qi_names=["q0"], sa_name="sa", qi_domains=[["z0"]],
+        sa_domain=[f"v{x}" for x in range(m)])
+    spec = PrivacySpec(np.array([draw(THRESHOLDS) for _ in range(m)]))
+    max_size = draw(st.integers(2, 12))
+    return table, spec, SearchConfig(draw(st.integers(1, max_size - 1)),
+                                     max_size)
+
+
+@SETTINGS
+@given(release_inputs(), st.integers(0, 2))
+def test_release_refuses_or_stays_within_bounds(inputs, sigma):
+    table, spec, cfg = inputs
+    thresholds = dict(zip(table.sa_domain, spec.thresholds.tolist()))
+    refused = {}
+    for mode in ("two", "multi"):
+        try:
+            pt = release(table, spec, cfg, mode, sigma, seed=1)
+        except InfeasiblePrivacyError:
+            refused[mode] = True
+            continue
+        except ConfigError as exc:
+            assert sigma > 0 and re.match(
+                r"bucket \d+ (holds duplicate|has only)", str(exc))
+            refused[mode] = True
+            continue
+        refused[mode] = False
+        assert check_published_privacy(pt, thresholds)
+        sizes = pt.bucket_sizes
+        assert cfg.min_size <= sizes.min() and sizes.max() <= cfg.max_size
+    event(f"refused {sorted(m for m in refused if refused[m])}")
+    if sigma == 0:
+        assert refused["two"] == refused["multi"]
