@@ -192,30 +192,38 @@ def cmd_optimize(args) -> int:
     spec = _load_spec(args, table, hist)
     _require_eligible(hist, spec, table.sa_domain)
     report = {"mode": args.mode, "records": int(hist.total)}
+    cfg = SearchConfig.for_spec(spec, max_size=args.max_size,
+                                min_size=args.min_size)
     if args.mode == "anatomy":
-        report["ell"] = ell_for_spec(spec)
-        setting = anatomy_setting(hist.total, report["ell"])
+        report["ell"] = ell = ell_for_spec(spec)
+        try:
+            setting = anatomy_setting(hist.total, ell)
+        except ConfigError as e:
+            raise InfeasiblePrivacyError(str(e)) from None
+        # ell >= every admissible --min-size, so only the maximum can bind
+        largest = max(g.size for g in setting if g.count > 0)
+        if largest > cfg.max_size:
+            raise InfeasiblePrivacyError(
+                f"anatomy needs buckets of {largest} records, above the "
+                f"maximum size {cfg.max_size}")
+    elif args.mode == "brute":
+        result = brute_force_optimal(hist, spec, cfg)
+        if result is None:
+            raise InfeasiblePrivacyError(
+                "no valid bucketing within the size bounds")
+        setting = result.setting
+    elif args.mode == "two":
+        result = two_size_bucketing(hist, spec, cfg)
+        if result is None:
+            raise InfeasiblePrivacyError(
+                "no valid two-size bucketing within the size bounds")
+        setting = result.setting
+        report["cond_evals"] = result.cond_evals
     else:
-        cfg = SearchConfig.for_spec(spec, max_size=args.max_size,
-                                    min_size=args.min_size)
-        if args.mode == "brute":
-            result = brute_force_optimal(hist, spec, cfg)
-            if result is None:
-                raise InfeasiblePrivacyError(
-                    "no valid bucketing within the size bounds")
-            setting = result.setting
-        elif args.mode == "two":
-            result = two_size_bucketing(hist, spec, cfg)
-            if result is None:
-                raise InfeasiblePrivacyError(
-                    "no valid two-size bucketing within the size bounds")
-            setting = result.setting
-            report["cond_evals"] = result.cond_evals
-        else:
-            sizes = Counter()
-            for _, group in multi_size_bucketing(table, None, spec, cfg):
-                sizes[group.size] += group.count
-            setting = BucketSetting.of(*sorted(sizes.items()))
+        sizes = Counter()
+        for _, group in multi_size_bucketing(table, None, spec, cfg):
+            sizes[group.size] += group.count
+        setting = BucketSetting.of(*sorted(sizes.items()))
     report["loss"] = setting.loss
     report["buckets"] = [[g.size, g.count] for g in setting if g.count > 0]
     report["mse"] = mse_of(setting, hist.total) if hist.total > 1 else 0.0

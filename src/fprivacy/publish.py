@@ -149,11 +149,8 @@ def publish(table: MicrodataTable, assignment: Assignment,
     """Split a table into its published pair under a record assignment.
 
     QIT rows keep original record order; each bucket's ST rows are shuffled
-    with a per-bucket stream derived from the seed, so output is deterministic
-    and buckets are independent.  Bucket b's stream is the Generator that
-    numpy's PCG64 seeded by SeedSequence(seed).spawn(B)[b - 1] gives, which
-    fixes the published bytes for a seed; it is reproduced without building
-    the B SeedSequence objects.
+    with bucket b's stream from _bucket_generators, so output is
+    deterministic for a seed and buckets are independent.
     """
     n = len(table)
     if len(assignment.bucket_of) != n:
@@ -199,9 +196,8 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
     could push it over its cap, so such values are never picked as fakes.
 
     Bucket b draws its fakes with Generator.choice and then shuffles its
-    padded ST rows, both from the stream publish uses for it: PCG64 seeded by
-    numpy's SeedSequence(seed).spawn(B)[b - 1], reproduced without building
-    the B SeedSequence objects.  These draws fix the output bytes for a seed.
+    padded ST rows, both from the stream publish uses for it (see
+    _bucket_generators).  These draws fix the output bytes for a seed.
     """
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
@@ -277,45 +273,22 @@ def _bucket_generators(seed: int, count: int):
     """Yield one reused Generator, set for b = 0..count-1 to the state
     default_rng(SeedSequence(seed).spawn(count)[b]) starts in.
 
-    Child b's entropy is the seed's 32-bit words, zero-padded to the 4-word
-    pool, then the spawn key b.  The seed's words are hashed into the pool
-    once; the key's word is mixed in and the pool hashed into
-    generate_state(4, uint64) for every b at once in uint32 numpy arithmetic.
-    PCG64 then seeds from those words with two LCG steps.  NumPy keeps both
-    algorithms stable (NEP 19); tests check the states against spawn.
-    Finish with each yielded generator before asking for the next.
+    Child b's entropy is the seed's 32-bit words, zero-padded to 4, then the
+    spawn key b.  SeedSequence(seed).pool is the pool hashed from the seed's
+    words; by then numpy's hash constant has taken one step per hashmix
+    call: 4 fill the pool, 12 cross-mix it, and 4 more come per word past
+    the fourth.  The key's word is mixed in and the pool hashed into
+    generate_state(4, uint64) for every b at once in uint32 numpy
+    arithmetic; PCG64 then seeds from those words with two LCG steps.  NumPy
+    keeps both algorithms stable (NEP 19); tests check the states against
+    spawn.  Finish with each yielded generator before asking for the next.
     """
     seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = []
-    while seed or not words:
-        words.append(seed & _M32)
-        seed >>= 32
-    words += [0] * (4 - len(words))
-    hash_a = _INIT_A
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    words = max(1, -(-seed.bit_length() // 32))
+    hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) & _M32
 
-    def hashmix(value: int) -> int:
-        nonlocal hash_a
-        value ^= hash_a
-        hash_a = hash_a * _MULT_A & _M32
-        value = value * hash_a & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (_MIX_L * x - _MIX_R * y) & _M32
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # the spawn key, mix() and generate_state's hash, per child
+    # the spawn key's mix and generate_state's hash, per child
     keys = np.arange(count, dtype=np.uint32)
     lanes = []
     for dst in range(4):
@@ -489,7 +462,7 @@ def check_published_privacy(pt: PublishedTables,
     """
     _, codes, counts, sizes = pt.st_value_counts
     caps = np.ones(pt.m)
-    for code in np.unique(codes):
+    for code in np.flatnonzero(np.bincount(codes, minlength=pt.m)):
         label = pt.sa_domain[code]
         if label not in thresholds:
             raise ConfigError(f"no threshold given for value {label!r}")
@@ -608,9 +581,16 @@ def read_published(in_dir) -> PublishedTables:
 
 def _parse_bids(codes, labels, path) -> np.ndarray:
     """int32 bucket ids of a release file's interned BID column, one int()
-    per distinct label."""
+    per distinct label.  A label must read as str() of its id, as
+    write_published writes it, so "01", "+1", " 1" and "1_0" are refused."""
+    def parse(label: str) -> int:
+        value = int(label)
+        if str(value) != label:
+            raise ValueError(f"{label!r} is not written as {value}")
+        return value
+
     try:
-        values = np.fromiter(map(int, labels), np.int32, len(labels))
+        values = np.fromiter(map(parse, labels), np.int32, len(labels))
     except (ValueError, OverflowError) as exc:
         raise IngestionError(f"{path}: malformed bucket id: {exc}") from None
     return values[codes]
@@ -631,7 +611,7 @@ def _read_audit(path, sa_domain, bucket_count) -> np.ndarray:
     if not isinstance(fakes, dict):
         raise IngestionError(f"{path} has no 'buckets' map")
     sigma = audit.get("sigma", 0)
-    if not isinstance(sigma, int) or sigma < 0:
+    if type(sigma) is not int or sigma < 0:  # JSON true/false are bools
         raise IngestionError(f"{path}: sigma must be a non-negative integer")
     ids = [str(b) for b in range(1, bucket_count + 1)]
     if stray := fakes.keys() - ids:

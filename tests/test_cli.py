@@ -102,6 +102,15 @@ def stray_key_audit(key):
     return edit
 
 
+def one_fake_audit(audit, st_rows):
+    """An audit whose sigma is JSON true and whose buckets list one fake
+    each, so every count check passes for sigma == 1."""
+    audit["sigma"] = True
+    for fakes in audit["buckets"].values():
+        del fakes[1:]
+    return json.dumps(audit)
+
+
 def foreign_fake_audit(audit, st_rows):
     """An audit whose bucket 1 names a value st.csv holds, but not in bucket
     1's rows."""
@@ -109,6 +118,24 @@ def foreign_fake_audit(audit, st_rows):
     audit["buckets"]["1"][0] = next(label for _, label in st_rows[1:]
                                     if label not in held)
     return json.dumps(audit)
+
+
+def qit_bid_edit(template):
+    """An edit of qit.csv's lines that rewrites the first row's bucket id,
+    its last field, as template.format(id)."""
+    def edit(lines):
+        row, _, bid = lines[1].rpartition(",")
+        return [lines[0], f"{row},{template.format(bid)}", *lines[2:]]
+    return edit
+
+
+def st_bid_edit(template):
+    """An edit of st.csv's lines that rewrites the first row's bucket id,
+    its first field, as template.format(id)."""
+    def edit(lines):
+        bid, _, row = lines[1].partition(",")
+        return [lines[0], f"{template.format(bid)},{row}", *lines[2:]]
+    return edit
 
 
 class TestAnalyze:
@@ -203,6 +230,24 @@ class TestOptimize:
         assert report["ell"] == 12
         assert report["loss"] == 2 * 11 ** 2 + 2 * 12 ** 2
         assert report["loss"] >= 250
+
+    def test_anatomy_obeys_max_size(self, capsys, walkthrough_csv):
+        # sizes 12 and 13 lie above the bound; the searches exit 2 here too
+        assert main(["optimize", "--input", str(walkthrough_csv), "--sa",
+                     "Disease", *WALK_PRIVACY, "--max-size", "6",
+                     "--mode", "anatomy"]) == 2
+        assert "above the maximum size 6" in capsys.readouterr().err
+
+    def test_anatomy_uncoverable_table_is_infeasible(self, capsys, tmp_path):
+        # 7 distinct values capped at 0.2 give ell = 5, and sizes 5 and 6
+        # cannot cover 7 records (the searches publish one bucket of 7)
+        csv_path = tmp_path / "seven.csv"
+        csv_path.write_text("q,s\n" + "".join(f"x,v{i}\n" for i in range(7)))
+        privacy = tmp_path / "privacy.csv"
+        privacy.write_text("".join(f"v{i},0.2\n" for i in range(7)))
+        assert main(["optimize", "--input", str(csv_path), "--sa", "s",
+                     "--privacy-file", str(privacy), "--mode", "anatomy"]) == 2
+        assert "cannot be covered by sizes 5 and 6" in capsys.readouterr().err
 
     def test_trivial_privacy_file_gives_singletons(self, capsys, tmp_path,
                                                    walkthrough_csv):
@@ -427,9 +472,11 @@ class TestPublishEvaluate:
         foreign_fake_audit,
         stray_key_audit("99999"),
         stray_key_audit("01"),
+        one_fake_audit,
+        '{"sigma": false, "buckets": {}}',
     ], ids=["bad-json", "no-buckets", "unknown-label", "sigma-mismatch",
             "ragged", "fake-not-in-bucket", "unknown-bucket",
-            "non-canonical-key"])
+            "non-canonical-key", "sigma-true", "sigma-false"])
     def test_malformed_audit_exits_four(self, capsys, tmp_path, audit):
         csv_path = write_uniform_csv(tmp_path / "uniform.csv")
         flags = ["--input", str(csv_path), "--sa", "Illness",
@@ -452,8 +499,16 @@ class TestPublishEvaluate:
         ("qit.csv", lambda lines: lines[:2] + [""] + lines[2:]),
         ("qit.csv", lambda lines: [""] + lines),
         ("qit.csv", lambda lines: lines[:1] + [lines[1] + ",x"] + lines[2:]),
+        ("qit.csv", qit_bid_edit("0{}")),
+        ("st.csv", st_bid_edit("+{}")),
+        ("st.csv", st_bid_edit(" {}")),
+        ("qit.csv", qit_bid_edit("{}_0")),
+        ("st.csv", st_bid_edit("-0")),
+        ("qit.csv", qit_bid_edit("\u0661")),
     ], ids=["st-blank-line", "qit-blank-line", "qit-blank-header",
-            "qit-extra-field"])
+            "qit-extra-field", "qit-bid-leading-zero", "st-bid-plus",
+            "st-bid-space", "qit-bid-underscore", "st-bid-minus-zero",
+            "qit-bid-arabic-digit"])
     def test_malformed_release_rows_exit_four(self, capsys, tmp_path,
                                               walkthrough_csv, name, edit):
         out = tmp_path / "pub"
@@ -777,6 +832,20 @@ def test_brute_mode_leaves_scipy_unloaded(tmp_path):
                          capture_output=True, text=True).stdout
     assert out.split() == ["0", "False"]
     assert json.loads((tmp_path / "report.json").read_text())["loss"] == 250
+
+
+def test_evaluate_leaves_numpy_ma_unloaded(tmp_path):
+    """``publish`` + ``evaluate`` use plain arrays only, so they must not pay
+    for importing numpy.ma (a plain np.unique call loads it)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fprivacy.__file__).parents[1]))
+    flags = ["--input", str(write_uniform_csv(tmp_path / "u.csv")),
+             "--sa", "Illness", "--out", str(tmp_path / "pub")]
+    probe = ("import sys; from fprivacy.cli import main; "
+             f"print(main(['publish', '--sigma', '2', *{flags!r}]), "
+             f"main(['evaluate', *{flags!r}]), 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split()[-3:] == ["0", "0", "False"]
 
 
 def test_benchmark_env_report_runs():

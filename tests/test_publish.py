@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SEEDS, table_from_counts
@@ -234,6 +234,11 @@ class TestBucketGenerators:
 
     @settings(max_examples=40, deadline=None)
     @given(SEEDS, st.integers(0, 3000))
+    # 4, 5 and 6 32-bit words: the pool's hash constant steps 4 times more
+    # per word past the fourth
+    @example(2**128 - 1, 3)
+    @example(2**128, 3)
+    @example(2**160, 3)
     def test_states_and_draws_match_spawn(self, seed, count):
         children = np.random.SeedSequence(seed).spawn(count)
         population = np.arange(40, dtype=np.int32)
