@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import (ConfigError, IngestionError, InfeasiblePrivacyError,
-                   MicrodataTable, PrivacySpec, check_eligibility,
-                   ell_for_spec, histogram, ingest_csv, linear_privacy_spec,
-                   load_privacy_spec, value_slots)
+                   MicrodataTable, PrivacySpec, SaHistogram,
+                   check_eligibility, ell_for_spec, histogram, ingest_csv,
+                   linear_privacy_spec, load_privacy_spec, value_slots)
 from .dpsim import LaplaceMech, convergence_sweep
 from .metrics import gen_queries, mse_of, relative_error, write_xy_dat
 from .optimize import (SearchConfig, anatomy_setting, brute_force_optimal,
@@ -131,24 +131,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_table(args) -> MicrodataTable:
-    return ingest_csv(args.input, sa_column=args.sa)
-
-
-def _load_spec(args, table, hist) -> PrivacySpec:
+def _inputs(args) -> tuple[MicrodataTable, SaHistogram, PrivacySpec]:
+    """The raw table, its histogram, and the thresholds that --privacy-file
+    or the --theta/--intercept rule gives its values."""
+    table = ingest_csv(args.input, sa_column=args.sa)
+    hist = histogram(table)
     if args.privacy_file is not None:
-        return load_privacy_spec(args.privacy_file, table.sa_domain)
-    return linear_privacy_spec(hist, args.theta, args.intercept)
+        spec = load_privacy_spec(args.privacy_file, table.sa_domain)
+    else:
+        spec = linear_privacy_spec(hist, args.theta, args.intercept)
+    return table, hist, spec
 
 
-def _require_eligible(hist, spec, sa_domain) -> None:
+def _size_range(args, table, hist, spec) -> SearchConfig:
+    """The --min-size/--max-size search range for an achievable spec."""
     eligibility = check_eligibility(hist, spec)
     if not eligibility:
         worst = ", ".join(
-            f"value {sa_domain[code]!r} occurs {count}x but at most "
+            f"value {table.sa_domain[code]!r} occurs {count}x but at most "
             f"{value_slots(spec, hist.total)[code]} allowed"
             for code, count, _ in eligibility.violations[:3])
         raise InfeasiblePrivacyError(f"thresholds unachievable: {worst}")
+    return SearchConfig.for_spec(spec, max_size=args.max_size,
+                                 min_size=args.min_size)
+
+
+def _setting(sizes) -> BucketSetting:
+    """The setting of buckets of the given sizes."""
+    return BucketSetting.of(*sorted(Counter(sizes).items()))
 
 
 def _emit(payload: dict, out=None) -> None:
@@ -160,9 +170,7 @@ def _emit(payload: dict, out=None) -> None:
 
 
 def cmd_analyze(args) -> int:
-    table = _load_table(args)
-    hist = histogram(table)
-    spec = _load_spec(args, table, hist)
+    table, hist, spec = _inputs(args)
     eligibility = check_eligibility(hist, spec)
     caps = value_slots(spec, hist.total)
     report = {
@@ -187,13 +195,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    table = _load_table(args)
-    hist = histogram(table)
-    spec = _load_spec(args, table, hist)
-    _require_eligible(hist, spec, table.sa_domain)
+    table, hist, spec = _inputs(args)
+    cfg = _size_range(args, table, hist, spec)
     report = {"mode": args.mode, "records": int(hist.total)}
-    cfg = SearchConfig.for_spec(spec, max_size=args.max_size,
-                                min_size=args.min_size)
     if args.mode == "anatomy":
         report["ell"] = ell = ell_for_spec(spec)
         try:
@@ -220,10 +224,8 @@ def cmd_optimize(args) -> int:
         setting = result.setting
         report["cond_evals"] = result.cond_evals
     else:
-        sizes = Counter()
-        for _, group in multi_size_bucketing(table, None, spec, cfg):
-            sizes[group.size] += group.count
-        setting = BucketSetting.of(*sorted(sizes.items()))
+        setting = _setting(group.size for _, group in multi_size_bucketing(
+            table, None, spec, cfg) for _ in range(group.count))
     report["loss"] = setting.loss
     report["buckets"] = [[g.size, g.count] for g in setting if g.count > 0]
     report["mse"] = mse_of(setting, hist.total) if hist.total > 1 else 0.0
@@ -232,16 +234,11 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_publish(args) -> int:
-    table = _load_table(args)
-    hist = histogram(table)
-    spec = _load_spec(args, table, hist)
-    _require_eligible(hist, spec, table.sa_domain)
-    cfg = SearchConfig.for_spec(spec, max_size=args.max_size,
-                                min_size=args.min_size)
+    table, hist, spec = _inputs(args)
+    cfg = _size_range(args, table, hist, spec)
     pt = release(table, spec, cfg, args.mode, args.sigma, args.seed)
     write_published(pt, args.out)
-    sizes = Counter(pt.bucket_sizes.tolist())
-    setting = BucketSetting.of(*sorted(sizes.items()))
+    setting = _setting(pt.bucket_sizes.tolist())
     _emit({
         "records": int(len(table)),
         "buckets": int(pt.bucket_count),
@@ -287,12 +284,9 @@ def _align_published(pt, table):
 
 
 def cmd_evaluate(args) -> int:
-    table = _load_table(args)
-    hist = histogram(table)
-    spec = _load_spec(args, table, hist)
+    table, _, spec = _inputs(args)
     pt = _align_published(read_published(args.out), table)
-    thresholds = {label: float(spec.thresholds[code])
-                  for code, label in enumerate(table.sa_domain)}
+    thresholds = dict(zip(table.sa_domain, spec.thresholds.tolist()))
     privacy_ok = check_published_privacy(pt, thresholds)
     pool = gen_queries(table.qi_domains, table.sa_domain, args.pool,
                        args.selectivity, seed=args.seed)
@@ -323,7 +317,7 @@ def cmd_dpdemo(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    table = _load_table(args)
+    table = ingest_csv(args.input, sa_column=args.sa)
     hist = histogram(table)
     try:
         thetas = [float(tok) for tok in args.thetas.split(",") if tok.strip()]
@@ -336,16 +330,12 @@ def cmd_plot(args) -> int:
     mses, res = [], []
     for theta in thetas:
         spec = linear_privacy_spec(hist, theta, args.intercept)
-        _require_eligible(hist, spec, table.sa_domain)
-        cfg = SearchConfig.for_spec(spec, max_size=args.max_size,
-                                    min_size=args.min_size)
+        cfg = _size_range(args, table, hist, spec)
         try:
             pt = release(table, spec, cfg, seed=args.seed)
         except InfeasiblePrivacyError as e:
             raise InfeasiblePrivacyError(f"theta={theta}: {e}") from None
         report = relative_error(pool, table, pt)
-        if hist.total < 2:
-            raise ConfigError(f"MSE needs at least 2 records, got {hist.total}")
         mses.append(report.mse)
         res.append(report.re_mean)
     out = Path(args.out)

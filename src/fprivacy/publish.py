@@ -536,7 +536,9 @@ def read_published(in_dir) -> PublishedTables:
     labels present, so code numbering may differ from the writer's; bucket
     contents and labels round-trip exactly.  Bucket ids are parsed once per
     distinct label, so of several malformed ids the first in sorted order is
-    named.
+    named.  Every id from 1 to the largest must label a QIT row, so the
+    largest is checked against the record count before any per-bucket array
+    is sized.
     """
     src = Path(in_dir)
     qit_path, st_path = src / "qit.csv", src / "st.csv"
@@ -552,6 +554,10 @@ def read_published(in_dir) -> PublishedTables:
     st_bids = _parse_bids(*columns.pop(), st_path)
     order = np.argsort(st_bids, kind="stable")
     bucket_count = int(qit_bids.max())
+    if not 1 <= bucket_count <= len(qit_bids):
+        raise IngestionError(f"{qit_path}: largest bucket id {bucket_count} "
+                             f"is outside 1 to {len(qit_bids)}, the record "
+                             f"count")
 
     fakes = _read_audit(src / "fakes_audit.json", sa_domain, bucket_count)
     try:
@@ -559,6 +565,10 @@ def read_published(in_dir) -> PublishedTables:
             qi_names=tuple(qit_header[:-1]), sa_name=st_header[1],
             qi_codes=qi_codes, qit_bids=qit_bids, st_codes=st_codes[order],
             qi_domains=qi_domains, sa_domain=sa_domain, fakes=fakes)
+        empty = np.flatnonzero(pt.bucket_sizes == 0)
+        if len(empty):
+            raise IngestionError(
+                f"{qit_path}: bucket {empty[0] + 1} holds no record")
         if not np.array_equal(st_bids[order], pt.st_bids):
             raise ConfigError(
                 "bucket ids are 1-based" if st_bids.min(initial=1) < 1 else

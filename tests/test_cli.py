@@ -10,9 +10,12 @@ import os
 import runpy
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fprivacy
 from fprivacy.cli import main
@@ -317,6 +320,28 @@ class TestOptimize:
         assert code == 3
 
 
+def last_bid_skipped(field):
+    """An edit of a release file's lines that relabels its largest bucket
+    id B, in field ``field`` of each row, as B + 1; applied to both CSVs it
+    leaves bucket B with no record."""
+    def edit(lines):
+        rows = [line.split(",") for line in lines[1:]]
+        last = max(int(row[field]) for row in rows)
+        for row in rows:
+            if row[field] == str(last):
+                row[field] = str(last + 1)
+        return [lines[0], *map(",".join, rows)]
+    return edit
+
+
+def every_qit_bid(bid):
+    """An edit of qit.csv's lines that gives every row bucket id bid."""
+    def edit(lines):
+        return [lines[0], *(line[:line.rindex(",") + 1] + bid
+                            for line in lines[1:])]
+    return edit
+
+
 class TestPublishEvaluate:
 
     def publish_args(self, csv_path, out_dir, *extra):
@@ -494,33 +519,44 @@ class TestPublishEvaluate:
         assert code == 4
         assert "fakes_audit.json" in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("name,edit", [
-        ("st.csv", lambda lines: lines[:1] + [""] + lines[1:]),
-        ("qit.csv", lambda lines: lines[:2] + [""] + lines[2:]),
-        ("qit.csv", lambda lines: [""] + lines),
-        ("qit.csv", lambda lines: lines[:1] + [lines[1] + ",x"] + lines[2:]),
-        ("qit.csv", qit_bid_edit("0{}")),
-        ("st.csv", st_bid_edit("+{}")),
-        ("st.csv", st_bid_edit(" {}")),
-        ("qit.csv", qit_bid_edit("{}_0")),
-        ("st.csv", st_bid_edit("-0")),
-        ("qit.csv", qit_bid_edit("\u0661")),
+    @pytest.mark.parametrize("edits", [
+        {"st.csv": lambda lines: lines[:1] + [""] + lines[1:]},
+        {"qit.csv": lambda lines: lines[:2] + [""] + lines[2:]},
+        {"qit.csv": lambda lines: [""] + lines},
+        {"qit.csv": lambda lines: lines[:1] + [lines[1] + ",x"] + lines[2:]},
+        {"qit.csv": qit_bid_edit("0{}")},
+        {"st.csv": st_bid_edit("+{}")},
+        {"st.csv": st_bid_edit(" {}")},
+        {"qit.csv": qit_bid_edit("{}_0")},
+        {"st.csv": st_bid_edit("-0")},
+        {"qit.csv": qit_bid_edit("\u0661")},
+        {"qit.csv": last_bid_skipped(-1), "st.csv": last_bid_skipped(0)},
+        {"qit.csv": qit_bid_edit("2000000")},
+        {"qit.csv": qit_bid_edit("2000000"), "fakes_audit.json": None},
+        {"qit.csv": every_qit_bid("-1"), "fakes_audit.json": None},
     ], ids=["st-blank-line", "qit-blank-line", "qit-blank-header",
             "qit-extra-field", "qit-bid-leading-zero", "st-bid-plus",
             "st-bid-space", "qit-bid-underscore", "st-bid-minus-zero",
-            "qit-bid-arabic-digit"])
+            "qit-bid-arabic-digit", "empty-bucket", "qit-bid-huge",
+            "qit-bid-huge-no-audit", "qit-bids-negative-no-audit"])
     def test_malformed_release_rows_exit_four(self, capsys, tmp_path,
-                                              walkthrough_csv, name, edit):
+                                              walkthrough_csv, edits):
         out = tmp_path / "pub"
         code, _ = run(capsys, *self.publish_args(walkthrough_csv, out))
         assert code == 0
-        path = out / name
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        for name, edit in edits.items():
+            path = out / name
+            if edit is None:
+                path.unlink()
+            else:
+                path.write_text(
+                    "\n".join(edit(path.read_text().splitlines())) + "\n")
         code = main(["evaluate", "--input", str(walkthrough_csv),
                      "--sa", "Disease", *WALK_PRIVACY, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 4
-        assert f"{name}:" in err and len(err.strip().splitlines()) == 1
+        assert f"{next(iter(edits))}:" in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("name,edit", [
         ("qit.csv", lambda row: row[:row.rindex(",")] + ",-1"),
@@ -711,6 +747,62 @@ def test_oversized_field_exits_four(capsys, tmp_path, walkthrough_csv, target):
     assert bad.name in err and len(err.strip().splitlines()) == 1
 
 
+RELEASE_FILES = ("qit.csv", "st.csv", "fakes_audit.json")
+
+# one byte edit: (kind, position, payload); digit runs and separators come
+# often, so a mutation can lengthen a bucket id or split a row
+BYTE_EDITS = st.tuples(
+    st.sampled_from(["flip", "insert", "delete"]), st.integers(0, 2**16),
+    st.one_of(st.binary(min_size=1, max_size=3),
+              st.text("0123456789", min_size=1, max_size=10).map(str.encode),
+              st.sampled_from([b",", b"\n", b'"', b"-"])))
+
+
+def mutate(data: bytes, edits) -> bytes:
+    """data with each (kind, position, payload) edit applied in turn; a
+    flip xors the byte at position with the payload's first byte."""
+    buf = bytearray(data)
+    for kind, position, payload in edits:
+        if kind == "insert":
+            i = position % (len(buf) + 1)
+            buf[i:i] = payload
+        elif buf:
+            i = position % len(buf)
+            if kind == "delete":
+                del buf[i]
+            else:
+                buf[i] ^= payload[0] or 1
+    return bytes(buf)
+
+
+@pytest.fixture(scope="module")
+def sigma_two_release(tmp_path_factory):
+    """(raw table path, bytes of each release file) of a 60-record release
+    published with --sigma 2."""
+    root = tmp_path_factory.mktemp("mutations")
+    csv_path = write_uniform_csv(root / "uniform.csv", m=20, per=3)
+    assert main(["publish", "--input", str(csv_path), "--sa", "Illness",
+                 "--sigma", "2", "--out", str(root / "pub")]) == 0
+    return csv_path, {name: (root / "pub" / name).read_bytes()
+                      for name in RELEASE_FILES}
+
+
+@settings(max_examples=250, deadline=None)
+@given(name=st.sampled_from(RELEASE_FILES),
+       edits=st.lists(BYTE_EDITS, min_size=1, max_size=4))
+def test_mutated_release_exits_with_a_code(sigma_two_release, name, edits):
+    """Whatever bytes a release file holds, evaluate ends in a documented
+    exit code, never a traceback."""
+    csv_path, files = sigma_two_release
+    with tempfile.TemporaryDirectory() as out:
+        for other, data in files.items():
+            Path(out, other).write_bytes(
+                mutate(data, edits) if other == name else data)
+        code = main(["evaluate", "--input", str(csv_path), "--sa", "Illness",
+                     "--out", out, "--pool", "20"])
+    assert code in (0, 2, 3, 4)
+
+
 class TestDpdemo:
 
     def test_predicted_mean_golden(self, capsys):
@@ -792,6 +884,14 @@ class TestPlot:
             lines = (out / name).read_text().splitlines()
             assert lines[0].startswith("#")
             assert len(lines) == 4
+
+    def test_one_record_table_reports_zero_mse(self, capsys, tmp_path):
+        csv_path = write_uniform_csv(tmp_path / "one.csv", m=1, per=1)
+        code, report = run(capsys, "plot", "--input", str(csv_path),
+                           "--sa", "Illness", "--thetas", "2,8",
+                           "--pool", "10", "--out", str(tmp_path / "p"))
+        assert code == 0
+        assert report["mse"] == [0.0, 0.0]
 
     def test_bad_theta_list_exits_three(self, capsys, tmp_path,
                                         walkthrough_csv):

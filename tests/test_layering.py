@@ -5,7 +5,9 @@ A name with a leading underscore is private to its module; a sibling that
 imports it depends on internals the owner may change.  Importing a private
 module itself (``from . import _kernels``) is allowed.  Records are
 partitioned only by ``optimize.two_size_parts``, so ``partition_records`` has
-callers in one module.
+callers in one module.  Every CLI command reads its thresholds and size range
+through one preamble, so ``cli.py`` calls ``load_privacy_spec`` and
+``SearchConfig.for_spec`` once each.
 """
 
 import ast
@@ -29,9 +31,10 @@ def private_sibling_imports(source: str) -> list[str]:
     return found
 
 
-def calls(source: str, name: str) -> bool:
-    """Whether the source calls ``name``, bare or as an attribute."""
-    return any(isinstance(node, ast.Call)
+def calls(source: str, name: str) -> int:
+    """How many places in the source call ``name``, bare or as an
+    attribute."""
+    return sum(isinstance(node, ast.Call)
                and name in (getattr(node.func, "id", None),
                             getattr(node.func, "attr", None))
                for node in ast.walk(ast.parse(source)))
@@ -61,3 +64,10 @@ def test_records_are_partitioned_in_optimize_only():
     assert calls("validate.partition_records(t, b, s)", "partition_records")
     assert not calls("from .validate import partition_records",
                      "partition_records")
+
+
+def test_cli_reads_thresholds_and_size_range_in_one_place():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert calls(source, "load_privacy_spec") == 1
+    assert calls(source, "for_spec") == 1
+    assert calls("SearchConfig.for_spec(a)\nfor_spec(b)", "for_spec") == 2
