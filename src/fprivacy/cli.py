@@ -228,7 +228,7 @@ def cmd_optimize(args) -> int:
             table, None, spec, cfg) for _ in range(group.count))
     report["loss"] = setting.loss
     report["buckets"] = [[g.size, g.count] for g in setting if g.count > 0]
-    report["mse"] = mse_of(setting, hist.total) if hist.total > 1 else 0.0
+    report["mse"] = mse_of(setting, hist.total)
     _emit(report, args.out)
     return 0
 

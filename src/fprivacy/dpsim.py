@@ -28,6 +28,7 @@ __all__ = [
     "laplace_cdf",
 ]
 
+_CHUNK = 1 << 18  # draws per SeedSequence child, so it fixes the samples too
 _TINY = 1e-300  # clamp for log() at the closed end of the uniform draw
 
 
@@ -111,8 +112,7 @@ def predicted_moments(x: float, y: float, scale: float) -> tuple[float, float]:
 
 
 def inference_experiment(x: float, y: float, mech: LaplaceMech,
-                         n_samples: int, chunk_size: int = 1 << 18,
-                         ) -> InferenceEstimate:
+                         n_samples: int) -> InferenceEstimate:
     """Monte-Carlo moments of Y/X from independently noised counts.
 
     The ratio is heavy-tailed when X wanders near zero, so the experiment
@@ -129,7 +129,7 @@ def inference_experiment(x: float, y: float, mech: LaplaceMech,
     if x < 10.0 * mech.scale:
         raise ConfigError(
             f"x={x} is below the stability gate 10*scale={10 * mech.scale}")
-    n_chunks = -(-n_samples // chunk_size)
+    n_chunks = -(-n_samples // _CHUNK)
     children = np.random.SeedSequence(mech.seed).spawn(n_chunks)
     count = 0
     total = 0.0
@@ -137,7 +137,7 @@ def inference_experiment(x: float, y: float, mech: LaplaceMech,
     rejected = 0
     remaining = n_samples
     for child in children:
-        size = min(chunk_size, remaining)
+        size = min(_CHUNK, remaining)
         remaining -= size
         rng = np.random.default_rng(child)
         xs = x + _draw(rng, mech.scale, size)

@@ -60,14 +60,12 @@ def loss_of(buckets) -> int:
 
 
 def mse_of(buckets, n: int) -> float:
-    """Per-record squared-error normalization of the loss, in [0, n-1]."""
-    if n < 2:
-        raise ConfigError(f"MSE needs at least 2 records, got {n}")
+    """The loss over n - 1 records, in [0, n-1]; 0.0 under 2 records."""
     sizes = _bucket_sizes(buckets)
     if sum(sizes) != n:
         raise ConfigError(
             f"buckets cover {sum(sizes)} records, expected {n}")
-    return loss_of(sizes) / (n - 1)
+    return loss_of(sizes) / (n - 1) if n > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -84,10 +82,6 @@ class CountQuery:
         for attr, values in self.qi_predicates:
             if not values:
                 raise ConfigError(f"attribute {attr} predicate is empty")
-
-    @property
-    def dimensionality(self) -> int:
-        return len(self.qi_predicates)
 
 
 def gen_queries(qi_domains: Sequence[Sequence[str]], sa_domain: Sequence[str],
@@ -335,10 +329,10 @@ def relative_error(pool: Iterable[CountQuery], table: MicrodataTable,
         answered.append((act, est))
     if not answered:
         raise ConfigError("every query in the pool has a zero true answer")
-    loss = loss_of(pt.bucket_sizes[pt.bucket_sizes > 0].tolist())
+    sizes = pt.bucket_sizes[pt.bucket_sizes > 0].tolist()
     return UtilityReport(
-        loss=loss,
-        mse=loss / (len(table) - 1) if len(table) > 1 else 0.0,
+        loss=loss_of(sizes),
+        mse=mse_of(sizes, len(table)),
         query_count=len(pool),
         per_query=tuple(answered),
     )

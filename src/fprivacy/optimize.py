@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -80,8 +80,9 @@ class SearchConfig:
         """Size range with the minimum derived from the privacy thresholds.
 
         The default minimum is the smallest bucket size able to host the
-        least constrained value.  It may be overridden downward (smaller
-        buckets can still host other values) but never upward.
+        least constrained value.  It may be overridden downward, which
+        changes no search result (a smaller bucket admits no copy of any
+        value), but never upward.
         """
         derived = int(smallest_admitting_size(spec.thresholds).min())
         if min_size is None:
@@ -271,33 +272,19 @@ def _enumerate_settings(n: int, cfg: SearchConfig, max_q: int, budget: int):
 
 def brute_force_optimal(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
                         max_q: int = 2, budget: int = 10_000_000,
-                        candidates: Optional[Iterable[BucketSetting]] = None,
                         ) -> Optional[SearchResult]:
     """Exact minimum-loss valid setting by enumeration plus the cut test.
 
     Settings are checked in ascending loss order by the subset-cut test
     (Gale 1957), so the first feasible one is optimal.  max_q bounds the
-    number of distinct sizes.  candidates, when given, replaces enumeration
-    with an explicit list (used to interrogate a forced configuration).
-    Exceeding the step budget raises.
+    number of distinct sizes.  Exceeding the step budget raises.
     """
     if max_q < 1:
         raise ConfigError(f"max_q must be >= 1, got {max_q}")
     if h.total < 1:
         raise ConfigError("cannot search an empty table")
-    if candidates is not None:
-        pool = list(candidates)
-        if len(pool) > budget:
-            raise BudgetExceededError(
-                f"{len(pool)} candidates exceed the budget of {budget}")
-        for setting in pool:
-            if setting.capacity != h.total:
-                raise ConfigError(
-                    f"candidate capacity {setting.capacity} does not cover "
-                    f"{h.total} records")
-    else:
-        pool = [BucketSetting.of(*groups)
-                for groups in _enumerate_settings(h.total, cfg, max_q, budget)]
+    pool = [BucketSetting.of(*groups)
+            for groups in _enumerate_settings(h.total, cfg, max_q, budget)]
     pool.sort(key=lambda s: (s.loss, s.sizes))
     for setting in pool:
         if flow_feasibility_oracle(h, spec, setting):

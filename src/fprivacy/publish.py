@@ -217,7 +217,9 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
             caps = np.array([float(thresholds[label]) for label in pt.sa_domain])
         except KeyError as missing:
             raise ConfigError(f"no threshold for SA value {missing}") from None
-        eligible &= (sizes + sigma)[:, None] >= smallest_admitting_size(caps)
+        # sizes + sigma could wrap int64; past 2**53 sigma admits any value
+        eligible &= sizes[:, None] >= (smallest_admitting_size(caps)
+                                       - min(sigma, 2 ** 53))
     if model is not None:
         for j, domain in enumerate(pt.qi_domains):
             flagged = np.zeros((len(domain), pt.m), dtype=bool)
@@ -334,12 +336,6 @@ class NegAssociationModel:
 
     threshold: float
     flagged: frozenset
-
-    def is_flagged(self, attr: int, qi_code: int, sa_code: int) -> bool:
-        return (attr, qi_code, sa_code) in self.flagged
-
-    def __len__(self) -> int:
-        return len(self.flagged)
 
 
 def learn_negative_associations(pt: PublishedTables,

@@ -99,12 +99,10 @@ class BucketSetting:
 class AllocationBounds:
     """Per-value, per-group allocation caps.
 
-    ``upper[i, j]`` is the most records of value i that group j can absorb
-    (bucket slot count times bucket count); ``alloc[i, j]`` additionally caps
-    that by the value's actual record count.
+    ``alloc[i, j]`` is the most records of value i that group j can absorb:
+    bucket slot count times bucket count, capped by the value's record count.
     """
 
-    upper: np.ndarray  # (m, q) int64
     alloc: np.ndarray  # (m, q) int64
 
 
@@ -112,8 +110,7 @@ def allocation_bounds(h: SaHistogram, p: PrivacySpec, setting: BucketSetting) ->
     groups = setting.groups
     upper = (threshold_slots(p.thresholds[:, None], [g.size for g in groups])
              .astype(np.int64) * np.array([g.count for g in groups], np.int64))
-    alloc = np.minimum(upper, h.counts[:, None])
-    return AllocationBounds(upper=upper, alloc=alloc)
+    return AllocationBounds(alloc=np.minimum(upper, h.counts[:, None]))
 
 
 @dataclass(frozen=True)

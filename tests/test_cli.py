@@ -803,6 +803,48 @@ def test_mutated_release_exits_with_a_code(sigma_two_release, name, edits):
     assert code in (0, 2, 3, 4)
 
 
+FLAG_VALUES = ["-1", "0", "1", "2", "3", str(2**31 - 1), str(2**31 + 1),
+               str(2**63 - 1), str(2**63), str(2**63 + 1), str(2**64),
+               str(10**30)]
+
+
+@pytest.fixture(scope="module")
+def flag_fuzz_csv(tmp_path_factory):
+    return write_uniform_csv(tmp_path_factory.mktemp("flags") / "uniform.csv",
+                             m=20, per=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=st.sampled_from([("optimize",), ("publish",),
+                                ("publish", "--mode", "multi")]),
+       flags=st.dictionaries(st.sampled_from(["--sigma", "--seed",
+                                              "--max-size", "--min-size"]),
+                             st.sampled_from(FLAG_VALUES)))
+def test_integer_flags_exit_with_a_code(flag_fuzz_csv, command, flags):
+    """Any integer, however large, given to --sigma, --seed, --max-size or
+    --min-size ends in a documented exit code, never a traceback."""
+    if command[0] == "optimize":
+        flags.pop("--sigma", None)
+        flags.pop("--seed", None)
+    with tempfile.TemporaryDirectory() as out:
+        code = main([*command, "--input", str(flag_fuzz_csv), "--sa",
+                     "Illness", "--out", str(Path(out, "release")),
+                     *(part for item in flags.items() for part in item)])
+    assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("sigma", [2**63 - 1, 2**63, 10**30])
+def test_huge_sigma_exits_three(capsys, flag_fuzz_csv, tmp_path, sigma):
+    """A sigma too large for int64 arithmetic is refused like any other
+    sigma the buckets cannot take, still counting their admissible fakes."""
+    code = main(["publish", "--input", str(flag_fuzz_csv), "--sa", "Illness",
+                 "--sigma", str(sigma), "--out", str(tmp_path / "p")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == (f"error: bucket 1 has only 17 admissible fake values but "
+                   f"sigma={sigma}\n")
+
+
 class TestDpdemo:
 
     def test_predicted_mean_golden(self, capsys):

@@ -96,9 +96,9 @@ class TestMse:
         setting = BucketSetting.of((4, 9), (14, 1))
         assert mse_of(setting, 50) == pytest.approx(250 / 49)
 
-    def test_requires_two_records(self):
-        with pytest.raises(ConfigError):
-            mse_of([1], 1)
+    def test_zero_under_two_records(self):
+        assert mse_of([1], 1) == 0.0
+        assert mse_of([], 0) == 0.0
 
     def test_rejects_coverage_mismatch(self):
         with pytest.raises(ConfigError):
@@ -137,14 +137,14 @@ class TestGenQueries:
     def test_dimensionality_range(self):
         qi_doms, sa_dom = self.DOMAINS
         pool = gen_queries(qi_doms, sa_dom, 400, 0.2, seed=1)
-        dims = {q.dimensionality for q in pool}
+        dims = {len(q.qi_predicates) for q in pool}
         assert dims == {1, 2}
 
     def test_predicate_widths_follow_selectivity(self):
         qi_doms, sa_dom = self.DOMAINS
         sel = 0.07
         for query in gen_queries(qi_doms, sa_dom, 300, sel, seed=2):
-            frac = sel ** (1.0 / (query.dimensionality + 1))
+            frac = sel ** (1.0 / (len(query.qi_predicates) + 1))
             for attr, values in query.qi_predicates:
                 dom = len(qi_doms[attr])
                 assert len(values) == min(dom, math.ceil(frac * dom))

@@ -76,6 +76,27 @@ class TestSearchConfig:
         with pytest.raises(ConfigError):
             SearchConfig.for_spec(p, min_size=0)
 
+    @given(counts=st.lists(st.integers(1, 12), min_size=2, max_size=6),
+           data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_lowering_the_minimum_changes_no_search(self, counts, data):
+        """Below the derived minimum a bucket admits no copy of any value,
+        so a lower minimum only adds groups of count 0."""
+        h = hist(counts)
+        slack = data.draw(st.lists(st.floats(1.0, 3.0), min_size=len(counts),
+                                   max_size=len(counts)))
+        p = PrivacySpec(np.clip(h.counts / h.total * slack, 0.1, 0.6))
+        derived = SearchConfig.for_spec(p, max_size=20)
+        want = two_size_bucketing(h, p, derived)
+        for lower in range(1, derived.min_size):
+            got = two_size_bucketing(
+                h, p, SearchConfig.for_spec(p, max_size=20, min_size=lower))
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.loss == want.loss
+                assert all(g.count == 0 for g in got.setting
+                           if g.size < derived.min_size)
+
     def test_range_validation(self):
         with pytest.raises(ConfigError):
             SearchConfig(3, 3)
@@ -327,21 +348,11 @@ class TestBruteForce:
         h = hist(counts)
         p = PrivacySpec(np.asarray(thresholds))
         setting = BucketSetting.of((4, 5), (5, 4), (6, 5))
-        res = brute_force_optimal(h, p, SearchConfig(4, 6), max_q=3,
-                                  candidates=[setting])
-        assert res is None
+        assert not flow_feasibility_oracle(h, p, setting)
 
     def test_forced_configuration_can_succeed(self):
         h, p = walkthrough_instance()
-        setting = BucketSetting.of((4, 9), (14, 1))
-        res = brute_force_optimal(h, p, SearchConfig(4, 14), candidates=[setting])
-        assert res is not None and res.setting == setting
-
-    def test_candidate_capacity_mismatch(self):
-        h, p = walkthrough_instance()
-        with pytest.raises(ConfigError):
-            brute_force_optimal(h, p, SearchConfig(4, 14),
-                                candidates=[BucketSetting.of((4, 9), (14, 2))])
+        assert flow_feasibility_oracle(h, p, BucketSetting.of((4, 9), (14, 1)))
 
     def test_budget_refusal(self):
         counts = np.full(8, 10, dtype=np.int64)

@@ -380,9 +380,8 @@ class TestNegativeAssociations:
         table, assignment = self.build_split_table()
         pt = publish(table, assignment, seed=6)
         model = learn_negative_associations(pt, threshold=0.5)
-        assert model.is_flagged(0, 0, 2) and model.is_flagged(0, 0, 3)
-        assert model.is_flagged(0, 1, 0) and model.is_flagged(0, 1, 1)
-        assert not model.is_flagged(0, 0, 0)
+        assert {(0, 0, 2), (0, 0, 3), (0, 1, 0), (0, 1, 1)} <= model.flagged
+        assert (0, 0, 0) not in model.flagged
 
     def test_independent_data_unflagged(self):
         rng = np.random.default_rng(12)
@@ -395,7 +394,7 @@ class TestNegativeAssociations:
                  for i in range(0, n, 4)]
         pt = publish(table, build_assignment(table, parts), seed=8)
         model = learn_negative_associations(pt, threshold=0.1)
-        assert len(model) == 0
+        assert len(model.flagged) == 0
 
     def test_model_steers_fakes(self):
         # six SA values; codes 4/5 never share a bucket with q0, codes 0/1
@@ -412,14 +411,14 @@ class TestNegativeAssociations:
                  (np.arange(4, 8), BucketGroup(size=2, count=2))]
         pt = publish(table, build_assignment(table, parts), seed=6)
         model = learn_negative_associations(pt, threshold=0.5)
-        assert model.is_flagged(0, 0, 4) and model.is_flagged(0, 1, 0)
+        assert {(0, 0, 4), (0, 1, 0)} <= model.flagged
         padded = inject_fakes(pt, sigma=1, seed=2, model=model)
         for bid in range(1, padded.bucket_count + 1):
             rows = np.flatnonzero(padded.qit_bids == bid)
             qi_values = {int(z) for z in padded.qi_codes[rows, 0]}
             for fake in padded.fakes[bid - 1].tolist():
                 for z in qi_values:
-                    assert not model.is_flagged(0, z, fake)
+                    assert (0, z, fake) not in model.flagged
 
     def test_bad_threshold(self):
         table, assignment = self.build_split_table()

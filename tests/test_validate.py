@@ -149,11 +149,8 @@ class TestAllocationBounds:
     def test_walkthrough_group1(self, walkthrough_table, walkthrough_spec):
         h = histogram(walkthrough_table)
         b = allocation_bounds(h, walkthrough_spec, BucketSetting.of((4, 9), (14, 1)))
-        assert b.upper[:8, 0].tolist() == [0] * 8
         assert b.alloc[:8, 0].tolist() == [0] * 8
-        assert b.upper[8:12, 0].tolist() == [9] * 4
         assert b.alloc[8:12, 0].tolist() == [6] * 4
-        assert b.upper[12:, 0].tolist() == [9] * 2
         assert b.alloc[12:, 0].tolist() == [9] * 2
 
     def test_walkthrough_group2(self, walkthrough_table, walkthrough_spec):
@@ -167,7 +164,6 @@ class TestAllocationBounds:
         h = hist([3, 3])
         p = PrivacySpec(np.ones(2))
         b = allocation_bounds(h, p, BucketSetting.of((2, 3), (5, 0)))
-        assert np.all(b.upper[:, 1] == 0)
         assert np.all(b.alloc[:, 1] == 0)
 
 
@@ -353,8 +349,7 @@ def test_closed_form_partition_matches_drain(data):
     upper = np.maximum(0, np.array(counts)[:, None] + np.array(data.draw(
         st.lists(st.lists(st.integers(-4, 3), min_size=2, max_size=2),
                  min_size=len(counts), max_size=len(counts)))))
-    bounds = AllocationBounds(upper=upper,
-                              alloc=np.minimum(upper, h.counts[:, None]))
+    bounds = AllocationBounds(alloc=np.minimum(upper, h.counts[:, None]))
 
     def outcome(partition):
         try:
