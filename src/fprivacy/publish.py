@@ -15,7 +15,6 @@ import csv
 import io
 import itertools
 import json
-import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -25,7 +24,7 @@ import numpy as np
 
 from .core import (ConfigError, IngestionError, MicrodataTable, PrivacySpec,
                    code_matrix, read_table, smallest_admitting_size,
-                   threshold_slots)
+                   stable_order, threshold_slots)
 from .optimize import SearchConfig, multi_size_bucketing, two_size_parts
 from .validate import Assignment, build_assignment
 
@@ -148,9 +147,13 @@ def publish(table: MicrodataTable, assignment: Assignment,
             seed: int = 0) -> PublishedTables:
     """Split a table into its published pair under a record assignment.
 
-    QIT rows keep original record order; each bucket's ST rows are shuffled
-    with bucket b's stream from _bucket_generators, so output is
-    deterministic for a seed and buckets are independent.
+    QIT rows keep original record order.  Bucket b's ST rows are its
+    records' SA codes in record order, then shuffled as
+    default_rng(SeedSequence(seed).spawn(B)[b - 1]).shuffle would shuffle
+    them, so output is deterministic for a seed and buckets are independent.
+    The shuffles run for all buckets at once in _streams, which reproduces
+    numpy 2.x's Generator.shuffle (Fisher-Yates with masked rejection draws)
+    on PCG64 words; the tests check it against Generator.
     """
     n = len(table)
     if len(assignment.bucket_of) != n:
@@ -159,7 +162,7 @@ def publish(table: MicrodataTable, assignment: Assignment,
     qit_bids = assignment.bucket_of.astype(np.int32) + 1
     # a stable sort keeps each bucket's values in record order before the
     # shuffle, which is what fixes the published bytes for a seed
-    order = np.argsort(qit_bids, kind="stable")
+    order = stable_order(qit_bids)
     pt = PublishedTables(
         qi_names=tuple(table.qi_names),
         sa_name=table.sa_name,
@@ -170,9 +173,13 @@ def publish(table: MicrodataTable, assignment: Assignment,
         sa_domain=tuple(table.sa_domain),
         fakes=np.empty((bucket_count, 0), dtype=np.int32),
     )
-    bounds = pt.st_bounds.tolist()
-    for b, rng in enumerate(_bucket_generators(seed, bucket_count)):
-        rng.shuffle(pt.st_codes[bounds[b]:bounds[b + 1]])
+    # imported here, not at the top: read_published and the evaluate
+    # command load this module but never draw
+    from . import _streams
+    sizes = pt.bucket_sizes
+    for block in _streams.lane_blocks(sizes):
+        _streams.Streams(seed, block).shuffle(
+            pt.st_codes, pt.st_bounds[block], sizes[block])
     return pt
 
 
@@ -195,9 +202,16 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
     only get diluted by padding, but a fake copy of a tightly capped value
     could push it over its cap, so such values are never picked as fakes.
 
-    Bucket b draws its fakes with Generator.choice and then shuffles its
-    padded ST rows, both from the stream publish uses for it (see
-    _bucket_generators).  These draws fix the output bytes for a seed.
+    Bucket b's stream, the one publish shuffles it with, draws its fakes as
+    Generator.choice(pool, sigma, replace=False) over the ascending codes
+    left to it, then shuffles its padded ST rows as Generator.shuffle;
+    these draws fix the output bytes for a seed.  They run for all buckets
+    at once in _streams, which reproduces numpy 2.x's choice: Floyd's
+    algorithm, or the tail shuffle for a pool over 10,000 values with more
+    than pool // 50 picks.  A bucket's pool is kept as the sorted values it
+    excludes beside one list of admitted values per bucket size, so memory
+    grows with rows, buckets * sigma and domain * sizes, not with buckets *
+    domain.
     """
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
@@ -206,30 +220,34 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
     if pt.sigma > 0:
         raise ConfigError("fake values are already present; start from a "
                           "plain published pair")
-    B = pt.bucket_count
+    B, m = pt.bucket_count, pt.m
     sizes = pt.bucket_sizes
-    present = np.zeros((B, pt.m), dtype=bool)
-    present[pt.st_bids - 1, pt.st_codes] = True
-    duplicated = present.sum(axis=1) != sizes
-    eligible = ~present
+    # (bucket, value) keys, ascending: the values each bucket holds, then
+    # also those the model flags for its QI values
+    held = _distinct(np.multiply(pt.st_bids - 1, m, dtype=np.int64)
+                     + pt.st_codes)
+    duplicated = np.bincount(held // m, minlength=B) != sizes
+    excluded = held if model is None else _distinct(
+        np.concatenate((held, _flagged_keys(pt, model))))
+    least = np.zeros(m)
     if thresholds is not None:
         try:
             caps = np.array([float(thresholds[label]) for label in pt.sa_domain])
         except KeyError as missing:
             raise ConfigError(f"no threshold for SA value {missing}") from None
         # sizes + sigma could wrap int64; past 2**53 sigma admits any value
-        eligible &= sizes[:, None] >= (smallest_admitting_size(caps)
-                                       - min(sigma, 2 ** 53))
-    if model is not None:
-        for j, domain in enumerate(pt.qi_domains):
-            flagged = np.zeros((len(domain), pt.m), dtype=bool)
-            for attr, z, x in model.flagged:
-                if attr == j and 0 <= z < len(domain) and 0 <= x < pt.m:
-                    flagged[z, x] = True
-            qi_present = np.zeros((B, len(domain)), dtype=bool)
-            qi_present[pt.qit_bids - 1, pt.qi_codes[:, j]] = True
-            eligible &= ~(qi_present @ flagged)
-    choices = eligible.sum(axis=1)
+        least = smallest_admitting_size(caps) - min(sigma, 2 ** 53)
+    # the values the caps admit at each distinct bucket size, and the rank
+    # of each value among them
+    levels, level_of = np.unique(sizes, return_inverse=True)
+    admitted = levels[:, None] >= least
+    rank = np.cumsum(admitted, axis=1) - admitted
+    admitted_codes = np.argsort(~admitted, axis=1, kind="stable")
+    bids, codes = np.divmod(excluded, m)
+    keep = admitted[level_of[bids], codes]
+    bids, ranks = bids[keep], rank[level_of[bids[keep]], codes[keep]]
+    counts = np.bincount(bids, minlength=B)
+    choices = admitted.sum(axis=1)[level_of] - counts
     failing = np.flatnonzero(duplicated | (choices < sigma))
     if len(failing):
         b = int(failing[0])
@@ -240,6 +258,11 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
         raise ConfigError(
             f"bucket {b + 1} has only {choices[b]} admissible fake values "
             f"but sigma={sigma}")
+    # pick k of a bucket is its k-th admitted value that it does not
+    # exclude, the admitted rank k + #{excluded ranks r_i: r_i - i <= k};
+    # keyed by bucket, the r_i - i ascend
+    firsts = np.cumsum(counts) - counts
+    skips = bids * (m + 1) + ranks - (np.arange(len(bids)) - firsts[bids])
 
     padded = replace(
         pt, st_codes=np.empty(len(pt.st_codes) + sigma * B, dtype=np.int32),
@@ -248,82 +271,50 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
     # last sigma rows take its fakes
     padded.st_codes[np.arange(len(pt.st_codes)) + sigma * (pt.st_bids - 1)] \
         = pt.st_codes
-    bounds = padded.st_bounds.tolist()
-    # each bucket's stream draws its fakes, then shuffles real + fakes in
-    # place; these calls alone fix the output bytes for a seed
-    for b, rng in enumerate(_bucket_generators(seed, B)):
-        fakes = rng.choice(eligible[b].nonzero()[0], size=sigma,
-                           replace=False)
-        merged = padded.st_codes[bounds[b]:bounds[b + 1]]
-        merged[-sigma:] = fakes
-        rng.shuffle(merged)
-        padded.fakes[b] = fakes
+    from . import _streams
+    lengths = sizes + sigma
+    for block in _streams.lane_blocks(lengths):
+        streams = _streams.Streams(seed, block)
+        picks = streams.choice(choices[block], sigma)
+        picks += np.searchsorted(skips, block[:, None] * (m + 1) + picks,
+                                 side="right") - firsts[block, None]
+        fakes = admitted_codes[level_of[block, None], picks]
+        padded.fakes[block] = fakes
+        starts = padded.st_bounds[block]
+        padded.st_codes[starts[:, None] + sizes[block, None]
+                        + np.arange(sigma)] = fakes
+        streams.shuffle(padded.st_codes, starts, lengths[block])
     padded.fakes.sort(axis=1)
     return padded
 
 
-# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, as in
-# numpy/random/bit_generator.pyx) and PCG64's 128-bit LCG multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = 2**32 - 1, 2**128 - 1
+def _flagged_keys(pt: PublishedTables, model: "NegAssociationModel"):
+    """(bucket, SA value) keys of the values the model flags for a QI value
+    some record of the bucket holds."""
+    flagged = np.array(sorted(model.flagged), dtype=np.int64).reshape(-1, 3)
+    keys = [np.empty(0, dtype=np.int64)]
+    for j, domain in enumerate(pt.qi_domains):
+        attr, z, x = flagged.T
+        z, x = (v[(attr == j) & (0 <= z) & (z < len(domain)) & (0 <= x)
+                  & (x < pt.m)] for v in (z, x))
+        # each (bucket, QI value) pair the QIT holds, joined to the QI
+        # value's flagged SA values (z ascends in the sorted triples)
+        pairs = _distinct(np.multiply(pt.qit_bids - 1, len(domain),
+                                      dtype=np.int64) + pt.qi_codes[:, j])
+        bids, values = np.divmod(pairs, len(domain))
+        low = np.searchsorted(z, values)
+        counts = np.searchsorted(z, values, side="right") - low
+        at = np.arange(counts.sum()) + np.repeat(low - (np.cumsum(counts)
+                                                        - counts), counts)
+        keys.append(np.repeat(bids, counts) * pt.m + x[at])
+    return np.concatenate(keys)
 
 
-def _bucket_generators(seed: int, count: int):
-    """Yield one reused Generator, set for b = 0..count-1 to the state
-    default_rng(SeedSequence(seed).spawn(count)[b]) starts in.
-
-    Child b's entropy is the seed's 32-bit words, zero-padded to 4, then the
-    spawn key b.  SeedSequence(seed).pool is the pool hashed from the seed's
-    words; by then numpy's hash constant has taken one step per hashmix
-    call: 4 fill the pool, 12 cross-mix it, and 4 more come per word past
-    the fourth.  The key's word is mixed in and the pool hashed into
-    generate_state(4, uint64) for every b at once in uint32 numpy
-    arithmetic; PCG64 then seeds from those words with two LCG steps.  NumPy
-    keeps both algorithms stable (NEP 19); tests check the states against
-    spawn.  Finish with each yielded generator before asking for the next.
-    """
-    seed = operator.index(seed)
-    pool = np.random.SeedSequence(seed).pool.tolist()
-    words = max(1, -(-seed.bit_length() // 32))
-    hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) & _M32
-
-    # the spawn key's mix and generate_state's hash, per child
-    keys = np.arange(count, dtype=np.uint32)
-    lanes = []
-    for dst in range(4):
-        hashed = keys ^ np.uint32(hash_a)
-        hash_a = hash_a * _MULT_A & _M32
-        hashed *= np.uint32(hash_a)
-        hashed ^= hashed >> 16
-        lane = np.uint32(_MIX_L * pool[dst] & _M32) - np.uint32(_MIX_R) * hashed
-        lanes.append(lane ^ lane >> 16)
-    hash_b = _INIT_B
-    halves = []
-    for k in range(8):
-        half = lanes[k % 4] ^ np.uint32(hash_b)
-        hash_b = hash_b * _MULT_B & _M32
-        half *= np.uint32(hash_b)
-        half ^= half >> 16
-        halves.append(half.astype(np.uint64))
-    # uint64 words are little-endian pairs: seed high, seed low, inc high,
-    # inc low
-    state_hi, state_lo, inc_hi, inc_lo = (
-        (halves[j] | halves[j + 1] << np.uint64(32)).tolist()
-        for j in range(0, 8, 2))
-
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for s_hi, s_lo, i_hi, i_lo in zip(state_hi, state_lo, inc_hi, inc_lo):
-        # PCG64's srandom: inc = 2·i + 1, state = (inc + s)·mult + inc
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield rng
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, ascending.  np.unique with no counts or indices
+    hashes, which is about 50x slower than this sort at 200k int64 keys."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 @dataclass(frozen=True)
@@ -489,14 +480,24 @@ def write_published(pt: PublishedTables, out_dir) -> None:
     _write_rows(out / "st.csv", ["BID", pt.sa_name],
                 [bids[pt.st_bids - 1],
                  (_field_texts(pt.sa_domain) + end)[pt.st_codes]])
-    audit = {
-        "sigma": pt.sigma,
-        "buckets": {str(b + 1): [pt.sa_domain[c] for c in fakes]
-                    for b, fakes in enumerate(pt.fakes.tolist())},
-    }
     with open(out / "fakes_audit.json", "w", encoding="utf-8") as fh:
-        json.dump(audit, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_audit_text(pt))
+
+
+def _audit_text(pt: PublishedTables) -> str:
+    """fakes_audit.json: json.dump(audit, fh, indent=2, sort_keys=True) of
+    {"buckets": {bucket id: fake labels}, "sigma": sigma}, then a newline.
+    That encoder runs in pure Python, so the text is joined here from each
+    label's json.dumps text, with bucket ids sorted as strings."""
+    labels = np.array([json.dumps(label) for label in pt.sa_domain],
+                      dtype=object)
+    bids = sorted(range(1, pt.bucket_count + 1), key=str)
+    rows = labels[pt.fakes[np.array(bids) - 1]].tolist()
+    items = ",\n".join(
+        f'    "{bid}": [\n      ' + ",\n      ".join(row) + "\n    ]"
+        if row else f'    "{bid}": []' for bid, row in zip(bids, rows))
+    return ('{\n  "buckets": {\n' + items + '\n  },\n  "sigma": '
+            f"{pt.sigma}\n}}\n")
 
 
 def _field_texts(labels) -> np.ndarray:

@@ -27,6 +27,7 @@ from .core import (
     PrivacySpec,
     SaHistogram,
     histogram,
+    stable_order,
     threshold_slots,
     value_slots,
 )
@@ -226,7 +227,7 @@ def round_robin_assign(sa_codes: np.ndarray, m: int, bucket_count: int) -> Assig
     n = len(sa_codes)
     if bucket_count < 1 or n % bucket_count:
         raise ConfigError(f"{n} records do not fill {bucket_count} equal buckets")
-    order = np.argsort(sa_codes, kind="stable")
+    order = stable_order(sa_codes)
     bucket_of = np.empty(n, dtype=np.int32)
     bucket_of[order] = np.arange(n, dtype=np.int32) % bucket_count
     return Assignment(
@@ -305,7 +306,7 @@ def partition_records(table: MicrodataTable, bounds: AllocationBounds,
 
     # one stable sort ranks each value's rows in row order
     codes = table.sa_codes[rows]
-    order = np.argsort(codes, kind="stable")
+    order = stable_order(codes)
     codes, rows = codes[order], rows[order]
     rank = np.arange(len(rows)) - (np.cumsum(h.counts) - h.counts)[codes]
     first = rank < keep[codes]

@@ -240,23 +240,38 @@ def spawn_published_st_codes(sa_codes, bucket_of, bucket_count, seed):
     return st_codes
 
 
-def spawn_injected_fakes(pt, sigma, seed):
-    """Reference (st_codes, fakes) of inject_fakes with no thresholds or
-    model: bucket b's generator default_rng(SeedSequence(seed).spawn(B)[b])
-    chooses sigma of the codes its ST rows lack, then shuffles its ST rows
-    followed by those fakes."""
+def spawn_injected_fakes(pt, sigma, seed, caps=None, flagged=frozenset()):
+    """Reference (st_codes, fakes) of inject_fakes, or None when it must
+    refuse.  Bucket b's pool is the codes its ST rows lack, that caps[code]
+    admits once in a bucket of its size plus sigma (floor(cap * rows + 1e-9)
+    >= 1, as threshold_slots counts), and that no (QI attribute, QI value,
+    code) triple in flagged names for a QI value of its records.  Its
+    generator default_rng(SeedSequence(seed).spawn(B)[b]) chooses sigma of
+    the pool's codes, ascending, then shuffles its ST rows followed by those
+    fakes.  A bucket holding a value twice, or whose pool is under sigma,
+    refuses."""
     streams = np.random.SeedSequence(seed).spawn(pt.bucket_count)
     st_codes, fakes = [], []
     for b in range(pt.bucket_count):
         rng = np.random.default_rng(streams[b])
         real = pt.st_slice(b + 1)
-        absent = np.setdiff1d(np.arange(pt.m, dtype=np.int32), real)
-        drawn = rng.choice(absent, size=sigma, replace=False)
+        if len(set(real.tolist())) != len(real):
+            return None
+        rows = pt.qi_codes[pt.qit_bids == b + 1].tolist()
+        pool = [x for x in range(pt.m) if x not in real
+                and (caps is None or caps[x] * (len(real) + sigma) + 1e-9 >= 1)
+                and not any((j, z, x) in flagged
+                            for row in rows for j, z in enumerate(row))]
+        if len(pool) < sigma:
+            return None
+        drawn = rng.choice(np.array(pool, dtype=np.int32), size=sigma,
+                           replace=False)
         merged = np.concatenate([real, drawn])
         rng.shuffle(merged)
         st_codes.append(merged)
         fakes.append(np.sort(drawn))
-    return np.concatenate(st_codes), np.array(fakes, dtype=np.int32)
+    return (np.concatenate(st_codes),
+            np.array(fakes, dtype=np.int32).reshape(pt.bucket_count, sigma))
 
 
 def worst_record_prob(report):

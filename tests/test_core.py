@@ -16,6 +16,7 @@ from fprivacy.core import (
     ingest_csv,
     linear_privacy_spec,
     load_privacy_spec,
+    stable_order,
     value_slots,
 )
 from fprivacy.optimize import SearchConfig
@@ -107,6 +108,20 @@ def test_histogram_counts_sum_to_total(codes):
     h = histogram(t)
     assert h.counts.sum() == h.total == len(sa)
     assert np.isclose(h.freqs.sum(), 1.0)
+
+
+@given(st.integers(1, 2**17).flatmap(lambda top: st.lists(
+    st.integers(0, top), max_size=300)))
+def test_stable_order_matches_argsort(keys):
+    """Keys under 2**16 are radix-sorted as uint16, larger ones as int32;
+    both give np.argsort's stable order."""
+    keys = np.array(keys, dtype=np.int32)
+    want = np.argsort(keys, kind="stable")
+    assert stable_order(keys).tolist() == want.tolist()
+    # ties across the 2**16 bound
+    edge = np.concatenate((keys, [2**16 - 1, 2**16, 2**16 - 1, 0]))
+    assert stable_order(edge.astype(np.int32)).tolist() == np.argsort(
+        edge, kind="stable").tolist()
 
 
 def test_linear_spec_walkthrough_values(walkthrough_table):

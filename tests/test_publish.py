@@ -3,16 +3,18 @@
 import csv
 import itertools
 import math
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SEEDS, table_from_counts
+from conftest import SEEDS, spawn_published_st_codes, table_from_counts
 
-from fprivacy import core
+from fprivacy import _streams, core
 from fprivacy.core import (
     ConfigError,
     InfeasiblePrivacyError,
@@ -25,7 +27,6 @@ from fprivacy.metrics import gen_synthetic
 from fprivacy.optimize import SearchConfig, multi_size_bucketing, two_size_bucketing
 from fprivacy.publish import (
     NegAssociationModel,
-    _bucket_generators,
     check_published_privacy,
     corruption_attack_sim,
     inject_fakes,
@@ -161,6 +162,25 @@ class TestPublish:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
 
+    def test_large_bucket_among_small_ones(self):
+        """A bucket far longer than the rest is shuffled in a block of its
+        own, so words are not drawn ahead for the small buckets' lanes; a
+        shared block of 1,024 lanes would take about 120 MB of them."""
+        sizes = np.array([10] * 1023 + [20000])
+        table = table_from_counts([1] * sizes.sum())
+        bucket_of = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        assignment = Assignment(bucket_of=bucket_of, bucket_sizes=sizes,
+                                sa_codes=table.sa_codes, m=table.sa_domain_size)
+        tracemalloc.start()
+        try:
+            pt = publish(table, assignment, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert pt.st_codes.tolist() == spawn_published_st_codes(
+            table.sa_codes, bucket_of, len(sizes), 5).tolist()
+
     def test_empty_bucket_refused(self, tmp_path):
         table = table_from_counts([1, 1, 1])
         pt = publish(table, Assignment(
@@ -225,11 +245,12 @@ class TestPublish:
 
 
 class TestBucketGenerators:
-    """The per-bucket streams are numpy's spawned PCG64 streams.
+    """The per-bucket streams are numpy's spawned PCG64 streams, and
+    _streams draws from them what Generator.shuffle and Generator.choice do.
 
-    publish and inject_fakes rely on NumPy keeping SeedSequence and PCG64
-    stable (NEP 19); if numpy ever changes them, these tests fail rather than
-    the published bytes changing silently.
+    NEP 19 keeps SeedSequence and PCG64 stable, but not Generator's shuffle
+    and choice algorithms; if numpy ever changes either, these tests fail
+    rather than the published bytes changing silently.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -241,24 +262,130 @@ class TestBucketGenerators:
     @example(2**160, 3)
     def test_states_and_draws_match_spawn(self, seed, count):
         children = np.random.SeedSequence(seed).spawn(count)
+        keys = np.arange(count)
+        states = zip(*(x.tolist() for x in _streams.spawn_states(seed, keys)))
+        for child, (s_hi, s_lo, i_hi, i_lo) in zip(children, states,
+                                                   strict=True):
+            assert np.random.PCG64(child).state["state"] == {
+                "state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+        if not count:
+            return
         population = np.arange(40, dtype=np.int32)
-        for child, rng in zip(children, _bucket_generators(seed, count),
-                              strict=True):
-            state = rng.bit_generator.state
-            assert state == np.random.PCG64(child).state
+        # twice, so that the second reads on from where the first stopped
+        streams = _streams.Streams(seed, keys)
+        shuffled = [np.tile(population, count) for _ in range(2)]
+        for rows in shuffled:
+            streams.shuffle(rows, keys * 40, np.full(count, 40))
+        picks = _streams.Streams(seed, keys).choice(np.full(count, 40), 3)
+        for b, child in enumerate(children):
             reference = np.random.default_rng(child)
-            got, want = population.copy(), population.copy()
-            rng.shuffle(got)
+            for rows in shuffled:
+                want = population.copy()
+                reference.shuffle(want)
+                assert rows[40 * b:40 * b + 40].tolist() == want.tolist()
+            reference = np.random.default_rng(child)
+            assert picks[b].tolist() == reference.choice(
+                population, size=3, replace=False).tolist()
+
+    @settings(max_examples=20, deadline=None)
+    @given(SEEDS, st.lists(st.integers(1, 3000), min_size=1, max_size=4))
+    def test_words_carry_over_between_batches(self, seed, batches):
+        """Words generated in several batches, some over the steps one pass
+        takes, continue one PCG64 stream, low half of each output first."""
+        streams = _streams.Streams(seed, np.arange(2))
+        for count in itertools.accumulate(batches):
+            held = len(streams._words)
+            streams._reserve(count)
+            assert streams._have >= count
+            # a buffer that grows at least doubles, so it is copied a few
+            # times only
+            grown = len(streams._words)
+            assert grown == held or grown >= 2 * held
+        words = streams._words[:sum(batches)].T
+        for lane, child in enumerate(np.random.SeedSequence(seed).spawn(2)):
+            raw = np.random.PCG64(child).random_raw(len(words[lane]) // 2 + 1)
+            halves = np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=1).ravel()
+            assert words[lane].tolist() == halves[:len(words[lane])].tolist()
+
+    @pytest.mark.parametrize("few", [0, 10**9])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=SEEDS)
+    def test_shuffle_matches_generator_at_mask_edges(self, few, seed):
+        """Lengths 0-2, and lengths on and next to powers of two, where
+        the rejection mask widens; all lanes in numpy rounds, or each
+        alone in Python."""
+        lengths = np.array([0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 32, 33,
+                            64, 65, 127, 128, 129, 256, 257, 1025])
+        starts = np.cumsum(lengths) - lengths
+        data = np.arange(lengths.sum())
+        with mock.patch.object(_streams, "_FEW", few):
+            _streams.Streams(seed, np.arange(len(lengths))).shuffle(
+                data, starts, lengths)
+        children = np.random.SeedSequence(seed).spawn(len(lengths))
+        for start, length, child in zip(starts, lengths, children):
+            want = np.arange(start, start + length)
+            np.random.default_rng(child).shuffle(want)
+            assert data[start:start + length].tolist() == want.tolist()
+
+    @pytest.mark.parametrize("few, entries, words",
+                             [(0, 1, 1), (10**9, 1 << 21, 1 << 18)])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=SEEDS, case=st.sampled_from([
+        ((1, 5), 0),
+        # Floyd's algorithm with frequent repeats; a pool of exactly size
+        # makes its first draw from 0..0, which reads no word
+        ((1, 2, 3, 4, 5), 1), ((3, 4, 5, 6, 8), 3), ((6, 7, 9, 40), 6),
+        # 10,000 and 10,001 on both sides of the tail-shuffle rule
+        ((9999, 10000, 10001), 200), ((10000, 10001), 201),
+        ((10001, 12000, 20000), 401), ((12000,), 300)]))
+    def test_choice_matches_generator(self, few, entries, words, seed, case):
+        """choice, with every lane in a part of its own and its draws made
+        and its words generated a few at a time, or all at once; then a
+        shuffle from where choice left each stream."""
+        pops, size = case
+        lanes = np.arange(len(pops))
+        streams = _streams.Streams(seed, lanes)
+        with mock.patch.object(_streams, "_POOL_ENTRIES", entries), \
+                mock.patch.object(_streams, "_ENTRIES", words):
+            picks = streams.choice(np.array(pops), size)
+        after = np.tile(np.arange(7), len(pops))
+        with mock.patch.object(_streams, "_FEW", few):
+            streams.shuffle(after, lanes * 7, np.full(len(pops), 7))
+        children = np.random.SeedSequence(seed).spawn(len(pops))
+        for lane, (pop, child) in enumerate(zip(pops, children)):
+            reference = np.random.default_rng(child)
+            assert picks[lane].tolist() == reference.choice(
+                pop, size=size, replace=False).tolist()
+            want = np.arange(7)
             reference.shuffle(want)
-            assert got.tolist() == want.tolist()
-            rng.bit_generator.state = state
+            assert after[7 * lane:7 * lane + 7].tolist() == want.tolist()
+
+    # one lane of the 64 makes a draw that Lemire's rule redraws (about one
+    # draw in 2**32 / pool does): in Floyd's algorithm, and in the tail
+    # shuffle
+    @pytest.mark.parametrize("seed, pop, size", [(19, 9999, 199),
+                                                 (61, 12000, 300)])
+    def test_choice_redraws_like_generator(self, seed, pop, size):
+        lanes = np.arange(64)
+        streams = _streams.Streams(seed, lanes)
+        with mock.patch.object(_streams.Streams, "_redraw", autospec=True,
+                               side_effect=_streams.Streams._redraw) as redraw:
+            picks = streams.choice(np.full(64, pop), size)
+        assert redraw.call_count == 1
+        after = np.tile(np.arange(7), 64)
+        streams.shuffle(after, lanes * 7, np.full(64, 7))
+        children = np.random.SeedSequence(seed).spawn(64)
+        for lane, child in enumerate(children):
             reference = np.random.default_rng(child)
-            assert rng.choice(population, size=3, replace=False).tolist() == \
-                reference.choice(population, size=3, replace=False).tolist()
+            assert picks[lane].tolist() == reference.choice(
+                pop, size=size, replace=False).tolist()
+            want = np.arange(7)
+            reference.shuffle(want)
+            assert after[7 * lane:7 * lane + 7].tolist() == want.tolist()
 
     def test_negative_seed_refused(self):
         with pytest.raises(ValueError):
-            next(_bucket_generators(-1, 1))
+            _streams.Streams(-1, np.arange(1))
 
 
 class TestInjectFakes:
@@ -282,6 +409,24 @@ class TestInjectFakes:
             extras = full - real
             assert sorted(extras) == padded.fakes[bid - 1].tolist()
             assert not set(extras) & set(real)
+
+    def test_wide_domain_memory_stays_small(self):
+        """A bucket's pool is kept as its sorted exclusions, so memory does
+        not grow with buckets x domain; a (5,000 x 20,000) mask alone would
+        take 95 MB."""
+        m = 20000
+        table = table_from_counts([1] * m)
+        pt = publish(table, round_robin_assign(table.sa_codes, m, 5000),
+                     seed=1)
+        caps = dict.fromkeys(table.sa_domain, 1.0)
+        tracemalloc.start()
+        try:
+            padded = inject_fakes(pt, sigma=2, seed=1, thresholds=caps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert padded.fakes.shape == (5000, 2)
 
     def test_duplicate_values_refused(self):
         table = table_from_counts([2, 1, 1])

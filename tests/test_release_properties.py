@@ -12,10 +12,12 @@ thresholds and the size range.
 
 import csv
 import io
+import json
 import re
 import tempfile
 from collections import Counter, defaultdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from conftest import (SEEDS, read_table_csv_module, spawn_injected_fakes,
                       spawn_published_st_codes, write_published_csv_writer)
 
+from fprivacy import _streams
 from fprivacy.cli import _align_published
 from fprivacy.core import (ConfigError, InfeasiblePrivacyError,
                            IngestionError, MicrodataTable, PrivacySpec,
@@ -33,9 +36,10 @@ from fprivacy.core import (ConfigError, InfeasiblePrivacyError,
 from fprivacy.metrics import (CountQuery, answer_estimated, answer_true,
                               estimated_count_cube, true_count_cube)
 from fprivacy.optimize import SearchConfig
-from fprivacy.publish import (NegAssociationModel, check_published_privacy,
-                              inject_fakes, publish, published_max_ratios,
-                              read_published, release, write_published)
+from fprivacy.publish import (NegAssociationModel, PublishedTables,
+                              check_published_privacy, inject_fakes, publish,
+                              published_max_ratios, read_published, release,
+                              write_published)
 from fprivacy.validate import Assignment
 
 # thresholds on and next to the k/s boundaries of small buckets, plus a
@@ -459,26 +463,60 @@ def published_buckets(data, labels):
 @SETTINGS
 @given(st.data())
 def test_bucket_streams_match_spawn_reference(data):
-    qi_names, sa_name, qi_rows, sa_values = data.draw(label_tables())
-    table = MicrodataTable.from_rows(qi_rows, sa_values, qi_names, sa_name)
-    # mostly small buckets, so fakes fit
-    buckets = data.draw(st.integers(max(1, len(table) // 2), len(table)))
+    """publish and inject_fakes draw what numpy's spawned generators draw,
+    for sigma 0 to 6, size-1 buckets, and pools cut by thresholds and by a
+    model."""
+    m = data.draw(st.integers(1, 16))
+    n = data.draw(st.integers(1, 24))
+    qi_sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    # distinct codes cycled, or any codes; buckets holding a value twice
+    # refuse fakes
+    sa_codes = np.array(data.draw(st.permutations(np.arange(n) % m) | st.lists(
+        st.integers(0, m - 1), min_size=n, max_size=n)), dtype=np.int32)
+    qi_codes = np.array([data.draw(st.lists(st.integers(0, size - 1),
+                                            min_size=n, max_size=n))
+                         for size in qi_sizes], dtype=np.int32).T
+    table = MicrodataTable.from_codes(
+        qi_codes, sa_codes, qi_names=[f"q{j}" for j in range(len(qi_sizes))],
+        sa_name="sa", qi_domains=[[f"z{k}" for k in range(size)]
+                                  for size in qi_sizes],
+        sa_domain=[f"v{x}" for x in range(m)])
+    # mostly buckets of one or two records, so fakes fit
+    buckets = data.draw(st.integers(max(1, n // 2), n))
     bucket_of = np.array(data.draw(st.permutations(
-        [i % buckets for i in range(len(table))])), dtype=np.int32)
+        [i % buckets for i in range(n)])), dtype=np.int32)
     seed = data.draw(SEEDS)
-    pt = publish_buckets(table, bucket_of, buckets, seed)
+    # every lane in numpy rounds, or (so few lanes) each alone in Python
+    few = mock.patch.object(_streams, "_FEW", data.draw(st.sampled_from(
+        [0, _streams._FEW])))
+    with few:
+        pt = publish_buckets(table, bucket_of, buckets, seed)
     assert pt.st_codes.tolist() == spawn_published_st_codes(
         table.sa_codes, bucket_of, buckets, seed).tolist()
-    sigma = data.draw(st.integers(0, 2))
-    try:
-        padded = inject_fakes(pt, sigma, seed=seed)
-    except ConfigError:
-        event("fakes refused")
-        return
+
+    sigma = data.draw(st.integers(0, 6))
+    caps = data.draw(st.none() | st.lists(THRESHOLDS, min_size=m, max_size=m))
+    flagged = data.draw(st.none() | st.frozensets(st.tuples(
+        st.integers(0, 2), st.integers(-1, 4), st.integers(-1, m)),
+        max_size=12))
+    thresholds = None if caps is None else dict(zip(pt.sa_domain, caps))
+    model = None if flagged is None else NegAssociationModel(1.0, flagged)
     if sigma == 0:
-        assert padded is pt
+        assert inject_fakes(pt, 0, seed=seed, model=model,
+                            thresholds=thresholds) is pt
         return
-    st_codes, fakes = spawn_injected_fakes(pt, sigma, seed)
+    expected = spawn_injected_fakes(pt, sigma, seed, caps, flagged or ())
+    if expected is None:
+        event("fakes refused")
+        with pytest.raises(ConfigError, match="bucket"):
+            inject_fakes(pt, sigma, seed=seed, model=model,
+                         thresholds=thresholds)
+        return
+    with few:
+        padded = inject_fakes(pt, sigma, seed=seed, model=model,
+                              thresholds=thresholds)
+    event(f"sigma {sigma}")
+    st_codes, fakes = expected
     assert padded.st_codes.tolist() == st_codes.tolist()
     assert padded.fakes.tolist() == fakes.tolist()
 
@@ -587,6 +625,38 @@ def test_written_release_matches_csv_writer_bytes(data):
         for name in ("qit.csv", "st.csv"):
             assert (Path(out) / name).read_bytes() == \
                 (Path(ref) / name).read_bytes()
+
+
+@SETTINGS
+@given(st.data())
+def test_written_audit_matches_json_dump(data):
+    """fakes_audit.json holds json.dump's bytes of the audit, for labels
+    JSON escapes, sigma 0, and over 9 buckets, whose ids sort as strings
+    ("10" before "9")."""
+    domain = data.draw(st.lists(
+        st.sampled_from(['"', "\\", "a\\\"b", "\x00", "\x1f\n\t", "naïve",
+                         "日本語", "\U0001f600", ""]) | st.text(max_size=4),
+        min_size=1, max_size=8, unique=True))
+    buckets = data.draw(st.integers(1, 25))
+    sigma = data.draw(st.integers(0, len(domain)))
+    fakes = np.sort([data.draw(st.permutations(range(len(domain))))[:sigma]
+                     for _ in range(buckets)], axis=1).astype(np.int32)
+    pt = PublishedTables(
+        qi_names=("q",), sa_name="sa",
+        qi_codes=np.zeros((buckets, 1), dtype=np.int32),
+        qit_bids=np.arange(1, buckets + 1, dtype=np.int32),
+        st_codes=np.zeros(buckets * (1 + sigma), dtype=np.int32),
+        qi_domains=(("z",),), sa_domain=tuple(domain),
+        fakes=fakes.reshape(buckets, sigma))
+    audit = {"sigma": sigma,
+             "buckets": {str(b + 1): [domain[c] for c in row]
+                         for b, row in enumerate(fakes.tolist())}}
+    want = io.StringIO()
+    json.dump(audit, want, indent=2, sort_keys=True)
+    with tempfile.TemporaryDirectory() as out:
+        write_published(pt, out)
+        got = (Path(out) / "fakes_audit.json").read_bytes()
+    assert got == (want.getvalue() + "\n").encode()
 
 
 # plain labels of up to 20 UTF-8 bytes: empty, ASCII and not, some over 8 or
