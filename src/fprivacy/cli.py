@@ -13,6 +13,7 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,13 +21,15 @@ from .core import (ConfigError, IngestionError, InfeasiblePrivacyError,
                    MicrodataTable, PrivacySpec, SaHistogram,
                    check_eligibility, ell_for_spec, histogram, ingest_csv,
                    linear_privacy_spec, load_privacy_spec, value_slots)
-from .dpsim import LaplaceMech, convergence_sweep
 from .metrics import gen_queries, mse_of, relative_error, write_xy_dat
-from .optimize import (SearchConfig, anatomy_setting, brute_force_optimal,
-                       multi_size_bucketing, two_size_bucketing)
 from .publish import (check_published_privacy, published_max_ratios,
                       read_published, release, write_published)
-from .validate import BucketSetting
+
+# optimize (with validate) and dpsim are imported by the commands that run
+# them, so evaluate loads only core, publish and metrics
+if TYPE_CHECKING:
+    from .optimize import SearchConfig
+    from .validate import BucketSetting
 
 OPTIMIZE_MODES = ("two", "multi", "brute", "anatomy")
 
@@ -145,6 +148,7 @@ def _inputs(args) -> tuple[MicrodataTable, SaHistogram, PrivacySpec]:
 
 def _size_range(args, table, hist, spec) -> SearchConfig:
     """The --min-size/--max-size search range for an achievable spec."""
+    from .optimize import SearchConfig
     eligibility = check_eligibility(hist, spec)
     if not eligibility:
         worst = ", ".join(
@@ -158,6 +162,7 @@ def _size_range(args, table, hist, spec) -> SearchConfig:
 
 def _setting(sizes) -> BucketSetting:
     """The setting of buckets of the given sizes."""
+    from .validate import BucketSetting
     return BucketSetting.of(*sorted(Counter(sizes).items()))
 
 
@@ -195,6 +200,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .optimize import (anatomy_setting, brute_force_optimal,
+                           multi_size_bucketing, two_size_bucketing)
     table, hist, spec = _inputs(args)
     cfg = _size_range(args, table, hist, spec)
     report = {"mode": args.mode, "records": int(hist.total)}
@@ -303,6 +310,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_dpdemo(args) -> int:
+    from .dpsim import LaplaceMech, convergence_sweep
     mech = LaplaceMech(epsilon=args.epsilon, seed=args.seed)
     xs = sorted(float(x) for x in args.x)
     rows = convergence_sweep(args.ratio, mech, xs, n_samples=args.samples)

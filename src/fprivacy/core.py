@@ -196,7 +196,8 @@ class PrivacySpec:
 Column = tuple[np.ndarray, tuple[str, ...]]
 
 
-def read_table(path) -> tuple[list[str], list[Column]]:
+def read_table(path, id_column: int | None = None
+               ) -> tuple[list[str], list[Column]]:
     """Header and interned columns of a header-ed CSV, input or release:
     per column, intern_labels' int32 codes and sorted label domain.
 
@@ -205,6 +206,11 @@ def read_table(path) -> tuple[list[str], list[Column]]:
     header, codes and domains, and the same errors: IngestionError naming
     the file where open_csv raises one, and for an empty file, a record of
     another width than the header, or no data rows.
+
+    id_column, when given, indexes a column of bucket ids (negative from
+    the end).  split_plain returns that column as (int32 ids, None) when
+    every field is written as str() of an id below 10**9; otherwise it is
+    interned like the others.
     """
     try:
         fh = open(path, "rb")
@@ -212,7 +218,7 @@ def read_table(path) -> tuple[list[str], list[Column]]:
         raise IngestionError(f"cannot open {path}: {e}") from e
     with fh:
         data = fh.read()
-    table = split_plain(data, path)
+    table = split_plain(data, path, id_column)
     if table is None:
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
                               newline="") as text, csv_errors(path):
@@ -233,7 +239,8 @@ _PREFIX_MASKS = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)],
                          dtype=np.uint64)
 
 
-def split_plain(data: bytes, path) -> tuple[list[str], list[Column]] | None:
+def split_plain(data: bytes, path, id_column: int | None = None
+                ) -> tuple[list[str], list[Column]] | None:
     """read_table's header and columns of quote-free CSV bytes, split with
     numpy; None for text csv.reader must parse: text that holds a '"', a
     NUL or a CR not followed by LF, is not UTF-8, has an empty first line,
@@ -242,7 +249,8 @@ def split_plain(data: bytes, path) -> tuple[list[str], list[Column]] | None:
     Without quotes a record is one line (its CRLF or LF dropped), and its
     fields are the text between commas; an empty line is a zero-field
     record, as csv.reader reads it.  A record of another width than the
-    header raises IngestionError at path:N (header = 1).
+    header raises IngestionError at path:N (header = 1).  Column id_column
+    is read as read_table describes.
     """
     if b'"' in data or b"\0" in data:
         return None
@@ -255,20 +263,39 @@ def split_plain(data: bytes, path) -> tuple[list[str], list[Column]] | None:
     # eight zero bytes past the end, so every field start opens a word
     buf = np.zeros(size + 8, dtype=np.uint8)
     buf[:size] = np.frombuffer(data, dtype=np.uint8)
-    newlines = np.flatnonzero(buf[:size] == ord("\n"))
-    # line i spans [starts[i], ends[i]); a last line without LF ends the text
-    starts = np.concatenate(([0], newlines + 1))
-    ends = np.append(newlines, size)
+    # line i spans [starts[i], ends[i]); a last line without LF ends the
+    # text.  Lines ending in LF come first, ends[:lf] at their LF.
+    ends = np.append(np.flatnonzero(buf[:size] == ord("\n")), size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lf = len(ends) - 1
     if data.endswith(b"\n"):
         starts, ends = starts[:-1], ends[:-1]
-    crlf = buf[newlines - 1] == ord("\r")  # buf[-1] is padding
+    crlf = buf[ends[:lf] - 1] == ord("\r")  # buf[-1] is padding
     if data.count(b"\r") != np.count_nonzero(crlf):
         return None
-    ends[:len(newlines)] -= crlf  # the lines that end in LF come first
+    ends[:lf] -= crlf
     if ends[0] == starts[0] or (ends - starts).max() > csv.field_size_limit():
         return None
     commas = np.flatnonzero(buf[:size] == ord(","))
-    # commas only lie inside lines, so line i holds those after line i - 1's
+    width = _record_width(commas, starts, ends, path)
+    header = data[starts[0]:ends[0]].decode("utf-8").split(",")
+    # each record holds width - 1 commas; the header's come first
+    inner = commas[width - 1:].reshape(len(starts) - 1, width - 1)
+    words = np.ndarray((size + 1,), dtype=">u8", buffer=buf, strides=(1,))
+    columns = []
+    for j in range(width):
+        spans = (inner[:, j - 1] + 1 if j else starts[1:],
+                 inner[:, j] if j < width - 1 else ends[1:])
+        column = _id_spans(buf, words, *spans) \
+            if id_column in (j, j - width) else None
+        columns.append(column or _intern_spans(data, words, *spans))
+    return header, columns
+
+
+def _record_width(commas: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                  path) -> int:
+    """The header's field count, or IngestionError at the first line that
+    holds another; a line holds the commas after the line before's."""
     fields = np.diff(np.searchsorted(commas, ends), prepend=0)
     fields = np.where(ends > starts, fields + 1, 0)
     width = int(fields[0])
@@ -277,14 +304,64 @@ def split_plain(data: bytes, path) -> tuple[list[str], list[Column]] | None:
         lineno = int(ragged[0])
         raise IngestionError(f"{path}:{lineno + 1}: expected {width} fields, "
                              f"got {fields[lineno]}")
-    header = data[starts[0]:ends[0]].decode("utf-8").split(",")
-    # each record holds width - 1 commas; the header's come first
-    inner = commas[width - 1:].reshape(len(starts) - 1, width - 1)
-    words = np.ndarray((size + 1,), dtype=">u8", buffer=buf, strides=(1,))
-    return header, [
-        _intern_spans(data, words, inner[:, j - 1] + 1 if j else starts[1:],
-                      inner[:, j] if j < width - 1 else ends[1:])
-        for j in range(width)]
+    return width
+
+
+# _ZERO_PAD[k] holds ASCII '0' in the first 8 - k bytes of a big-endian word
+_ZERO_PAD = np.array([int.from_bytes(b"0" * (8 - k) + bytes(k), "big")
+                      for k in range(9)], dtype=np.uint64)
+_BYTES = 0x0101010101010101  # times a byte value: that byte in all eight
+
+
+def _id_spans(buf: np.ndarray, words: np.ndarray, starts: np.ndarray,
+              ends: np.ndarray) -> Column | None:
+    """(int32 values, None) of the fields buf[starts[i]:ends[i]] when each
+    is 1 to 9 ASCII digits with no leading zero, else None.
+
+    A field's first eight bytes are its word from words, shifted right past
+    the bytes that follow the field and topped up with '0' bytes; their
+    digits are checked and summed eight at a time, two-digit lanes, then
+    four, then eight, and a ninth digit is added from buf.  The arithmetic
+    runs in place on two (rows,) arrays.
+    """
+    lengths = ends - starts
+    if (not len(lengths) or lengths.min() < 1 or lengths.max() > 9
+            or (buf[starts] == ord("0")).any()):
+        return None
+    nine = np.flatnonzero(lengths == 9)
+    word = words[starts]
+    word = word.byteswap(inplace=True).view(np.uint64)
+    np.minimum(lengths, 8, out=lengths)
+    scratch = _ZERO_PAD[lengths]
+    lengths *= -8
+    lengths += 64
+    word >>= lengths.view(np.uint64)
+    del lengths
+    word |= scratch
+    # a byte is a digit when its high nibble is 3 before and after adding 6
+    high, three = 0xF0 * _BYTES, 0x30 * _BYTES
+    for add in (0, 0x06 * _BYTES):
+        np.add(word, add, out=scratch)
+        scratch &= high
+        if (scratch != three).any():
+            return None
+    word -= three
+    for shift, low, scale in ((8, 0x00FF00FF00FF00FF, 10),
+                              (16, 0x0000FFFF0000FFFF, 100),
+                              (32, 0x00000000FFFFFFFF, 10000)):
+        # each lane of 2 * shift bits becomes its high half times scale
+        # plus its low half
+        np.right_shift(word, shift, out=scratch)
+        scratch &= low
+        scratch *= scale
+        word &= low
+        word += scratch
+    if len(nine):
+        digit = buf[starts[nine] + 8].astype(np.int64) - ord("0")
+        if digit.min() < 0 or digit.max() > 9:
+            return None
+        word[nine] = word[nine] * 10 + digit.astype(np.uint64)
+    return word.astype(np.int32), None
 
 
 def _intern_spans(data: bytes, words: np.ndarray, starts: np.ndarray,

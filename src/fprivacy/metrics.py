@@ -17,8 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import ConfigError, MicrodataTable
-from .publish import PublishedTables
-from .validate import BucketGroup
+from .publish import PublishedTables, bucket_pairs
 
 __all__ = [
     "CountQuery",
@@ -37,14 +36,16 @@ __all__ = [
 ]
 
 
-def _bucket_sizes(buckets) -> list[int]:
-    sizes = []
-    for item in buckets:
-        if isinstance(item, BucketGroup):
-            sizes.extend([item.size] * item.count)
-        else:
-            sizes.append(int(item))
-    return sizes
+def _bucket_sizes(buckets) -> np.ndarray:
+    """int64 size of every bucket of a size array, or of an iterable of
+    sizes and BucketGroups (a BucketSetting is one)."""
+    if isinstance(buckets, np.ndarray):
+        return buckets.astype(np.int64)
+    from .validate import BucketGroup  # evaluate passes arrays only
+    pairs = [(item.size, item.count) if isinstance(item, BucketGroup)
+             else (int(item), 1) for item in buckets]
+    sizes, counts = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return np.repeat(sizes, counts)
 
 
 def loss_of(buckets) -> int:
@@ -54,17 +55,16 @@ def loss_of(buckets) -> int:
     comparable to the flat ones.
     """
     sizes = _bucket_sizes(buckets)
-    if any(s < 1 for s in sizes):
+    if (sizes < 1).any():
         raise ConfigError("bucket sizes must be positive")
-    return sum((s - 1) ** 2 for s in sizes)
+    return int(np.sum((sizes - 1) ** 2))
 
 
 def mse_of(buckets, n: int) -> float:
     """The loss over n - 1 records, in [0, n-1]; 0.0 under 2 records."""
     sizes = _bucket_sizes(buckets)
-    if sum(sizes) != n:
-        raise ConfigError(
-            f"buckets cover {sum(sizes)} records, expected {n}")
+    if (covered := int(sizes.sum())) != n:
+        raise ConfigError(f"buckets cover {covered} records, expected {n}")
     return loss_of(sizes) / (n - 1) if n > 1 else 0.0
 
 
@@ -148,14 +148,18 @@ class CountCube:
 
 
 def _cube_cells(qi_codes: np.ndarray, qi_domains, m: int):
-    """Distinct QI tuples of the rows and each row's cell id, or None when a
-    cells × m cube would have more entries than there are rows.
+    """Distinct QI tuples of the rows, ascending, and each row's cell id, or
+    None when a cells × m cube would have more entries than there are rows.
 
     A tuple's key is its mixed-radix code when the product of the domain
-    sizes fits in int64; otherwise np.unique compares whole rows.
+    sizes fits in int64; otherwise np.unique compares whole rows.  Keys
+    from a space no larger than the row count are counted with bincount,
+    and a cell's id is the number of occupied keys below its own; larger
+    spaces are sorted by np.unique.
     """
     dims = [len(domain) for domain in qi_domains]
-    if math.prod(dims) > np.iinfo(np.int64).max:
+    space = math.prod(dims)
+    if space > np.iinfo(np.int64).max:
         cells, cell_of = np.unique(qi_codes, axis=0, return_inverse=True)
         cell_of = cell_of.reshape(-1)
     else:
@@ -163,9 +167,16 @@ def _cube_cells(qi_codes: np.ndarray, qi_domains, m: int):
         for j, size in enumerate(dims):
             keys *= size
             keys += qi_codes[:, j]
-        _, first, cell_of = np.unique(keys, return_index=True,
-                                      return_inverse=True)
-        cells = qi_codes[first]
+        if space <= len(keys):
+            occupied = np.flatnonzero(np.bincount(keys, minlength=space))
+            ids = np.zeros(space, dtype=np.int64)
+            ids[occupied] = np.arange(len(occupied))
+            cell_of = ids[keys]
+            cells = np.stack(np.unravel_index(occupied, dims), axis=1)
+        else:
+            _, first, cell_of = np.unique(keys, return_index=True,
+                                          return_inverse=True)
+            cells = qi_codes[first]
     if len(cells) * m > len(qi_codes):
         return None
     return cells, cell_of
@@ -200,30 +211,22 @@ def estimated_count_cube(pt: PublishedTables) -> Optional[CountCube]:
     u = len(cells)
     # (bucket, cell, count) of the QIT and (bucket, value, count, size) of
     # the ST, both ascending by bucket
-    keys, qi_counts = np.unique(pt.qit_bids.astype(np.int64) * u + cell_of,
-                                return_counts=True)
-    qi_bids, qi_cells = np.divmod(keys, u)
+    keys = pt.qit_bids.astype(np.int64) * u
+    keys += cell_of
+    del found, cell_of  # row arrays are freed before the sort and the join
+    keys, qi_counts = np.unique(keys, return_counts=True)
+    qi_bids, qi_keys = np.divmod(keys, u)
+    del keys
+    qi_keys *= m  # cell c's counts start at entry c * m
     st_bids, st_codes, st_counts, st_sizes = pt.st_value_counts
     st_bounds = np.searchsorted(st_bids, np.arange(1, pt.bucket_count + 2))
-    # QIT triple t pairs with every ST triple of its bucket; those are the
-    # pairs pair_bounds[t]..pair_bounds[t+1] of the join, and pair k of
-    # them is ST triple k + offset[t]
-    pair_bounds = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum(np.diff(st_bounds)[qi_bids - 1], out=pair_bounds[1:])
-    offset = st_bounds[qi_bids - 1] - pair_bounds[:-1]
-    qi_keys = qi_cells * m
-    total = int(pair_bounds[-1])
+    st_shares = st_counts / st_sizes
     counts = np.zeros(u * m)
-    for lo in range(0, total, _JOIN_CHUNK):
-        hi = min(lo + _JOIN_CHUNK, total)
-        first, last = np.searchsorted(pair_bounds, [lo, hi - 1],
-                                      side="right") - 1
-        t = np.repeat(np.arange(first, last + 1), np.diff(
-            np.clip(pair_bounds[first:last + 2], lo, hi)))
-        sv = np.arange(lo, hi) + offset[t]
-        counts += np.bincount(qi_keys[t] + st_codes[sv],
-                              qi_counts[t] * st_counts[sv] / st_sizes[sv],
-                              minlength=u * m)
+    # each QIT triple pairs with every ST triple of its bucket
+    for lo, hi, per, rows in bucket_pairs(qi_bids, st_bounds, _JOIN_CHUNK):
+        counts += np.bincount(np.repeat(qi_keys[lo:hi], per) + st_codes[rows],
+                              np.repeat(qi_counts[lo:hi], per)
+                              * st_shares[rows], minlength=u * m)
     return CountCube(cells=cells, counts=counts.reshape(u, m))
 
 
@@ -329,7 +332,7 @@ def relative_error(pool: Iterable[CountQuery], table: MicrodataTable,
         answered.append((act, est))
     if not answered:
         raise ConfigError("every query in the pool has a zero true answer")
-    sizes = pt.bucket_sizes[pt.bucket_sizes > 0].tolist()
+    sizes = pt.bucket_sizes[pt.bucket_sizes > 0]
     return UtilityReport(
         loss=loss_of(sizes),
         mse=mse_of(sizes, len(table)),

@@ -18,15 +18,20 @@ import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .core import (ConfigError, IngestionError, MicrodataTable, PrivacySpec,
                    code_matrix, read_table, smallest_admitting_size,
                    stable_order, threshold_slots)
-from .optimize import SearchConfig, multi_size_bucketing, two_size_parts
-from .validate import Assignment, build_assignment
+
+# optimize, validate and _streams are imported where they run:
+# read_published and the evaluate command load this module but never
+# search, assign or draw
+if TYPE_CHECKING:
+    from .optimize import SearchConfig
+    from .validate import Assignment
 
 __all__ = [
     "PublishedTables",
@@ -132,6 +137,8 @@ def release(table: MicrodataTable, spec: PrivacySpec, cfg: SearchConfig,
     sigma fakes per bucket that the spec's thresholds admit.  Mode "two"
     publishes the table's two-size split, "multi" refines its groups; both
     raise InfeasiblePrivacyError when no two-size setting is valid."""
+    from .optimize import multi_size_bucketing, two_size_parts
+    from .validate import build_assignment
     if mode == "two":
         parts = two_size_parts(table, spec, cfg)
     elif mode == "multi":
@@ -173,8 +180,6 @@ def publish(table: MicrodataTable, assignment: Assignment,
         sa_domain=tuple(table.sa_domain),
         fakes=np.empty((bucket_count, 0), dtype=np.int32),
     )
-    # imported here, not at the top: read_published and the evaluate
-    # command load this module but never draw
     from . import _streams
     sizes = pt.bucket_sizes
     for block in _streams.lane_blocks(sizes):
@@ -310,6 +315,29 @@ def _flagged_keys(pt: PublishedTables, model: "NegAssociationModel"):
     return np.concatenate(keys)
 
 
+def bucket_pairs(bids: np.ndarray, bounds: np.ndarray, chunk: int = 2 ** 15):
+    """Pair each entry of bucket bids[k] with every row of that bucket,
+    bucket b's rows being bounds[b - 1]:bounds[b] of another array.
+
+    Yields (lo, hi, per, rows) for runs lo..hi-1 of whole entries that make
+    about chunk pairs (a single entry may make more): entry k makes
+    per[k - lo] pairs, and rows holds the row of each pair, entry by entry.
+    np.repeat(a[lo:hi], per) lines an entry array up with rows.
+    """
+    pair_bounds = np.zeros(len(bids) + 1, dtype=np.int64)
+    np.cumsum(np.diff(bounds)[bids - 1], out=pair_bounds[1:])
+    lo = 0
+    while lo < len(bids):
+        hi = max(lo + 1, int(np.searchsorted(
+            pair_bounds, pair_bounds[lo] + chunk, side="right")) - 1)
+        per = np.diff(pair_bounds[lo:hi + 1])
+        # pair pair_bounds[k] + i of entry k is row bounds[bids[k] - 1] + i
+        offset = bounds[bids[lo:hi] - 1] - pair_bounds[lo:hi]
+        yield lo, hi, per, np.arange(pair_bounds[lo], pair_bounds[hi]) \
+            + np.repeat(offset, per)
+        lo = hi
+
+
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The distinct keys, ascending.  np.unique with no counts or indices
     hashes, which is about 50x slower than this sort at 200k int64 keys."""
@@ -331,20 +359,30 @@ class NegAssociationModel:
 
 def learn_negative_associations(pt: PublishedTables,
                                 threshold: float) -> NegAssociationModel:
-    """Mine the published pair for QI/SA values that avoid each other."""
+    """Mine the published pair for QI/SA values that avoid each other.
+
+    A pair's co-occurrence count is the number of buckets holding both
+    values.  It comes from joining each (bucket, QI value) the QIT holds to
+    the (bucket, SA value) pairs the ST holds, so memory grows with those
+    pairs and the (QI domain, SA domain) counts, not with buckets * domain.
+    """
     if not 0 < threshold <= 1:
         raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
-    B = pt.bucket_count
-    sa_present = np.zeros((B, pt.m), dtype=bool)
-    sa_present[pt.st_bids - 1, pt.st_codes] = True
-    n_x = sa_present.sum(axis=0)
+    B, m = pt.bucket_count, pt.m
+    st_bids, st_codes, _, _ = pt.st_value_counts
+    st_bounds = np.searchsorted(st_bids, np.arange(1, B + 2))
+    n_x = np.bincount(st_codes, minlength=m)
     flagged = set()
     for j, domain in enumerate(pt.qi_domains):
-        qi_present = np.zeros((B, len(domain)), dtype=bool)
-        qi_present[pt.qit_bids - 1, pt.qi_codes[:, j]] = True
-        observed = qi_present.T.astype(np.int64) @ sa_present.astype(np.int64)
-        expected = np.outer(qi_present.sum(axis=0), n_x) / B
-        hits = np.nonzero(observed < threshold * expected)
+        d = len(domain)
+        bids, values = np.divmod(_distinct(np.multiply(
+            pt.qit_bids - 1, d, dtype=np.int64) + pt.qi_codes[:, j]), d)
+        observed = np.zeros(d * m, dtype=np.int64)
+        for lo, hi, per, rows in bucket_pairs(bids + 1, st_bounds):
+            observed += np.bincount(np.repeat(values[lo:hi] * m, per)
+                                    + st_codes[rows], minlength=d * m)
+        expected = np.outer(np.bincount(values, minlength=d), n_x) / B
+        hits = np.nonzero(observed.reshape(d, m) < threshold * expected)
         for z, x in zip(*hits):
             flagged.add((j, int(z), int(x)))
     return NegAssociationModel(threshold=threshold, flagged=frozenset(flagged))
@@ -531,20 +569,21 @@ def read_published(in_dir) -> PublishedTables:
 
     Both CSVs are read with read_table.  Domains are re-derived from the
     labels present, so code numbering may differ from the writer's; bucket
-    contents and labels round-trip exactly.  Bucket ids are parsed once per
-    distinct label, so of several malformed ids the first in sorted order is
-    named.  Every id from 1 to the largest must label a QIT row, so the
-    largest is checked against the record count before any per-bucket array
-    is sized.
+    contents and labels round-trip exactly.  A BID column whose fields are
+    all written as write_published writes ids below 10**9 is read as
+    integers; any other is interned and parsed once per distinct label, so
+    of several malformed ids the first in sorted order is named.  Every id
+    from 1 to the largest must label a QIT row, so the largest is checked
+    against the record count before any per-bucket array is sized.
     """
     src = Path(in_dir)
     qit_path, st_path = src / "qit.csv", src / "st.csv"
-    qit_header, columns = read_table(qit_path)
+    qit_header, columns = read_table(qit_path, id_column=-1)
     if qit_header[-1] != "BID":
         raise IngestionError(f"{qit_path} must end with a BID column")
     qit_bids = _parse_bids(*columns.pop(), qit_path)
     qi_codes, qi_domains = code_matrix(columns, len(qit_bids))
-    st_header, columns = read_table(st_path)
+    st_header, columns = read_table(st_path, id_column=0)
     if len(st_header) != 2 or st_header[0] != "BID":
         raise IngestionError(f"{st_path} must have columns BID,<SA>")
     st_codes, sa_domain = columns.pop()
@@ -587,9 +626,13 @@ def read_published(in_dir) -> PublishedTables:
 
 
 def _parse_bids(codes, labels, path) -> np.ndarray:
-    """int32 bucket ids of a release file's interned BID column, one int()
-    per distinct label.  A label must read as str() of its id, as
+    """int32 bucket ids of a release file's BID column as read_table gives
+    it: the ids themselves when labels is None, else interned, and then
+    one int() per distinct label.  A label must read as str() of its id, as
     write_published writes it, so "01", "+1", " 1" and "1_0" are refused."""
+    if labels is None:
+        return codes
+
     def parse(label: str) -> int:
         value = int(label)
         if str(value) != label:
@@ -606,7 +649,9 @@ def _parse_bids(codes, labels, path) -> np.ndarray:
 def _read_audit(path, sa_domain, bucket_count) -> np.ndarray:
     """The (bucket_count, sigma) fake SA codes of a fakes_audit.json, rows
     ascending; only ids 1..bucket_count may key it, each bucket gets sigma
-    distinct values that st.csv holds, and a missing file lists no fakes."""
+    distinct values that st.csv holds, and a missing file lists no fakes.
+    Of several faults the first entry in file order, then the first bucket
+    by id, is named.  The labels are checked as one flat array."""
     if not path.exists():
         return np.empty((bucket_count, 0), dtype=np.int32)
     try:
@@ -620,24 +665,42 @@ def _read_audit(path, sa_domain, bucket_count) -> np.ndarray:
     sigma = audit.get("sigma", 0)
     if type(sigma) is not int or sigma < 0:  # JSON true/false are bools
         raise IngestionError(f"{path}: sigma must be a non-negative integer")
-    ids = [str(b) for b in range(1, bucket_count + 1)]
-    if stray := fakes.keys() - ids:
+    ids = {str(b): b for b in range(1, bucket_count + 1)}
+    if stray := fakes.keys() - ids.keys():
         raise IngestionError(f"{path}: {min(stray)!r} is not a bucket id "
                              f"from 1 to {bucket_count}")
-    sa_lookup = {label: i for i, label in enumerate(sa_domain)}
-    for bid, labels in fakes.items():
-        if not isinstance(labels, list):
+    lookup = {label: i for i, label in enumerate(sa_domain)}
+    entries = list(fakes.values())
+    listed = np.fromiter(map(isinstance, entries, itertools.repeat(list)),
+                         bool, len(entries))
+    lists = list(itertools.compress(entries, listed))
+    lengths = np.fromiter(map(len, lists), np.int64, len(lists))
+    labels = list(itertools.chain.from_iterable(lists))
+    codes = np.fromiter((lookup.get(label, -1) if isinstance(label, str)
+                         else -1 for label in labels), np.int64, len(labels))
+    unknown = np.flatnonzero(codes < 0)
+    # the first entry that is not a list or names a value st.csv lacks
+    bad = [*np.flatnonzero(~listed)[:1].tolist(), *np.repeat(
+        np.flatnonzero(listed), lengths)[unknown[:1]].tolist()]
+    if bad:
+        first = min(bad)
+        bid = list(fakes)[first]
+        if not listed[first]:
             raise IngestionError(f"{path}: bucket {bid} fakes are not a list")
-        for label in labels:
-            if not isinstance(label, str) or label not in sa_lookup:
-                raise IngestionError(
-                    f"{path}: bucket {bid} names fake value {label!r}, which "
-                    f"{path.with_name('st.csv')} does not hold")
-    rows = [fakes.get(bid, []) for bid in ids]
-    for b, labels in enumerate(rows, start=1):
-        if len(labels) != sigma or len(set(labels)) != sigma:
-            raise IngestionError(f"{path}: bucket {b} lists {len(labels)} "
-                                 f"fakes, not {sigma} distinct values")
-    codes = np.array([[sa_lookup[label] for label in labels]
-                      for labels in rows], dtype=np.int32)
-    return np.sort(codes.reshape(bucket_count, sigma), axis=1)
+        raise IngestionError(
+            f"{path}: bucket {bid} names fake value {labels[unknown[0]]!r}, "
+            f"which {path.with_name('st.csv')} does not hold")
+    m = len(sa_domain)
+    bids = np.fromiter(map(ids.get, fakes), np.int64, len(fakes))
+    count = np.zeros(bucket_count + 1, dtype=np.int64)
+    count[bids] = lengths
+    # (bucket, value) keys, ascending: a repeated key is a repeated fake
+    keys = np.sort(np.repeat(bids * m, lengths) + codes)
+    failing = count != sigma
+    failing[keys[1:][keys[1:] == keys[:-1]] // m] = True
+    failing[0] = False
+    if failing.any():
+        b = int(failing.argmax())
+        raise IngestionError(f"{path}: bucket {b} lists {count[b]} "
+                             f"fakes, not {sigma} distinct values")
+    return (keys % m).astype(np.int32).reshape(bucket_count, sigma)

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -104,6 +105,64 @@ def eager_value_counts(bucket_of, sa_codes, bucket_count, m):
     value_counts = np.zeros((bucket_count, m), dtype=np.int64)
     np.add.at(value_counts, (bucket_of, sa_codes), 1)
     return value_counts
+
+
+def dense_negative_associations(pt, threshold):
+    """Reference flagged set of learn_negative_associations: dense (bucket
+    × QI value) and (bucket × SA value) presence matrices, whose product
+    counts the buckets holding both values of each pair."""
+    B = pt.bucket_count
+    sa_present = np.zeros((B, pt.m), dtype=bool)
+    sa_present[pt.st_bids - 1, pt.st_codes] = True
+    n_x = sa_present.sum(axis=0)
+    flagged = set()
+    for j, domain in enumerate(pt.qi_domains):
+        qi_present = np.zeros((B, len(domain)), dtype=bool)
+        qi_present[pt.qit_bids - 1, pt.qi_codes[:, j]] = True
+        observed = qi_present.T.astype(np.int64) @ sa_present.astype(np.int64)
+        expected = np.outer(qi_present.sum(axis=0), n_x) / B
+        for z, x in zip(*np.nonzero(observed < threshold * expected)):
+            flagged.add((j, int(z), int(x)))
+    return frozenset(flagged)
+
+
+def read_audit_per_entry(path, sa_domain, bucket_count):
+    """Reference _read_audit: the checks run entry by entry, then bucket by
+    bucket, in Python."""
+    if not path.exists():
+        return np.empty((bucket_count, 0), dtype=np.int32)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            audit = json.load(fh)
+    except ValueError as exc:
+        raise IngestionError(f"{path} is not valid JSON: {exc}") from None
+    fakes = audit.get("buckets") if isinstance(audit, dict) else None
+    if not isinstance(fakes, dict):
+        raise IngestionError(f"{path} has no 'buckets' map")
+    sigma = audit.get("sigma", 0)
+    if type(sigma) is not int or sigma < 0:
+        raise IngestionError(f"{path}: sigma must be a non-negative integer")
+    ids = [str(b) for b in range(1, bucket_count + 1)]
+    if stray := fakes.keys() - ids:
+        raise IngestionError(f"{path}: {min(stray)!r} is not a bucket id "
+                             f"from 1 to {bucket_count}")
+    sa_lookup = {label: i for i, label in enumerate(sa_domain)}
+    for bid, labels in fakes.items():
+        if not isinstance(labels, list):
+            raise IngestionError(f"{path}: bucket {bid} fakes are not a list")
+        for label in labels:
+            if not isinstance(label, str) or label not in sa_lookup:
+                raise IngestionError(
+                    f"{path}: bucket {bid} names fake value {label!r}, which "
+                    f"{path.with_name('st.csv')} does not hold")
+    rows = [fakes.get(bid, []) for bid in ids]
+    for b, labels in enumerate(rows, start=1):
+        if len(labels) != sigma or len(set(labels)) != sigma:
+            raise IngestionError(f"{path}: bucket {b} lists {len(labels)} "
+                                 f"fakes, not {sigma} distinct values")
+    codes = np.array([[sa_lookup[label] for label in labels]
+                      for labels in rows], dtype=np.int32)
+    return np.sort(codes.reshape(bucket_count, sigma), axis=1)
 
 
 def gamma_first_covering(n, size1, size2):

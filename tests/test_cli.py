@@ -990,6 +990,25 @@ def test_evaluate_leaves_numpy_ma_unloaded(tmp_path):
     assert out.split()[-3:] == ["0", "0", "False"]
 
 
+def test_evaluate_loads_only_core_publish_and_metrics(tmp_path):
+    """Importing the CLI and running ``evaluate`` load no search, no
+    assignment, no random streams and no Laplace simulator: with no
+    bytecode cache, every module loaded is compiled on each run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fprivacy.__file__).parents[1]))
+    flags = ["--input", str(write_uniform_csv(tmp_path / "u.csv")),
+             "--sa", "Illness", "--out", str(tmp_path / "pub")]
+    assert main(["publish", "--sigma", "2", *flags]) == 0
+    probe = ("import sys; import fprivacy.cli as cli; "
+             "loaded = lambda: sorted(name for name in sys.modules "
+             "if name.startswith('fprivacy')); print(*loaded()); "
+             f"print(cli.main(['evaluate', *{flags!r}])); print(*loaded())")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    expected = "fprivacy fprivacy.cli fprivacy.core fprivacy.metrics " \
+        "fprivacy.publish"
+    assert (out[0], out[-2], out[-1]) == (expected, "0", expected)
+
+
 def test_benchmark_env_report_runs():
     """The benchmark starts every run with ``perfbench/stages.py env``, which
     imports ``fprivacy._accel``; it must keep working on this checkout."""

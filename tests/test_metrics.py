@@ -1,6 +1,7 @@
 """Tests for loss/MSE accounting, query workloads and synthetic tables."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from fprivacy.metrics import (CountQuery, answer_estimated, answer_true,
                               gen_synthetic, loss_of, mse_of, relative_error,
                               true_count_cube, write_xy_dat)
 from fprivacy.optimize import SearchConfig, two_size_bucketing
-from fprivacy.publish import PublishedTables, inject_fakes, publish
+from fprivacy.publish import (PublishedTables, bucket_pairs, inject_fakes,
+                              publish)
 from fprivacy.validate import (BucketGroup, BucketSetting, allocation_bounds,
                                build_assignment, partition_records)
 
@@ -261,8 +263,8 @@ class TestAnswers:
                 answer_true(table, query)
 
     def test_cube_join_across_chunks_matches_scan(self, monkeypatch):
-        # 7-pair chunks split buckets and single QIT triples between
-        # bincount calls
+        # 7-pair chunks split buckets between bincount calls; a QIT
+        # triple's pairs stay in one call
         table = gen_synthetic(3000, 20, 0.0, [4, 4], seed=2)
         spec = linear_privacy_spec(histogram(table), theta=8, intercept=0.02)
         pt, _ = walkthrough_publication(table, spec, seed=1)
@@ -274,6 +276,38 @@ class TestAnswers:
                                  seed=4):
             assert answer_estimated(pt, query, index=index) == pytest.approx(
                 answer_estimated(pt, query), rel=1e-12, abs=1e-12)
+
+
+    def test_one_buckets_pairs_span_two_chunks(self, monkeypatch):
+        # bucket 1 holds cells a and b, three records each, over values
+        # x, y, z: its QIT triples make 3 pairs each, and 3-pair chunks
+        # join them in two bincount calls
+        table = MicrodataTable.from_codes(
+            np.array([[0], [0], [0], [1], [1], [1], [0], [1]], np.int32),
+            np.array([0, 1, 2, 0, 1, 2, 0, 1], np.int32), qi_names=["q"],
+            sa_name="sa", qi_domains=[["a", "b"]], sa_domain=["x", "y", "z"])
+        pt = publish(table, build_assignment(table, [
+            (np.arange(6), BucketGroup(size=6, count=1)),
+            (np.arange(6, 8), BucketGroup(size=2, count=1))]))
+        joined = []
+
+        def pairs(bids, bounds, chunk):
+            for lo, hi, per, rows in bucket_pairs(bids, bounds, chunk):
+                joined.append(bids[lo:hi].tolist())
+                yield lo, hi, per, rows
+
+        monkeypatch.setattr(metrics, "bucket_pairs", pairs)
+        monkeypatch.setattr(metrics, "_JOIN_CHUNK", 3)
+        index = estimated_count_cube(pt)
+        assert joined == [[1], [1], [2], [2]]
+        # bucket 1 gives each cell 3 * 2/6 of every value; bucket 2's
+        # records (a, x) and (b, y) give each cell 1/2 of x and of y
+        assert index.counts.tolist() == [[1.5, 1.5, 1.0], [1.5, 1.5, 1.0]]
+        for cell, value in itertools.product(range(2), range(3)):
+            query = CountQuery(qi_predicates=((0, (cell,)),),
+                               sa_values=(value,))
+            assert answer_estimated(pt, query, index=index) == \
+                answer_estimated(pt, query)
 
 
 def relabel_buckets(pt, perm):

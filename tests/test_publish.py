@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SEEDS, spawn_published_st_codes, table_from_counts
+from conftest import (SEEDS, dense_negative_associations,
+                      spawn_published_st_codes, table_from_counts)
 
 from fprivacy import _streams, core
 from fprivacy.core import (
@@ -570,6 +571,25 @@ class TestNegativeAssociations:
         pt = publish(table, assignment, seed=6)
         with pytest.raises(ConfigError):
             learn_negative_associations(pt, threshold=0.0)
+
+    def test_memory_does_not_grow_with_buckets_times_domain(self):
+        """Co-occurrences are counted over the (bucket, value) pairs the
+        release holds; dense (2,000 x 5,000) presence matrices and their
+        int64 copies took 87 MB here."""
+        table = gen_synthetic(50000, 5000, 0.0, [8, 8], seed=0)
+        spec = linear_privacy_spec(histogram(table), theta=2.0,
+                                   intercept=0.04)
+        pt = release(table, spec, SearchConfig.for_spec(spec, max_size=50))
+        assert (pt.bucket_count, pt.m) == (2000, 5000)
+        tracemalloc.start()
+        try:
+            model = learn_negative_associations(pt, threshold=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert model.flagged
+        assert model.flagged == dense_negative_associations(pt, 1.0)
 
 
 class TestCorruption:

@@ -21,13 +21,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (SEEDS, read_table_csv_module, spawn_injected_fakes,
-                      spawn_published_st_codes, write_published_csv_writer)
+from conftest import (SEEDS, dense_negative_associations,
+                      read_audit_per_entry, read_table_csv_module,
+                      spawn_injected_fakes, spawn_published_st_codes,
+                      write_published_csv_writer)
 
 from fprivacy import _streams
+from fprivacy import publish as publish_module
 from fprivacy.cli import _align_published
 from fprivacy.core import (ConfigError, InfeasiblePrivacyError,
                            IngestionError, MicrodataTable, PrivacySpec,
@@ -37,7 +40,9 @@ from fprivacy.metrics import (CountQuery, answer_estimated, answer_true,
                               estimated_count_cube, true_count_cube)
 from fprivacy.optimize import SearchConfig
 from fprivacy.publish import (NegAssociationModel, PublishedTables,
-                              check_published_privacy, inject_fakes, publish,
+                              _parse_bids, _read_audit, bucket_pairs,
+                              check_published_privacy, inject_fakes,
+                              learn_negative_associations, publish,
                               published_max_ratios, read_published, release,
                               write_published)
 from fprivacy.validate import Assignment
@@ -336,6 +341,39 @@ def test_model_steered_fakes_avoid_flagged_values(data):
     caps = [thresholds[label] for label in pt.sa_domain]
     padded_or_refused(pt, data.draw(st.integers(1, 2)),
                       data.draw(st.integers(0, 99)), caps, flagged)
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=8), st.data())
+def test_bucket_pairs_cover_every_pair_in_whole_entries(rows_per_bucket,
+                                                        data):
+    bounds = np.concatenate(([0], np.cumsum(rows_per_bucket)))
+    bids = np.array(data.draw(st.lists(
+        st.integers(1, len(rows_per_bucket)), max_size=12)), dtype=np.int64)
+    chunk = data.draw(st.integers(1, 10))
+    expected = [(k, row) for k, b in enumerate(bids.tolist())
+                for row in range(bounds[b - 1], bounds[b])]
+    got, next_lo = [], 0
+    for lo, hi, per, rows in bucket_pairs(bids, bounds, chunk):
+        assert lo == next_lo < hi
+        assert len(rows) <= chunk or hi == lo + 1
+        got += zip(np.repeat(np.arange(lo, hi), per).tolist(), rows.tolist())
+        next_lo = hi
+    assert next_lo == len(bids)
+    assert got == expected
+
+
+@SETTINGS
+@given(releases_with_fakes(), st.one_of(THRESHOLDS, st.floats(0.01, 1.0)),
+       st.integers(1, 8))
+def test_negative_associations_match_dense_reference(release, threshold,
+                                                     chunk):
+    _, pt, _ = release
+    # small chunks split the join between bincount calls
+    pairs = lambda *args: bucket_pairs(*args, chunk=chunk)  # noqa: E731
+    with mock.patch.object(publish_module, "bucket_pairs", pairs):
+        model = learn_negative_associations(pt, threshold)
+    assert model.flagged == dense_negative_associations(pt, threshold)
 
 
 def near_fractions(max_size):
@@ -738,6 +776,119 @@ def test_read_table_matches_csv_module_reference(data):
     elif b"\xff" not in data and text.split("\n")[0].rstrip("\r"):
         event("split with numpy")
         assert plain
+
+
+# ids that write_published never writes, each refused or read by int(),
+# and text of digits and their ASCII neighbours '/' and ':'
+MALFORMED_IDS = st.one_of(
+    st.sampled_from(["01", "+1", " 1", "1_0", "-1", "", "1234567890",
+                     "\u0661", "12345678:", "1234:6789", "9/"]),
+    st.text("/0123456789:", max_size=11))
+
+
+@st.composite
+def bid_files(draw):
+    """(bytes, BID column index) of a release-shaped CSV: canonical ids up
+    to 999,999,999, at times with a malformed one among them."""
+    ids = draw(st.lists(st.one_of(st.integers(1, 30),
+                                  st.integers(1, 999_999_999)).map(str),
+                        min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        ids.insert(draw(st.integers(0, len(ids))), draw(MALFORMED_IDS))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    column = draw(st.sampled_from([0, -1]))
+    rows = [[bid, "v"][::1 if column == 0 else -1] for bid in ["BID", *ids]]
+    return "".join(",".join(row) + end for row in rows).encode(), column
+
+
+def bid_outcome(path, column, id_column):
+    """The ids _parse_bids gives for the BID column of read_table(path,
+    id_column), or the IngestionError text."""
+    try:
+        return _parse_bids(*read_table(path, id_column)[1][column],
+                           path).tolist()
+    except IngestionError as exc:
+        return str(exc)
+
+
+@SETTINGS
+@given(bid_files())
+@example((b"BID,v\r\n999999999,v\r\n12345678:,v\r\n", 0))
+@example((b"v,BID\nv,1234:6789\n", -1))
+@example((b"v,BID\nv,123456789\nv,1000000000\n", -1))
+def test_integer_bid_reader_matches_parse_bids(case):
+    data, column = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "st.csv"
+        path.write_bytes(data)
+        assert bid_outcome(path, column, column) == \
+            bid_outcome(path, column, None)
+        canonical = read_table(path, column)[1][column][1] is None
+    assert canonical == all(
+        re.fullmatch("[1-9][0-9]{0,8}", line.split(",")[column])
+        for line in data.decode().splitlines()[1:])
+    event("integer path" if canonical else "interned")
+
+
+AUDIT_DOMAIN = ("v0", "v1", "v2", "v3", "v4")
+
+
+@st.composite
+def audit_texts(draw):
+    """(fakes_audit.json text, bucket count): sigma distinct labels per
+    bucket, in a random key order, with up to four faults among a stray
+    key, a missing bucket, an entry that is not a list, a label st.csv
+    lacks, a repeated label in place of the last, a missing label and an
+    odd sigma."""
+    bucket_count = draw(st.integers(1, 5))
+    sigma = draw(st.integers(0, 3))
+    buckets = {str(b): draw(st.permutations(AUDIT_DOMAIN))[:sigma]
+               for b in range(1, bucket_count + 1)}
+    audit = {"buckets": buckets, "sigma": sigma}
+    bids = st.sampled_from(sorted(buckets))
+    for fault in draw(st.lists(st.integers(0, 6), max_size=4)):
+        bid = draw(bids)
+        if fault == 0:
+            buckets[draw(st.sampled_from(["0", "01", "x", str(
+                bucket_count + 1)]))] = []
+        elif fault == 1:
+            buckets.pop(bid, None)
+        elif fault == 2:
+            buckets[bid] = draw(st.sampled_from(["v0", 3, None, {}]))
+        elif isinstance(buckets.get(bid), list) and fault == 3:
+            buckets[bid] = [*buckets[bid], draw(st.sampled_from(
+                ["zz", "", 1, None, True, ["v0"], {"v": 0}]))]
+        elif isinstance(buckets.get(bid), list) and fault == 4:
+            buckets[bid] = [*buckets[bid][:-1], *buckets[bid][:1]]
+        elif isinstance(buckets.get(bid), list) and fault == 5:
+            buckets[bid] = buckets[bid][1:]
+        elif fault == 6:
+            audit["sigma"] = draw(st.sampled_from([True, -1, "2", 2.0, 9]))
+    order = draw(st.permutations(sorted(buckets)))
+    audit["buckets"] = {bid: buckets[bid] for bid in order}
+    return json.dumps(audit), bucket_count
+
+
+def audit_outcome(read, path, bucket_count):
+    """The fakes a reader returns, as lists, or its IngestionError text."""
+    try:
+        return read(path, AUDIT_DOMAIN, bucket_count).tolist()
+    except IngestionError as exc:
+        return str(exc)
+
+
+@SETTINGS
+@given(audit_texts())
+def test_audit_checks_match_per_entry_reference(case):
+    text, bucket_count = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fakes_audit.json"
+        path.write_text(text)
+        got = audit_outcome(_read_audit, path, bucket_count)
+        assert got == audit_outcome(read_audit_per_entry, path,
+                                    bucket_count)
+    event(re.sub(r"\d+|'[^']*'|\[.*\]|\{.*\}|/\S+", "N",
+                 got.split(": ", 1)[-1]) if isinstance(got, str) else "fakes")
 
 
 @st.composite
