@@ -10,10 +10,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+# Loading numpy starts OpenBLAS with a thread per core, whose start-up spin
+# cost about 0.1 s of CPU per process on a 2-core machine.  fprivacy calls no
+# BLAS routine, so a CLI process runs one thread unless the user set the
+# count.  The package's __init__ leaves numpy unloaded, so this runs first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -21,12 +28,12 @@ from .core import (ConfigError, IngestionError, InfeasiblePrivacyError,
                    MicrodataTable, PrivacySpec, SaHistogram,
                    check_eligibility, ell_for_spec, histogram, ingest_csv,
                    linear_privacy_spec, load_privacy_spec, value_slots)
-from .metrics import gen_queries, mse_of, relative_error, write_xy_dat
 from .publish import (check_published_privacy, published_max_ratios,
                       read_published, release, write_published)
 
-# optimize (with validate) and dpsim are imported by the commands that run
-# them, so evaluate loads only core, publish and metrics
+# optimize (with validate), metrics and dpsim are imported by the commands
+# that run them, so publish loads only core and publish, and evaluate adds
+# metrics
 if TYPE_CHECKING:
     from .optimize import SearchConfig
     from .validate import BucketSetting
@@ -200,6 +207,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .metrics import mse_of
     from .optimize import (anatomy_setting, brute_force_optimal,
                            multi_size_bucketing, two_size_bucketing)
     table, hist, spec = _inputs(args)
@@ -291,6 +299,7 @@ def _align_published(pt, table):
 
 
 def cmd_evaluate(args) -> int:
+    from .metrics import gen_queries, relative_error
     table, _, spec = _inputs(args)
     pt = _align_published(read_published(args.out), table)
     thresholds = dict(zip(table.sa_domain, spec.thresholds.tolist()))
@@ -325,6 +334,7 @@ def cmd_dpdemo(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .metrics import gen_queries, relative_error, write_xy_dat
     table = ingest_csv(args.input, sa_column=args.sa)
     hist = histogram(table)
     try:

@@ -60,8 +60,9 @@ class LaplaceMech:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError(
+                f"epsilon must be finite and positive, got {self.epsilon}")
 
     @property
     def scale(self) -> float:

@@ -119,12 +119,15 @@ class PublishedTables:
 
     @cached_property
     def st_value_counts(self):
-        """(bucket id, SA code, count, bucket ST size with fakes) of each
-        (bucket, value) pair in the ST rows, ascending by bucket then code."""
+        """int32 (bucket id, SA code, count, bucket ST size with fakes) of
+        each (bucket, value) pair in the ST rows, ascending by bucket then
+        code.  A key built from them must be int64: bucket id * m can pass
+        2**31."""
         keys, counts = np.unique(self.st_bids.astype(np.int64) * self.m
                                  + self.st_codes, return_counts=True)
         bids, codes = np.divmod(keys, self.m)
-        return bids, codes, counts, (self.bucket_sizes + self.sigma)[bids - 1]
+        sizes = (self.bucket_sizes + self.sigma)[bids - 1]
+        return tuple(a.astype(np.int32) for a in (bids, codes, counts, sizes))
 
     def st_slice(self, bid: int) -> np.ndarray:
         """SA codes of one bucket's ST rows (fakes included)."""
@@ -613,7 +616,8 @@ def read_published(in_dir) -> PublishedTables:
             bids, codes, _, _ = pt.st_value_counts
             # unique keys: triples are distinct, and so are a bucket's fakes
             keys = fakes + pt.m * np.arange(1, bucket_count + 1)[:, None]
-            held = np.isin(keys, bids * pt.m + codes, assume_unique=True)
+            held = np.isin(keys, np.multiply(bids, pt.m, dtype=np.int64)
+                           + codes, assume_unique=True)
             if not held.all():
                 b, j = np.argwhere(~held)[0]
                 raise ConfigError(

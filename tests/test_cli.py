@@ -868,6 +868,14 @@ class TestDpdemo:
         code, _ = run(capsys, "dpdemo", "--epsilon", "0.1", "--x", "50")
         assert code == 3
 
+    @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
+    def test_bad_epsilon_exits_three(self, capsys, epsilon):
+        """An infinite epsilon would print "Infinity", which is not JSON."""
+        assert main(["dpdemo", "--epsilon", epsilon, "--samples", "10"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: epsilon must be finite and positive")
+
 
 @pytest.mark.parametrize("mode", ["two", "multi"])
 @pytest.mark.parametrize("sigma", [0, 2])
@@ -1004,9 +1012,70 @@ def test_evaluate_loads_only_core_publish_and_metrics(tmp_path):
              f"print(cli.main(['evaluate', *{flags!r}])); print(*loaded())")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
-    expected = "fprivacy fprivacy.cli fprivacy.core fprivacy.metrics " \
+    imported = "fprivacy fprivacy.cli fprivacy.core fprivacy.publish"
+    assert (out[0], out[-2]) == (imported, "0")
+    assert out[-1] == "fprivacy fprivacy.cli fprivacy.core fprivacy.metrics " \
         "fprivacy.publish"
-    assert (out[0], out[-2], out[-1]) == (expected, "0", expected)
+
+
+def test_publish_loads_neither_metrics_nor_dpsim(tmp_path):
+    """``publish`` measures no utility and simulates no noise."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fprivacy.__file__).parents[1]))
+    flags = ["--input", str(write_uniform_csv(tmp_path / "u.csv")),
+             "--sa", "Illness", "--out", str(tmp_path / "pub")]
+    probe = ("import sys; from fprivacy.cli import main; "
+             f"print(main(['publish', '--sigma', '2', *{flags!r}]), "
+             "'fprivacy.metrics' in sys.modules, "
+             "'fprivacy.dpsim' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split()[-3:] == ["0", "False", "False"]
+
+
+def probe_env(**overrides) -> dict:
+    """A child's environment: this one without OPENBLAS_NUM_THREADS, which
+    importing fprivacy.cli sets here, and with the given overrides."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(fprivacy.__file__).parents[1])
+    return {**env, **overrides}
+
+
+linux_threads = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                   reason="counts threads in /proc/self/task")
+THREAD_PROBE = ("import os, fprivacy.cli; print(len(os.listdir("
+                "'/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+
+
+@linux_threads
+def test_cli_import_runs_one_thread():
+    """fprivacy calls no BLAS routine, so the CLI keeps OpenBLAS from
+    starting a thread per core when numpy loads."""
+    out = subprocess.run([sys.executable, "-c", THREAD_PROBE],
+                         env=probe_env(), check=True, capture_output=True,
+                         text=True).stdout
+    assert out.split() == ["1", "1"]
+
+
+@linux_threads
+def test_cli_import_keeps_a_set_thread_count():
+    out = subprocess.run([sys.executable, "-c", THREAD_PROBE],
+                         env=probe_env(OPENBLAS_NUM_THREADS="2"), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split()[-1] == "2"
+
+
+def test_library_import_leaves_numpy_unloaded():
+    """``import fprivacy`` loads core, and numpy, on first use of a
+    re-exported name, so a library user keeps numpy's own threading."""
+    probe = ("import sys, fprivacy; print('numpy' in sys.modules); "
+             "import fprivacy.core as core; print(all(getattr(fprivacy, name) "
+             "is getattr(core, name) for name in fprivacy.__all__), "
+             "'ingest_csv' in fprivacy.__all__, "
+             "hasattr(fprivacy, 'no_such_name'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=probe_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True", "True", "False"]
 
 
 def test_benchmark_env_report_runs():

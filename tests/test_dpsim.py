@@ -24,6 +24,11 @@ class TestLaplaceMech:
         with pytest.raises(ConfigError):
             LaplaceMech(epsilon=-1.0)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            LaplaceMech(epsilon=epsilon)
+
     def test_sample_mean_within_clt_band(self):
         s = LaplaceMech(epsilon=1.0, seed=42).sample(10 ** 6)
         assert abs(s.mean()) <= 3.0 * math.sqrt(2 / 10 ** 6)

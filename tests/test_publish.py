@@ -28,6 +28,7 @@ from fprivacy.metrics import gen_synthetic
 from fprivacy.optimize import SearchConfig, multi_size_bucketing, two_size_bucketing
 from fprivacy.publish import (
     NegAssociationModel,
+    PublishedTables,
     check_published_privacy,
     corruption_attack_sim,
     inject_fakes,
@@ -590,6 +591,41 @@ class TestNegativeAssociations:
         assert peak < 16 * 2**20
         assert model.flagged
         assert model.flagged == dense_negative_associations(pt, 1.0)
+
+
+def test_keys_past_int32_round_trip(tmp_path):
+    """st_value_counts holds int32 arrays, but every key built from them is
+    int64: with 45,000 buckets and m = 50,000, bucket id * m passes 2**31,
+    where an int32 key wraps and read_published refuses the fakes."""
+    B, m = 45_000, 50_000
+    # bucket b holds codes 2b, 2b + 1 and the fake 2b + 2, all mod m, and
+    # QI value (b // 7) % 2 for both its records
+    codes = (np.arange(3 * B) - np.repeat(np.arange(B), 3)) % m
+    st_codes = codes.astype(np.int32)
+    fakes = st_codes[2::3, None].copy()
+    qi = (np.arange(B) // 7 % 2).astype(np.int32)
+    pt = PublishedTables(
+        qi_names=("q",), sa_name="sa", qi_codes=np.repeat(qi, 2)[:, None],
+        qit_bids=np.repeat(np.arange(1, B + 1, dtype=np.int32), 2),
+        st_codes=st_codes, qi_domains=(("q0", "q1"),),
+        sa_domain=tuple(f"v{x:05d}" for x in range(m)), fakes=fakes)
+    write_published(pt, tmp_path)
+    back = read_published(tmp_path)
+    assert np.array_equal(back.fakes, fakes)
+    bids, codes, counts, sizes = back.st_value_counts
+    assert {a.dtype for a in (bids, codes, counts, sizes)} == {np.dtype(np.int32)}
+    keys = np.multiply(bids, m, dtype=np.int64) + codes
+    assert keys[-1] > 2**31
+    assert np.array_equal(keys, np.sort(
+        np.repeat(np.arange(1, B + 1), 3) * m + st_codes))
+    assert (counts == 1).all() and (sizes == 3).all()
+    assert check_published_privacy(back, dict.fromkeys(back.sa_domain, 0.34))
+    assert set(published_max_ratios(back).values()) == {1 / 3}
+    observed = np.zeros((2, m), dtype=np.int64)
+    np.add.at(observed, (np.repeat(qi, 3), st_codes), 1)
+    expected = np.outer(np.bincount(qi), np.bincount(st_codes)) / B
+    assert learn_negative_associations(back, 1.0).flagged == {
+        (0, int(z), int(x)) for z, x in zip(*np.nonzero(observed < expected))}
 
 
 class TestCorruption:
