@@ -72,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="CSV of explicit per-value thresholds (overrides theta rule)")
 
     size_flags = _Parser(add_help=False)
-    size_flags.add_argument("--min-size", type=int, default=None,
-                            help="relax the smallest allowed bucket size")
     size_flags.add_argument("--max-size", type=int, default=50,
                             help="largest bucket size the search considers")
 
@@ -154,7 +152,7 @@ def _inputs(args) -> tuple[MicrodataTable, SaHistogram, PrivacySpec]:
 
 
 def _size_range(args, table, hist, spec) -> SearchConfig:
-    """The --min-size/--max-size search range for an achievable spec."""
+    """The search range, up to --max-size, for an achievable spec."""
     from .optimize import SearchConfig
     eligibility = check_eligibility(hist, spec)
     if not eligibility:
@@ -163,8 +161,7 @@ def _size_range(args, table, hist, spec) -> SearchConfig:
             f"{value_slots(spec, hist.total)[code]} allowed"
             for code, count, _ in eligibility.violations[:3])
         raise InfeasiblePrivacyError(f"thresholds unachievable: {worst}")
-    return SearchConfig.for_spec(spec, max_size=args.max_size,
-                                 min_size=args.min_size)
+    return SearchConfig.for_spec(spec, max_size=args.max_size)
 
 
 def _setting(sizes) -> BucketSetting:
@@ -219,7 +216,7 @@ def cmd_optimize(args) -> int:
             setting = anatomy_setting(hist.total, ell)
         except ConfigError as e:
             raise InfeasiblePrivacyError(str(e)) from None
-        # ell >= every admissible --min-size, so only the maximum can bind
+        # ell >= the derived minimum size, so only the maximum can bind
         largest = max(g.size for g in setting if g.count > 0)
         if largest > cfg.max_size:
             raise InfeasiblePrivacyError(

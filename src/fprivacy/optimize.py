@@ -75,23 +75,12 @@ class SearchConfig:
                 f"minimum {self.min_size}")
 
     @classmethod
-    def for_spec(cls, spec: PrivacySpec, max_size: int = 50,
-                 min_size: Optional[int] = None) -> "SearchConfig":
-        """Size range with the minimum derived from the privacy thresholds.
-
-        The default minimum is the smallest bucket size able to host the
-        least constrained value.  It may be overridden downward, which
-        changes no search result (a smaller bucket admits no copy of any
-        value), but never upward.
-        """
+    def for_spec(cls, spec: PrivacySpec, max_size: int = 50) -> "SearchConfig":
+        """Size range from the smallest bucket size able to host the least
+        constrained value up to max_size: a smaller bucket admits no copy of
+        any value, so it changes no search result."""
         derived = int(smallest_admitting_size(spec.thresholds).min())
-        if min_size is None:
-            min_size = derived
-        elif not 1 <= min_size <= derived:
-            raise ConfigError(
-                f"minimum size {min_size} must lie in [1, {derived}]; the "
-                f"derived bound may only be relaxed downward")
-        return cls(min_size=min_size, max_size=max_size)
+        return cls(min_size=derived, max_size=max_size)
 
 
 @dataclass(frozen=True)

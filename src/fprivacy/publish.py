@@ -139,9 +139,12 @@ def release(table: MicrodataTable, spec: PrivacySpec, cfg: SearchConfig,
     """Search, partition, round-robin assignment, the QIT/ST pair, then
     sigma fakes per bucket that the spec's thresholds admit.  Mode "two"
     publishes the table's two-size split, "multi" refines its groups; both
-    raise InfeasiblePrivacyError when no two-size setting is valid."""
+    raise InfeasiblePrivacyError when no two-size setting is valid.  A table
+    with no QI column is refused: a release of it could not be evaluated."""
     from .optimize import multi_size_bucketing, two_size_parts
     from .validate import build_assignment
+    if not table.qi_names:
+        raise ConfigError("need at least one QI attribute")
     if mode == "two":
         parts = two_size_parts(table, spec, cfg)
     elif mode == "multi":
@@ -306,15 +309,14 @@ def _flagged_keys(pt: PublishedTables, model: "NegAssociationModel"):
         z, x = (v[(attr == j) & (0 <= z) & (z < len(domain)) & (0 <= x)
                   & (x < pt.m)] for v in (z, x))
         # each (bucket, QI value) pair the QIT holds, joined to the QI
-        # value's flagged SA values (z ascends in the sorted triples)
+        # value's flagged SA values: z ascends in the sorted triples, so
+        # value v's are rows bounds[v]:bounds[v + 1] of x
         pairs = _distinct(np.multiply(pt.qit_bids - 1, len(domain),
                                       dtype=np.int64) + pt.qi_codes[:, j])
         bids, values = np.divmod(pairs, len(domain))
-        low = np.searchsorted(z, values)
-        counts = np.searchsorted(z, values, side="right") - low
-        at = np.arange(counts.sum()) + np.repeat(low - (np.cumsum(counts)
-                                                        - counts), counts)
-        keys.append(np.repeat(bids, counts) * pt.m + x[at])
+        bounds = np.searchsorted(z, np.arange(len(domain) + 1))
+        for lo, hi, per, rows in bucket_pairs(values + 1, bounds):
+            keys.append(np.repeat(bids[lo:hi], per) * pt.m + x[rows])
     return np.concatenate(keys)
 
 

@@ -640,6 +640,21 @@ class TestPublishEvaluate:
         assert code == 3
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["publish", "plot"])
+    def test_table_without_qi_exits_three(self, capsys, tmp_path, command):
+        """evaluate needs a QI column, so publish and plot refuse a table
+        with none before they write anything."""
+        csv_path = tmp_path / "sa_only.csv"
+        csv_path.write_text("Illness\n" + "".join(f"v{i:02d}\n"
+                                                   for i in range(20)))
+        out = tmp_path / "release"
+        code = main([command, "--input", str(csv_path), "--sa", "Illness",
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: need at least one QI attribute\n")
+        assert not out.exists()
+
     def test_evaluate_missing_dir_exits_four(self, capsys, tmp_path,
                                              walkthrough_csv):
         code, _ = run(capsys, "evaluate", "--input", str(walkthrough_csv),
@@ -818,11 +833,11 @@ def flag_fuzz_csv(tmp_path_factory):
 @given(command=st.sampled_from([("optimize",), ("publish",),
                                 ("publish", "--mode", "multi")]),
        flags=st.dictionaries(st.sampled_from(["--sigma", "--seed",
-                                              "--max-size", "--min-size"]),
+                                              "--max-size"]),
                              st.sampled_from(FLAG_VALUES)))
 def test_integer_flags_exit_with_a_code(flag_fuzz_csv, command, flags):
-    """Any integer, however large, given to --sigma, --seed, --max-size or
-    --min-size ends in a documented exit code, never a traceback."""
+    """Any integer, however large, given to --sigma, --seed or --max-size
+    ends in a documented exit code, never a traceback."""
     if command[0] == "optimize":
         flags.pop("--sigma", None)
         flags.pop("--seed", None)
@@ -958,6 +973,17 @@ class TestUsage:
 
     def test_missing_required_flag_exits_three(self, capsys):
         assert main(["analyze", "--sa", "Disease"]) == 3
+
+    @pytest.mark.parametrize("command", ["optimize", "publish", "plot"])
+    def test_min_size_is_an_unknown_flag(self, capsys, tmp_path,
+                                         walkthrough_csv, command):
+        """The search range starts at the least size the thresholds admit;
+        no flag sets it."""
+        code = main([command, "--input", str(walkthrough_csv), "--sa",
+                     "Disease", "--min-size", "3",
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "--min-size" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -67,15 +67,6 @@ class TestSearchConfig:
         assert cfg.min_size == 3
         assert cfg.max_size == 50
 
-    def test_override_downward_only(self):
-        _, p = walkthrough_instance()
-        assert SearchConfig.for_spec(p, min_size=1).min_size == 1
-        assert SearchConfig.for_spec(p, min_size=3).min_size == 3
-        with pytest.raises(ConfigError):
-            SearchConfig.for_spec(p, min_size=4)
-        with pytest.raises(ConfigError):
-            SearchConfig.for_spec(p, min_size=0)
-
     @given(counts=st.lists(st.integers(1, 12), min_size=2, max_size=6),
            data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -89,8 +80,7 @@ class TestSearchConfig:
         derived = SearchConfig.for_spec(p, max_size=20)
         want = two_size_bucketing(h, p, derived)
         for lower in range(1, derived.min_size):
-            got = two_size_bucketing(
-                h, p, SearchConfig.for_spec(p, max_size=20, min_size=lower))
+            got = two_size_bucketing(h, p, SearchConfig(lower, 20))
             assert (got is None) == (want is None)
             if got is not None:
                 assert got.loss == want.loss
