@@ -15,19 +15,23 @@ no Python loop runs per bucket and the bytes stay numpy's:
   half first, as ``next_uint32`` buffers them;
 * ``shuffle``: Fisher-Yates from the last position down, each swap index a
   masked rejection draw (``random_interval``), one round per draw for all
-  lanes at once until few are left;
+  lanes at once until few are left; each of those few then finishes in
+  ``RandomState.shuffle``, on a PCG64 set to where the lane stopped;
 * ``choice``: Floyd's algorithm with Lemire's bounded draws
   (``random_bounded_uint64``), then a Lemire Fisher-Yates over the picks;
   for a pool over 10,000 values with more than pool // 50 picks, numpy's
   tail shuffle, a Lemire Fisher-Yates over the pool's last positions.  A
   Lemire draw almost never rejects, so all of a lane's draws are first
-  taken from its consecutive words in one pass.
+  taken from its consecutive words in one pass; a lane where one is redrawn
+  takes the rest of its draws in another pass, from the next word on.
 
 These are numpy 2.x's ``Generator`` algorithms (``_generator.pyx`` and
 ``distributions.c``).  NEP 19 keeps SeedSequence and PCG64 stable, but not
 the Generator methods, so the tests check every draw against Generator.
-Every draw here is a 32-bit one, which holds while pools and buckets stay
-under 2**32 values.
+It also freezes RandomState's methods, and ``RandomState.shuffle`` on a
+PCG64 makes the same masked rejection draws as ``Generator.shuffle``; no
+draw here comes from a Generator method.  Every draw here is a 32-bit one,
+which holds while pools and buckets stay under 2**32 values.
 """
 
 from __future__ import annotations
@@ -56,8 +60,8 @@ _BLOCK, _BLOCK_ROWS = 1024, 1 << 20
 # that a jump ahead sets; a pass takes up to _ANCHORS anchors and _ENTRIES
 # (step, lane) entries
 _RUN, _ANCHORS, _ENTRIES = 8, 2048, 1 << 18
-# shuffle finishes one lane at a time once this few are left: a round's
-# numpy calls then cost more than the lanes' words do in Python
+# once this few lanes are left shuffling, RandomState.shuffle finishes each
+# alone: a round's dozen numpy calls then cost more than those lanes' draws
 _FEW = 32
 # choice keeps dense (lanes, pool) and (draws, lanes) arrays; at most this
 # many entries
@@ -173,7 +177,10 @@ class Streams:
     child keys[l] of seed, each lane reading its own words in order."""
 
     def __init__(self, seed: int, keys: np.ndarray):
-        self._state = spawn_states(seed, keys)
+        self._spawned = self._state = spawn_states(seed, keys)
+        # re-stated to a lane's stream for each shuffle RandomState finishes
+        self._pcg = np.random.PCG64()
+        self._legacy = np.random.RandomState(self._pcg)
         # (capacity, lanes): row w holds every lane's word w, for the first
         # _have rows
         self._words = np.empty((0, len(keys)), dtype=np.uint32)
@@ -232,13 +239,14 @@ class Streams:
     def shuffle(self, data: np.ndarray, starts: np.ndarray,
                 lengths: np.ndarray) -> None:
         """Generator.shuffle of lane l's slice data[starts[l]:][:lengths[l]],
-        in place; the slices must not overlap.
+        in place; the slices must not overlap.  A shuffle is the last draw
+        of its lanes: it leaves no cursor behind for another draw.
 
         Every round, each lane still shuffling reads one word and swaps its
         top position with the word under the smallest all-ones mask that
         covers it, unless that lands past the top (masked rejection).  A
         round is a dozen numpy calls whatever the lane count, so once no
-        more than _FEW lanes are left, each finishes alone in Python.
+        more than _FEW lanes are left, RandomState.shuffle finishes each.
         """
         lanes = np.flatnonzero(lengths > 1)
         starts = starts[lanes].astype(np.int64)
@@ -249,49 +257,39 @@ class Streams:
         first = self._cursor[lanes]
         at = first * len(self._cursor) + lanes
         last = int(first.max(initial=0))
-        used = np.zeros(len(lanes), dtype=np.int64)
+        rounds = 0
         while np.count_nonzero(active := pos > 0) > _FEW:
-            if last >= self._have:
+            if last + rounds >= self._have:
                 # about 1.4 words per swap, and more when a lane needs them
-                self._reserve(last + 3 * int(pos.max()) // 2 + 16)
+                self._reserve(last + rounds + 3 * int(pos.max()) // 2 + 16)
             got = self._words.ravel()[at] & masks[pos]
             kept = (got <= pos) & active
             a, b = starts + pos, starts + np.where(kept, got, pos)
             data[a], data[b] = data[b], data[a]
             pos -= kept
-            used += active
             at += len(self._cursor)
-            last += 1
+            rounds += 1
         for k in np.flatnonzero(active).tolist():
-            used[k] += self._shuffle_alone(
-                data, int(starts[k]), int(pos[k]), int(lanes[k]),
-                int(first[k] + used[k]))
-        self._cursor[lanes] += used
+            self._restate(int(lanes[k]), int(first[k]) + rounds)
+            self._legacy.shuffle(data[starts[k]:starts[k] + pos[k] + 1])
 
-    def _shuffle_alone(self, data, start, top, lane, row) -> int:
-        """shuffle's rounds for one lane, in Python: positions top down of
-        data[start:], from the lane's word row on; returns the words read.
-        Words are taken a few thousand at a time, so a long lane's Python
-        ints do not all exist at once."""
-        values = data[start:start + top + 1].tolist()
-        mask = (1 << top.bit_length()) - 1
-        read = 0
-        while top > 0:
-            self._reserve(row + read + 3 * top // 2 + 16)
-            end = min(self._have, row + read + 4096)
-            for word in self._words[row + read:end, lane].tolist():
-                read += 1
-                got = word & mask
-                if got <= top:
-                    values[top], values[got] = values[got], values[top]
-                    top -= 1
-                    # the smallest all-ones mask that covers the new top
-                    if top <= mask >> 1:
-                        mask >>= 1
-                    if not top:
-                        break
-        data[start:start + len(values)] = values
-        return read
+    def _restate(self, lane: int, words: int) -> None:
+        """Set self._pcg to where the lane's stream is once it has read
+        `words` words: its spawn state moved on words // 2 outputs, and for
+        an odd count the high half of the next one buffered as next_uint32
+        keeps it."""
+        s_hi, s_lo, i_hi, i_lo = (int(x[lane]) for x in self._spawned)
+        state = {"bit_generator": "PCG64",
+                 "state": {"state": s_hi << 64 | s_lo,
+                           "inc": i_hi << 64 | i_lo},
+                 "has_uint32": 0, "uinteger": 0}
+        self._pcg.state = state
+        self._pcg.advance(words // 2)
+        if words % 2:
+            high = int(self._pcg.random_raw()) >> 32
+            state = self._pcg.state
+            state.update(has_uint32=1, uinteger=high)
+            self._pcg.state = state
 
     def choice(self, pop: np.ndarray, size: int) -> np.ndarray:
         """(lanes, size) int64: Generator.choice(pool, size, replace=False)
@@ -354,8 +352,8 @@ class Streams:
         0..tops[j, l], lane l making its draws j in order; a top of 0 reads
         no word.  A draw is redrawn while its low word falls under 2**32
         mod (top + 1), about once in 2**32 / top draws, so every draw first
-        takes the lane's next word; a lane where one falls short is redone
-        from there in Python."""
+        takes the lane's next word; a lane where one falls short takes that
+        draw and the rest in another pass, from the word after."""
         reads = tops > 0
         drawn = np.empty(tops.shape, dtype=np.int32)
         cursor = self._cursor[lanes]
@@ -381,22 +379,10 @@ class Streams:
                 shorts.setdefault(k, (lo + j, int(at[j, k])))
         self._cursor[lanes] = cursor
         for k, (j, row) in shorts.items():
-            self._redraw(int(lanes[k]), tops[j:, k].tolist(), drawn[j:, k],
-                         row)
+            self._cursor[lanes[k]] = row + 1
+            drawn[j:, k:k + 1] = self._lemire(lanes[k:k + 1],
+                                              tops[j:, k:k + 1])
         return drawn
-
-    def _redraw(self, lane, tops, drawn, row) -> None:
-        """_lemire's draws for one lane in Python, from its word row on."""
-        for j, top in enumerate(tops):
-            product = 0
-            while top:
-                self._reserve(row + 1)
-                product = int(self._words[row, lane]) * (top + 1)
-                row += 1
-                if product & _M32 >= 2**32 % (top + 1):
-                    break
-            drawn[j] = product >> 32
-        self._cursor[lane] = row
 
 
 def _swap_down(data, tops, gots):

@@ -166,7 +166,9 @@ def publish(table: MicrodataTable, assignment: Assignment,
     them, so output is deterministic for a seed and buckets are independent.
     The shuffles run for all buckets at once in _streams, which reproduces
     numpy 2.x's Generator.shuffle (Fisher-Yates with masked rejection draws)
-    on PCG64 words; the tests check it against Generator.
+    on PCG64 words until few buckets are left; RandomState.shuffle, which
+    NEP 19 freezes and which makes the same draws on a PCG64, finishes
+    those.  The tests check it against Generator.
     """
     n = len(table)
     if len(assignment.bucket_of) != n:
@@ -219,7 +221,10 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
     these draws fix the output bytes for a seed.  They run for all buckets
     at once in _streams, which reproduces numpy 2.x's choice: Floyd's
     algorithm, or the tail shuffle for a pool over 10,000 values with more
-    than pool // 50 picks.  A bucket's pool is kept as the sorted values it
+    than pool // 50 picks; a bucket whose Lemire draw is redrawn takes the
+    rest of its draws in another batched pass.  The shuffle ends as
+    publish's does, in RandomState.shuffle for the last few buckets.  A
+    bucket's pool is kept as the sorted values it
     excludes beside one list of admitted values per bucket size, so memory
     grows with rows, buckets * sigma and domain * sizes, not with buckets *
     domain.

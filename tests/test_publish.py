@@ -273,18 +273,14 @@ class TestBucketGenerators:
         if not count:
             return
         population = np.arange(40, dtype=np.int32)
-        # twice, so that the second reads on from where the first stopped
-        streams = _streams.Streams(seed, keys)
-        shuffled = [np.tile(population, count) for _ in range(2)]
-        for rows in shuffled:
-            streams.shuffle(rows, keys * 40, np.full(count, 40))
+        shuffled = np.tile(population, count)
+        _streams.Streams(seed, keys).shuffle(shuffled, keys * 40,
+                                             np.full(count, 40))
         picks = _streams.Streams(seed, keys).choice(np.full(count, 40), 3)
         for b, child in enumerate(children):
-            reference = np.random.default_rng(child)
-            for rows in shuffled:
-                want = population.copy()
-                reference.shuffle(want)
-                assert rows[40 * b:40 * b + 40].tolist() == want.tolist()
+            want = population.copy()
+            np.random.default_rng(child).shuffle(want)
+            assert shuffled[40 * b:40 * b + 40].tolist() == want.tolist()
             reference = np.random.default_rng(child)
             assert picks[b].tolist() == reference.choice(
                 population, size=3, replace=False).tolist()
@@ -329,6 +325,35 @@ class TestBucketGenerators:
             np.random.default_rng(child).shuffle(want)
             assert data[start:start + length].tolist() == want.tolist()
 
+    def test_shuffle_hands_lanes_to_randomstate_after_any_word(self):
+        """Lanes handed to RandomState.shuffle after an odd and after an
+        even number of words, as the rounds leave them for every _FEW up to
+        the lane count; then one lane of 100,000 rows and 20 of 10,000."""
+        mixed = np.array([2, 3, 5, 8, 13, 21, 34, 55, 89, 144] * 4)
+        words = []
+        restate = _streams.Streams._restate
+
+        def spy(streams, lane, count):
+            words.append(count)
+            restate(streams, lane, count)
+
+        cases = [(mixed, few) for few in range(41)]
+        cases += [(np.array([100_000]), _streams._FEW),
+                  (np.full(20, 10_000), _streams._FEW)]
+        for seed, (lengths, few) in enumerate(cases):
+            starts = np.cumsum(lengths) - lengths
+            data = np.arange(lengths.sum())
+            with mock.patch.object(_streams, "_FEW", few), \
+                    mock.patch.object(_streams.Streams, "_restate", spy):
+                _streams.Streams(seed, np.arange(len(lengths))).shuffle(
+                    data, starts, lengths)
+            children = np.random.SeedSequence(seed).spawn(len(lengths))
+            for start, length, child in zip(starts, lengths, children):
+                want = np.arange(start, start + length)
+                np.random.default_rng(child).shuffle(want)
+                assert data[start:start + length].tolist() == want.tolist()
+        assert {count % 2 for count in words} == {0, 1}
+
     @pytest.mark.parametrize("few, entries, words",
                              [(0, 1, 1), (10**9, 1 << 21, 1 << 18)])
     @settings(max_examples=10, deadline=None)
@@ -370,10 +395,12 @@ class TestBucketGenerators:
     def test_choice_redraws_like_generator(self, seed, pop, size):
         lanes = np.arange(64)
         streams = _streams.Streams(seed, lanes)
-        with mock.patch.object(_streams.Streams, "_redraw", autospec=True,
-                               side_effect=_streams.Streams._redraw) as redraw:
+        with mock.patch.object(_streams.Streams, "_lemire", autospec=True,
+                               side_effect=_streams.Streams._lemire) as lemire:
             picks = streams.choice(np.full(64, pop), size)
-        assert redraw.call_count == 1
+        # one pass for all lanes, and one more for the lane with a redraw
+        assert lemire.call_count == 2
+        assert len(lemire.call_args.args[1]) == 1
         after = np.tile(np.arange(7), 64)
         streams.shuffle(after, lanes * 7, np.full(64, 7))
         children = np.random.SeedSequence(seed).spawn(64)
