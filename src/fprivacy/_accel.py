@@ -1,4 +1,4 @@
-"""The search kernels in ``fprivacy._kernels`` are plain numpy; nothing is
+"""The search kernels in ``fprivacy.gamma`` are plain numpy; nothing is
 compiled."""
 
 # Read by the benchmark's ``perfbench/stages.py env`` report.

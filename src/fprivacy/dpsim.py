@@ -108,7 +108,7 @@ class InferenceEstimate:
 def predicted_moments(x: float, y: float, scale: float) -> tuple[float, float]:
     """Second-order mean and variance of Y/X under Laplace(0, scale) noise."""
     r = y / x
-    excess = 2.0 * scale * scale / (x * x)
+    excess = 2.0 * scale / x * scale / x
     return r * (1.0 + excess), excess * (1.0 + r * r)
 
 

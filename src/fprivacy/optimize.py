@@ -1,12 +1,12 @@
 """Bucket-setting search: optimal two-size, recursive multi-size, baselines.
 
 The two-size search walks size pairs in ascending order and, for each pair,
-cuts the candidate list (``fprivacy.gamma``) to the prefix below the
-incumbent loss and asks ``fprivacy._kernels`` for its first valid position.
-Three pruning modes exist so their agreement can be checked: "full" uses the
-loss prefix plus the kernels' closed forms (each size's fill limit, found
-once per search, and the linear allocation bounds), "loss" uses the prefix
-with a linear scan, and "none" scans every list end to end.  A bucket of
+cuts the candidate list to the prefix below the incumbent loss and asks
+``fprivacy.gamma``'s kernels for its first valid position.  Three pruning
+modes exist so their agreement can be checked: "full" uses the loss prefix
+plus the kernels' closed forms (each size's fill limit, found once per
+search, and the linear allocation bounds), "loss" uses the prefix with a
+linear scan, and "none" scans every list end to end.  A bucket of
 size s loses (s-1)^2/s per record, which grows with s, so "full" and "loss"
 stop the walk at the first s1 where n(s1-1)^2/s1 reaches the incumbent loss:
 no setting of larger sizes can beat it.  "none" walks every pair.
@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .core import (
     BudgetExceededError,
     ConfigError,
@@ -35,7 +34,13 @@ from .core import (
     smallest_admitting_size,
     value_slots,
 )
-from .gamma import build_gamma, loss_prefix
+from .gamma import (
+    build_gamma,
+    fill_limit,
+    first_valid_pos,
+    first_valid_scan,
+    loss_prefix,
+)
 from .validate import (
     BucketGroup,
     BucketSetting,
@@ -88,7 +93,7 @@ class SearchResult:
     """Outcome of a bucket-setting search.
 
     loss is the setting's.  cond_evals counts the kernels' probes
-    (``fprivacy._kernels`` defines one per mode).  trace records (size1,
+    (``fprivacy.gamma`` defines one per mode).  trace records (size1,
     size2, best loss so far) per examined pair.
     """
 
@@ -124,7 +129,7 @@ def two_size_bucketing(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
             u = value_slots(spec, size)
             limit = None
             if pruning == "full":
-                limit, probes = _kernels.fill_limit(size, u, counts)
+                limit, probes = fill_limit(size, u, counts)
                 evals += probes
             got = slots_cache[size] = (u, limit)
         return got
@@ -154,13 +159,10 @@ def two_size_bucketing(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
                 kp = prefix - 1
             (u1, lim1), (u2, lim2) = slots(s1), slots(s2)
             if pruning == "full":
-                pos, probes = _kernels.first_valid_pos(
-                    kp, g.b1_first, g.step1, g.b2_first, g.step2,
-                    lim1, lim2, u1, u2, counts)
+                pos, probes = first_valid_pos(g, kp, lim1, lim2, u1, u2,
+                                              counts)
             else:
-                pos, probes = _kernels.first_valid_scan(
-                    kp, g.b1_first, g.step1, g.b2_first, g.step2,
-                    s1, s2, u1, u2, counts)
+                pos, probes = first_valid_scan(g, kp, u1, u2, counts)
             evals += int(probes)
             if pos >= 0:
                 loss = g.loss_at(int(pos))

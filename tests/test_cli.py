@@ -883,6 +883,20 @@ class TestDpdemo:
         code, _ = run(capsys, "dpdemo", "--epsilon", "0.1", "--x", "50")
         assert code == 3
 
+    def test_tiny_epsilon_predicts_finite_moments(self, capsys):
+        """scale*scale overflows at epsilon 1e-300, and inf/inf printed
+        NaN, which is not JSON."""
+        assert main(["dpdemo", "--epsilon", "1e-300", "--x", "1e302",
+                     "--samples", "10"]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        row = report["rows"][0]
+        assert math.isfinite(row["predicted_mean"])
+        assert math.isfinite(row["predicted_var"])
+
     @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
     def test_bad_epsilon_exits_three(self, capsys, epsilon):
         """An infinite epsilon would print "Infinity", which is not JSON."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gamma_first_covering
-from fprivacy import _kernels
+from fprivacy import gamma
 from fprivacy.core import ConfigError, PrivacySpec, SaHistogram, histogram, value_slots
 from fprivacy.gamma import GammaList, build_gamma, loss_prefix
 from fprivacy.validate import BucketSetting, validate_two_size
@@ -46,26 +46,23 @@ def scan_valid_positions(g, h, p, limit):
 
 
 def kernel_args(g, h, p):
-    """The list, size, slot and count arguments first_valid_scan takes
-    after kp."""
-    return (g.b1_first, g.step1, g.b2_first, g.step2, g.size1, g.size2,
-            value_slots(p, g.size1), value_slots(p, g.size2),
+    """The slot and count arguments first_valid_scan takes after g and kp."""
+    return (value_slots(p, g.size1), value_slots(p, g.size2),
             h.counts.astype(np.int64))
 
 
 def fill_limits(g, h, p):
-    """Both sizes' (fill limit, probes) from _kernels.fill_limit."""
+    """Both sizes' (fill limit, probes) from gamma.fill_limit."""
     o = h.counts.astype(np.int64)
-    return tuple(_kernels.fill_limit(size, value_slots(p, size), o)
+    return tuple(gamma.fill_limit(size, value_slots(p, size), o)
                  for size in (g.size1, g.size2))
 
 
 def pos_args(g, h, p):
-    """The arguments first_valid_pos takes after kp: kernel_args with each
-    size replaced by its fill limit."""
-    b1f, d1, b2f, d2, _, _, u1, u2, o = kernel_args(g, h, p)
+    """The arguments first_valid_pos takes after g and kp: both sizes'
+    fill limits, then kernel_args."""
     (lim1, _), (lim2, _) = fill_limits(g, h, p)
-    return b1f, d1, b2f, d2, lim1, lim2, u1, u2, o
+    return (lim1, lim2, *kernel_args(g, h, p))
 
 
 def fill_positions(g, h, p, kp):
@@ -77,16 +74,15 @@ def fill_positions(g, h, p, kp):
 
 def pc_bounds(g, h, p, kp, value):
     """pc_bounds of one value, as length-1 arrays."""
-    b1f, d1, b2f, d2, _, _, u1, u2, o = kernel_args(g, h, p)
+    u1, u2, o = kernel_args(g, h, p)
     one = slice(value, value + 1)
-    return _kernels.pc_bounds(kp, b1f, d1, b2f, d2, u1[one], u2[one], o[one])
+    return gamma.pc_bounds(g, kp, u1[one], u2[one], o[one])
 
 
 def region_positions(g, h, p, kp):
     """Positions in [0, kp] inside the fill limits and every value's
     allocation interval."""
-    b1f, d1, b2f, d2, _, _, u1, u2, o = kernel_args(g, h, p)
-    lo, hi = _kernels.pc_bounds(kp, b1f, d1, b2f, d2, u1, u2, o)
+    lo, hi = gamma.pc_bounds(g, kp, *kernel_args(g, h, p))
     return [pos for pos in fill_positions(g, h, p, kp) if lo <= pos <= hi]
 
 
@@ -237,8 +233,8 @@ class TestRegions:
         assert loss_prefix(g, best_loss=0) == 0
         # a one-position prefix confines every kernel to position 0
         assert fill_positions(g, h, p, 0) == [0]
-        assert _kernels.first_valid_pos(0, *pos_args(g, h, p))[0] == 0
-        assert _kernels.first_valid_scan(0, *kernel_args(g, h, p))[0] == 0
+        assert gamma.first_valid_pos(g, 0, *pos_args(g, h, p))[0] == 0
+        assert gamma.first_valid_scan(g, 0, *kernel_args(g, h, p))[0] == 0
 
     def test_pc_region_matches_brute_scan(self):
         rng = np.random.default_rng(61)
@@ -274,7 +270,8 @@ class TestRegions:
             expected = scan_valid_positions(g, h, p, prefix)
             if prefix > 0:
                 assert region_positions(g, h, p, prefix - 1) == expected
-                pos, _ = _kernels.first_valid_pos(prefix - 1, *pos_args(g, h, p))
+                pos, _ = gamma.first_valid_pos(g, prefix - 1,
+                                               *pos_args(g, h, p))
                 assert pos == (expected[0] if expected else -1)
             else:
                 assert expected == []
@@ -290,7 +287,7 @@ class TestRegions:
             g = build_gamma(h.total, s1, s2)
             if g is None:
                 continue
-            pos, _ = _kernels.first_valid_pos(g.last_index, *pos_args(g, h, p))
+            pos, _ = gamma.first_valid_pos(g, g.last_index, *pos_args(g, h, p))
             expected = scan_valid_positions(g, h, p, len(g))
             if expected:
                 assert pos == expected[0]
@@ -307,8 +304,8 @@ class TestRegions:
             g = build_gamma(50, s1, s2)
             if g is not None:
                 assert region_positions(g, h, p, g.last_index) == []
-                pos, _ = _kernels.first_valid_pos(g.last_index,
-                                                  *pos_args(g, h, p))
+                pos, _ = gamma.first_valid_pos(g, g.last_index,
+                                               *pos_args(g, h, p))
                 assert pos == -1
 
     def test_fused_kernel_agrees_with_region(self):
@@ -319,9 +316,9 @@ class TestRegions:
             if g is None:
                 continue
             region = region_positions(g, h, p, g.last_index)
-            pos, _ = _kernels.first_valid_pos(g.last_index, *pos_args(g, h, p))
-            scan_pos, _ = _kernels.first_valid_scan(g.last_index,
-                                                    *kernel_args(g, h, p))
+            pos, _ = gamma.first_valid_pos(g, g.last_index, *pos_args(g, h, p))
+            scan_pos, _ = gamma.first_valid_scan(g, g.last_index,
+                                                 *kernel_args(g, h, p))
             if not region:
                 assert pos == -1 and scan_pos == -1
             else:
@@ -334,7 +331,7 @@ class TestRegions:
             g = build_gamma(h.total, s1, s2)
             if g is None:
                 continue
-            _, probes = _kernels.first_valid_pos(g.last_index, *pos_args(g, h, p))
+            _, probes = gamma.first_valid_pos(g, g.last_index, *pos_args(g, h, p))
             probes += sum(fill_probes for _, fill_probes in fill_limits(g, h, p))
             bound = (3 * h.m + 2) * (math.ceil(math.log2(len(g))) + 4)
             assert probes <= bound
@@ -354,8 +351,8 @@ class TestRegions:
         if g is None:
             return
         kp = int(cut * g.last_index)
-        pos, _ = _kernels.first_valid_pos(kp, *pos_args(g, h, p))
-        scan_pos, _ = _kernels.first_valid_scan(kp, *kernel_args(g, h, p))
+        pos, _ = gamma.first_valid_pos(g, kp, *pos_args(g, h, p))
+        scan_pos, _ = gamma.first_valid_scan(g, kp, *kernel_args(g, h, p))
         valid = scan_valid_positions(g, h, p, kp + 1)
         assert pos == scan_pos == (valid[0] if valid else -1)
 
@@ -376,12 +373,10 @@ class TestRegions:
             return
         u1 = np.array([a for a, _ in slots[:len(o)]], dtype=np.int64)
         u2 = np.array([b for _, b in slots[:len(o)]], dtype=np.int64)
-        lim1, _ = _kernels.fill_limit(g.size1, u1, o)
-        lim2, _ = _kernels.fill_limit(g.size2, u2, o)
-        head = (g.last_index, g.b1_first, g.step1, g.b2_first, g.step2)
-        pos, _ = _kernels.first_valid_pos(*head, lim1, lim2, u1, u2, o)
-        scan_pos, _ = _kernels.first_valid_scan(*head, g.size1, g.size2,
-                                                u1, u2, o)
+        lim1, _ = gamma.fill_limit(g.size1, u1, o)
+        lim2, _ = gamma.fill_limit(g.size2, u2, o)
+        pos, _ = gamma.first_valid_pos(g, g.last_index, lim1, lim2, u1, u2, o)
+        scan_pos, _ = gamma.first_valid_scan(g, g.last_index, u1, u2, o)
         assert pos == scan_pos
 
     @given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=8),
@@ -393,8 +388,8 @@ class TestRegions:
         u = np.array(slots[:len(counts)], dtype=np.int64)
         top = int(o.sum()) // size + 1
         passing = [b for b in range(top + 1)
-                   if _kernels._fill_ok(b, size, u, o)]
-        limit, _ = _kernels.fill_limit(size, u, o)
+                   if gamma._fill_ok(b, size, u, o)]
+        limit, _ = gamma.fill_limit(size, u, o)
         assert limit == max(passing)
         assert passing == list(range(limit + 1))
 
@@ -409,10 +404,9 @@ class TestRegions:
         if g is None:
             return
         kp = int(cut * g.last_index)
-        lo, hi = _kernels.pc_bounds(
-            kp, g.b1_first, g.step1, g.b2_first, g.step2,
-            np.array([u1], dtype=np.int64), np.array([u2], dtype=np.int64),
-            np.array([count], dtype=np.int64))
+        lo, hi = gamma.pc_bounds(
+            g, kp, np.array([u1], dtype=np.int64),
+            np.array([u2], dtype=np.int64), np.array([count], dtype=np.int64))
         expected = [pos for pos in range(kp + 1)
                     if min(u1 * g.pair_at(pos)[0], count)
                     + min(u2 * g.pair_at(pos)[1], count) >= count]

@@ -3,7 +3,7 @@ and the two-size split is written once.
 
 A name with a leading underscore is private to its module; a sibling that
 imports it depends on internals the owner may change.  Importing a private
-module itself (``from . import _kernels``) is allowed.  Records are
+module itself (``from . import _streams``) is allowed.  Records are
 partitioned only by ``optimize.two_size_parts``, so ``partition_records`` has
 callers in one module.  Every CLI command reads its thresholds and size range
 through one preamble, so ``cli.py`` calls ``load_privacy_spec`` and
@@ -53,7 +53,7 @@ def test_check_tells_private_names_from_private_modules():
     assert private_sibling_imports("from fprivacy.core import _y") == \
         ["fprivacy.core._y"]
     assert private_sibling_imports(
-        "from . import _kernels\nfrom ._kernels import pc_bounds\n"
+        "from . import _streams\nfrom ._streams import Streams\n"
         "from os import _exit\nfrom __future__ import annotations") == []
 
 

@@ -205,6 +205,18 @@ class TestTwoSize:
         assert (got.setting, got.loss) == (want.setting, 1_055_432)
         assert len(got.trace) < 2000
 
+    def test_full_search_pinned_on_synthetic_table(self):
+        """Setting, loss, probe count and trace length of one benchmark-sized
+        search, so that a change to the search's probes shows."""
+        h = histogram(gen_synthetic(50_000, 500, 0.9, [8, 8], 1))
+        p = linear_privacy_spec(h, theta=2.0, intercept=0.04)
+        res = two_size_bucketing(h, p, SearchConfig.for_spec(p),
+                                 pruning="full")
+        assert res.setting == BucketSetting.of((17, 950), (25, 1354))
+        assert res.loss == 1_023_104
+        assert res.cond_evals == 8_031
+        assert len(res.trace) == 611
+
     def test_empty_histogram_rejected(self):
         h = SaHistogram(counts=np.zeros(2, dtype=np.int64), total=0)
         with pytest.raises(ConfigError):
