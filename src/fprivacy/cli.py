@@ -344,12 +344,12 @@ def cmd_plot(args) -> int:
                        args.selectivity, seed=args.seed)
     mses, res = [], []
     for theta in thetas:
-        spec = linear_privacy_spec(hist, theta, args.intercept)
-        cfg = _size_range(args, table, hist, spec)
         try:
+            spec = linear_privacy_spec(hist, theta, args.intercept)
+            cfg = _size_range(args, table, hist, spec)
             pt = release(table, spec, cfg, seed=args.seed)
-        except InfeasiblePrivacyError as e:
-            raise InfeasiblePrivacyError(f"theta={theta}: {e}") from None
+        except (InfeasiblePrivacyError, ConfigError) as e:
+            raise type(e)(f"theta={theta}: {e}") from None
         report = relative_error(pool, table, pt)
         mses.append(report.mse)
         res.append(report.re_mean)

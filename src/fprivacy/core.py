@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -160,11 +161,10 @@ class SaHistogram:
     """Occurrence counts of each SA value, indexed by SA code."""
 
     counts: np.ndarray  # int64, length = SA domain size
-    total: int
 
-    def __post_init__(self):
-        if self.total < 0 or int(self.counts.sum()) != self.total:
-            raise ConfigError("histogram counts do not sum to the total")
+    @functools.cached_property
+    def total(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def m(self) -> int:
@@ -286,7 +286,7 @@ def split_plain(data: bytes, path, id_column: int | None = None
     for j in range(width):
         spans = (inner[:, j - 1] + 1 if j else starts[1:],
                  inner[:, j] if j < width - 1 else ends[1:])
-        column = _id_spans(buf, words, *spans) \
+        column = _id_spans(buf, *spans) \
             if id_column in (j, j - width) else None
         columns.append(column or _intern_spans(data, words, *spans))
     return header, columns
@@ -307,61 +307,28 @@ def _record_width(commas: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     return width
 
 
-# _ZERO_PAD[k] holds ASCII '0' in the first 8 - k bytes of a big-endian word
-_ZERO_PAD = np.array([int.from_bytes(b"0" * (8 - k) + bytes(k), "big")
-                      for k in range(9)], dtype=np.uint64)
-_BYTES = 0x0101010101010101  # times a byte value: that byte in all eight
-
-
-def _id_spans(buf: np.ndarray, words: np.ndarray, starts: np.ndarray,
+def _id_spans(buf: np.ndarray, starts: np.ndarray,
               ends: np.ndarray) -> Column | None:
     """(int32 values, None) of the fields buf[starts[i]:ends[i]] when each
     is 1 to 9 ASCII digits with no leading zero, else None.
 
-    A field's first eight bytes are its word from words, shifted right past
-    the bytes that follow the field and topped up with '0' bytes; their
-    digits are checked and summed eight at a time, two-digit lanes, then
-    four, then eight, and a ninth digit is added from buf.  The arithmetic
-    runs in place on two (rows,) arrays.
+    One pass per digit position j, counted from the field's end: every row
+    reads byte ends - 1 - j less '0' as uint8, which wraps a non-digit past
+    9, and a field no longer than j has that byte, read from before the
+    field, masked to 0.
     """
     lengths = ends - starts
     if (not len(lengths) or lengths.min() < 1 or lengths.max() > 9
             or (buf[starts] == ord("0")).any()):
         return None
-    nine = np.flatnonzero(lengths == 9)
-    word = words[starts]
-    word = word.byteswap(inplace=True).view(np.uint64)
-    np.minimum(lengths, 8, out=lengths)
-    scratch = _ZERO_PAD[lengths]
-    lengths *= -8
-    lengths += 64
-    word >>= lengths.view(np.uint64)
-    del lengths
-    word |= scratch
-    # a byte is a digit when its high nibble is 3 before and after adding 6
-    high, three = 0xF0 * _BYTES, 0x30 * _BYTES
-    for add in (0, 0x06 * _BYTES):
-        np.add(word, add, out=scratch)
-        scratch &= high
-        if (scratch != three).any():
+    ids = np.zeros(len(starts), dtype=np.int32)
+    for j in range(int(lengths.max())):
+        digit = buf[ends - 1 - j] - np.uint8(ord("0"))
+        digit *= lengths > j
+        if digit.max() > 9:
             return None
-    word -= three
-    for shift, low, scale in ((8, 0x00FF00FF00FF00FF, 10),
-                              (16, 0x0000FFFF0000FFFF, 100),
-                              (32, 0x00000000FFFFFFFF, 10000)):
-        # each lane of 2 * shift bits becomes its high half times scale
-        # plus its low half
-        np.right_shift(word, shift, out=scratch)
-        scratch &= low
-        scratch *= scale
-        word &= low
-        word += scratch
-    if len(nine):
-        digit = buf[starts[nine] + 8].astype(np.int64) - ord("0")
-        if digit.min() < 0 or digit.max() > 9:
-            return None
-        word[nine] = word[nine] * 10 + digit.astype(np.uint64)
-    return word.astype(np.int32), None
+        ids += digit * np.int32(10 ** j)
+    return ids, None
 
 
 def _intern_spans(data: bytes, words: np.ndarray, starts: np.ndarray,
@@ -434,7 +401,7 @@ def histogram(table: MicrodataTable, rows: np.ndarray | None = None) -> SaHistog
     """Count SA occurrences over the whole table or a subset of row indices."""
     codes = table.sa_codes if rows is None else table.sa_codes[rows]
     counts = np.bincount(codes, minlength=table.sa_domain_size).astype(np.int64)
-    return SaHistogram(counts=counts, total=int(len(codes)))
+    return SaHistogram(counts=counts)
 
 
 def linear_privacy_spec(h: SaHistogram, theta: float, intercept: float) -> PrivacySpec:

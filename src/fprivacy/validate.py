@@ -96,22 +96,15 @@ class BucketSetting:
         return len(self.groups)
 
 
-@dataclass(frozen=True)
-class AllocationBounds:
-    """Per-value, per-group allocation caps.
-
-    ``alloc[i, j]`` is the most records of value i that group j can absorb:
-    bucket slot count times bucket count, capped by the value's record count.
-    """
-
-    alloc: np.ndarray  # (m, q) int64
-
-
-def allocation_bounds(h: SaHistogram, p: PrivacySpec, setting: BucketSetting) -> AllocationBounds:
+def allocation_bounds(h: SaHistogram, p: PrivacySpec,
+                      setting: BucketSetting) -> np.ndarray:
+    """The (m, q) int64 caps: entry [i, j] is the most records of value i
+    that group j can absorb, bucket slot count times bucket count, capped
+    by the value's record count."""
     groups = setting.groups
     upper = (threshold_slots(p.thresholds[:, None], [g.size for g in groups])
              .astype(np.int64) * np.array([g.count for g in groups], np.int64))
-    return AllocationBounds(alloc=np.minimum(upper, h.counts[:, None]))
+    return np.minimum(upper, h.counts[:, None])
 
 
 @dataclass(frozen=True)
@@ -159,10 +152,10 @@ def constraint_report(h: SaHistogram, p: PrivacySpec, setting: BucketSetting) ->
     They are the single-group and full-set cuts of the subset-cut test, so
     exact for at most two nonempty groups and only necessary for more.
     """
-    bounds = allocation_bounds(h, p, setting)
-    pc_bad = np.nonzero(bounds.alloc.sum(axis=1) < h.counts)[0]
+    alloc = allocation_bounds(h, p, setting)
+    pc_bad = np.nonzero(alloc.sum(axis=1) < h.counts)[0]
     fc_bad = [j for j, g in enumerate(setting.groups)
-              if int(bounds.alloc[:, j].sum()) < g.capacity]
+              if int(alloc[:, j].sum()) < g.capacity]
     cc_ok = setting.capacity == h.total
     return ValidityReport(
         pc_failed_values=tuple(int(i) for i in pc_bad),
@@ -274,7 +267,7 @@ def assignment_satisfies(a: Assignment, p: PrivacySpec) -> bool:
     return bool(np.all(a.value_counts <= limits))
 
 
-def partition_records(table: MicrodataTable, bounds: AllocationBounds,
+def partition_records(table: MicrodataTable, bounds: np.ndarray,
                       setting: BucketSetting, rows: np.ndarray | None = None):
     """Split rows into (first-group, second-group) record sets.
 
@@ -291,8 +284,8 @@ def partition_records(table: MicrodataTable, bounds: AllocationBounds,
     rows = np.asarray(rows)
     h = histogram(table, rows)
     g1, g2 = setting.groups
-    a1 = bounds.alloc[:, 0]
-    a2 = bounds.alloc[:, 1]
+    a1 = bounds[:, 0]
+    a2 = bounds[:, 1]
     if int(a1.sum()) < g1.capacity or int(a2.sum()) < g2.capacity \
             or np.any(a1 + a2 < h.counts) or setting.capacity != h.total:
         raise ConfigError("partition_records called on an invalid setting")
@@ -328,7 +321,7 @@ def flow_feasibility_oracle(h: SaHistogram, p: PrivacySpec, setting: BucketSetti
     if setting.capacity != h.total:
         return False
     subsets = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1  # (2^q, q) 0/1
-    supply = np.minimum(allocation_bounds(h, p, setting).alloc @ subsets.T,
+    supply = np.minimum(allocation_bounds(h, p, setting) @ subsets.T,
                         h.counts[:, None]).sum(axis=0)
     demand = subsets @ np.array([g.capacity for g in setting.groups], np.int64)
     return bool(np.all(demand <= supply))

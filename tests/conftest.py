@@ -213,8 +213,8 @@ def partition_by_masks(table, bounds, setting, rows=None):
     rows = np.asarray(rows)
     h = histogram(table, rows)
     g1, g2 = setting.groups
-    a1 = bounds.alloc[:, 0]
-    a2 = bounds.alloc[:, 1]
+    a1 = bounds[:, 0]
+    a2 = bounds[:, 1]
     if int(a1.sum()) < g1.capacity or int(a2.sum()) < g2.capacity \
             or np.any(a1 + a2 < h.counts) or setting.capacity != h.total:
         raise ConfigError("partition_records called on an invalid setting")

@@ -60,7 +60,7 @@ WALKTHROUGH_COUNTS = [1] * 8 + [6] * 4 + [9] * 2
 
 def hist(counts):
     counts = np.asarray(counts, dtype=np.int64)
-    return SaHistogram(counts=counts, total=int(counts.sum()))
+    return SaHistogram(counts=counts)
 
 
 def test_criterion_01_gamma_list_golden():
@@ -94,13 +94,13 @@ def test_criterion_02_walkthrough_end_to_end():
     bounds = allocation_bounds(h, spec, setting)
     cap1 = np.array([0] * 8 + [6] * 4 + [9] * 2)
     cap2 = np.array([1] * 8 + [4] * 4 + [5] * 2)
-    assert np.array_equal(bounds.alloc[:, 0], cap1)
-    assert np.array_equal(bounds.alloc[:, 1], cap2)
+    assert np.array_equal(bounds[:, 0], cap1)
+    assert np.array_equal(bounds[:, 1], cap2)
 
     rows1, rows2 = partition_records(table, bounds, setting)
     assert len(rows1) == 36 and len(rows2) == 14
     # the side-1 caps oversubscribe its capacity by exactly six records
-    moved = int((bounds.alloc[:, 0] - histogram(table, rows1).counts).sum())
+    moved = int((bounds[:, 0] - histogram(table, rows1).counts).sum())
     assert moved == 6, f"partition moved {moved} records, expected 6"
 
     assignment = build_assignment(

@@ -979,6 +979,18 @@ class TestPlot:
                       "--out", str(tmp_path / "p"))
         assert code == 3
 
+    @pytest.mark.parametrize("extra, code, prefix", [
+        (["--thetas", "2,0.001", "--intercept", "0.001"], 2,
+         "error: theta=0.001: thresholds unachievable"),
+        (["--max-size", "2"], 3, "error: theta=2.0: maximum bucket size 2")])
+    def test_failure_names_its_theta(self, capsys, tmp_path, walkthrough_csv,
+                                     extra, code, prefix):
+        """An unachievable spec or an empty size range names the theta it
+        failed at, as a failed search does, and keeps its exit code."""
+        assert main(["plot", "--input", str(walkthrough_csv), "--sa",
+                     "Disease", *extra, "--out", str(tmp_path / "p")]) == code
+        assert capsys.readouterr().err.startswith(prefix)
+
 
 class TestUsage:
 

@@ -9,7 +9,6 @@ from fprivacy.core import (
     IngestionError,
     MicrodataTable,
     PrivacySpec,
-    SaHistogram,
     check_eligibility,
     ell_for_spec,
     histogram,
@@ -244,8 +243,3 @@ def test_load_privacy_spec_errors(tmp_path, content, msg):
 def test_table_requires_rows():
     with pytest.raises(ConfigError):
         MicrodataTable.from_rows([], [], ["q"], "sa")
-
-
-def test_histogram_total_mismatch_rejected():
-    with pytest.raises(ConfigError):
-        SaHistogram(counts=np.array([2, 2], dtype=np.int64), total=5)

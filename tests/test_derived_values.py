@@ -1,14 +1,15 @@
 """Values derived from the data that fixes them, not stored beside it."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from conftest import table_from_counts, worst_record_prob
 
-from fprivacy.core import (Eligibility, PrivacySpec, check_eligibility,
-                           histogram, linear_privacy_spec)
+from fprivacy.core import (Eligibility, PrivacySpec, SaHistogram,
+                           check_eligibility, histogram, linear_privacy_spec)
 from fprivacy.metrics import (UtilityReport, gen_queries, gen_synthetic,
                               relative_error)
 from fprivacy.optimize import (SearchConfig, SearchResult, brute_force_optimal,
@@ -20,7 +21,7 @@ from fprivacy.validate import round_robin_assign
 
 DERIVED = {PublishedTables: "bucket_count", SearchResult: "loss",
            Eligibility: "ok", UtilityReport: "re_mean",
-           CorruptionReport: "max_record_prob"}
+           CorruptionReport: "max_record_prob", SaHistogram: "total"}
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,8 @@ def setting_loss(setting):
 def test_derived_names_are_properties_not_fields(cls):
     name = DERIVED[cls]
     assert name not in {field.name for field in dataclasses.fields(cls)}
-    assert isinstance(getattr(cls, name), property)
+    assert isinstance(getattr(cls, name),
+                      (property, functools.cached_property))
 
 
 @pytest.mark.parametrize("mode", ["two", "multi"])

@@ -16,7 +16,7 @@ from fprivacy.validate import BucketSetting, validate_two_size
 
 def hist(counts):
     counts = np.asarray(counts, dtype=np.int64)
-    return SaHistogram(counts=counts, total=int(counts.sum()))
+    return SaHistogram(counts=counts)
 
 
 def gamma_instance(rng, max_n=200, max_m=10, max_size=12):

@@ -41,7 +41,7 @@ from fprivacy.validate import (
 
 def hist(counts):
     counts = np.asarray(counts, dtype=np.int64)
-    return SaHistogram(counts=counts, total=int(counts.sum()))
+    return SaHistogram(counts=counts)
 
 
 def walkthrough_instance():
@@ -218,7 +218,7 @@ class TestTwoSize:
         assert len(res.trace) == 611
 
     def test_empty_histogram_rejected(self):
-        h = SaHistogram(counts=np.zeros(2, dtype=np.int64), total=0)
+        h = SaHistogram(counts=np.zeros(2, dtype=np.int64))
         with pytest.raises(ConfigError):
             two_size_bucketing(h, PrivacySpec(np.ones(2)), SearchConfig(1, 5))
 

@@ -10,7 +10,6 @@ from fprivacy.core import (ConfigError, MicrodataTable, PrivacySpec,
 from fprivacy.metrics import gen_synthetic
 from fprivacy.validate import (
     MAX_CUT_GROUPS,
-    AllocationBounds,
     Assignment,
     BucketGroup,
     BucketSetting,
@@ -30,7 +29,7 @@ from conftest import (eager_value_counts, max_flow_feasible,
 
 def hist(counts):
     counts = np.asarray(counts, dtype=np.int64)
-    return SaHistogram(counts=counts, total=int(counts.sum()))
+    return SaHistogram(counts=counts)
 
 
 # The three-group instance where the naive constraint check is fooled:
@@ -149,22 +148,22 @@ class TestAllocationBounds:
     def test_walkthrough_group1(self, walkthrough_table, walkthrough_spec):
         h = histogram(walkthrough_table)
         b = allocation_bounds(h, walkthrough_spec, BucketSetting.of((4, 9), (14, 1)))
-        assert b.alloc[:8, 0].tolist() == [0] * 8
-        assert b.alloc[8:12, 0].tolist() == [6] * 4
-        assert b.alloc[12:, 0].tolist() == [9] * 2
+        assert b[:8, 0].tolist() == [0] * 8
+        assert b[8:12, 0].tolist() == [6] * 4
+        assert b[12:, 0].tolist() == [9] * 2
 
     def test_walkthrough_group2(self, walkthrough_table, walkthrough_spec):
         h = histogram(walkthrough_table)
         b = allocation_bounds(h, walkthrough_spec, BucketSetting.of((4, 9), (14, 1)))
-        assert b.alloc[:8, 1].tolist() == [1] * 8
-        assert b.alloc[8:12, 1].tolist() == [4] * 4
-        assert b.alloc[12:, 1].tolist() == [5] * 2
+        assert b[:8, 1].tolist() == [1] * 8
+        assert b[8:12, 1].tolist() == [4] * 4
+        assert b[12:, 1].tolist() == [5] * 2
 
     def test_zero_count_group(self):
         h = hist([3, 3])
         p = PrivacySpec(np.ones(2))
         b = allocation_bounds(h, p, BucketSetting.of((2, 3), (5, 0)))
-        assert np.all(b.alloc[:, 1] == 0)
+        assert np.all(b[:, 1] == 0)
 
 
 class TestTwoSize:
@@ -349,7 +348,7 @@ def test_closed_form_partition_matches_drain(data):
     upper = np.maximum(0, np.array(counts)[:, None] + np.array(data.draw(
         st.lists(st.lists(st.integers(-4, 3), min_size=2, max_size=2),
                  min_size=len(counts), max_size=len(counts)))))
-    bounds = AllocationBounds(alloc=np.minimum(upper, h.counts[:, None]))
+    bounds = np.minimum(upper, h.counts[:, None])
 
     def outcome(partition):
         try:
@@ -445,11 +444,11 @@ def test_three_size_constraint_numbers():
     p = PrivacySpec(np.array(THREE_SIZE_THRESHOLDS))
     bounds = allocation_bounds(h, p, THREE_SIZE_SETTING)
     # small values: no slots in sizes 4 and 5, one slot per size-6 bucket
-    assert bounds.alloc[:10, 0].tolist() == [0] * 10
-    assert bounds.alloc[:10, 1].tolist() == [0] * 10
-    assert bounds.alloc[:10, 2].tolist() == [5] * 10
+    assert bounds[:10, 0].tolist() == [0] * 10
+    assert bounds[:10, 1].tolist() == [0] * 10
+    assert bounds[:10, 2].tolist() == [5] * 10
     # unconstrained value: capped by group capacities
-    assert bounds.alloc[10].tolist() == [20, 20, 20]
+    assert bounds[10].tolist() == [20, 20, 20]
 
 
 @given(data=st.data())
