@@ -57,7 +57,6 @@ __all__ = [
     "two_size_parts",
     "multi_size_bucketing",
     "brute_force_optimal",
-    "anatomy_baseline_loss",
     "anatomy_setting",
 ]
 
@@ -299,8 +298,3 @@ def anatomy_setting(n: int, ell: int) -> BucketSetting:
         raise ConfigError(
             f"{n} records cannot be covered by sizes {ell} and {ell + 1}")
     return BucketSetting.of((ell, plain), (ell + 1, upgraded))
-
-
-def anatomy_baseline_loss(n: int, ell: int) -> int:
-    """Loss of ``anatomy_setting(n, ell)``."""
-    return anatomy_setting(n, ell).loss

@@ -31,7 +31,6 @@ from .core import (ConfigError, IngestionError, MicrodataTable, PrivacySpec,
 # search, assign or draw
 if TYPE_CHECKING:
     from .optimize import SearchConfig
-    from .validate import Assignment
 
 __all__ = [
     "PublishedTables",
@@ -156,10 +155,12 @@ def release(table: MicrodataTable, spec: PrivacySpec, cfg: SearchConfig,
     return inject_fakes(pt, sigma, seed=seed, thresholds=caps)
 
 
-def publish(table: MicrodataTable, assignment: Assignment,
+def publish(table: MicrodataTable, bucket_of: np.ndarray,
             seed: int = 0) -> PublishedTables:
     """Split a table into its published pair under a record assignment.
 
+    ``bucket_of[i]`` is record i's 0-based bucket id, as ``build_assignment``
+    returns it; the release has as many buckets as the largest id + 1.
     QIT rows keep original record order.  Bucket b's ST rows are its
     records' SA codes in record order, then shuffled as
     default_rng(SeedSequence(seed).spawn(B)[b - 1]).shuffle would shuffle
@@ -171,10 +172,9 @@ def publish(table: MicrodataTable, assignment: Assignment,
     those.  The tests check it against Generator.
     """
     n = len(table)
-    if len(assignment.bucket_of) != n:
+    if len(bucket_of) != n:
         raise ConfigError("assignment does not cover the table")
-    bucket_count = assignment.bucket_count
-    qit_bids = assignment.bucket_of.astype(np.int32) + 1
+    qit_bids = np.asarray(bucket_of, dtype=np.int32) + 1
     # a stable sort keeps each bucket's values in record order before the
     # shuffle, which is what fixes the published bytes for a seed
     order = stable_order(qit_bids)
@@ -186,7 +186,7 @@ def publish(table: MicrodataTable, assignment: Assignment,
         st_codes=table.sa_codes[order].astype(np.int32, copy=False),
         qi_domains=tuple(tuple(d) for d in table.qi_domains),
         sa_domain=tuple(table.sa_domain),
-        fakes=np.empty((bucket_count, 0), dtype=np.int32),
+        fakes=np.empty((int(qit_bids.max(initial=0)), 0), dtype=np.int32),
     )
     from . import _streams
     sizes = pt.bucket_sizes
@@ -668,7 +668,7 @@ def _read_audit(path, sa_domain, bucket_count) -> np.ndarray:
     try:
         with open(path, encoding="utf-8") as fh:
             audit = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise IngestionError(f"{path} is not valid JSON: {exc}") from None
     fakes = audit.get("buckets") if isinstance(audit, dict) else None
     if not isinstance(fakes, dict):

@@ -10,8 +10,8 @@ cap(S) <= sum_v min(h_v, alloc_v(S)).  ``constraint_report`` checks two kinds
 of cut.  A single group {j} gives FC, cap_j <= sum_v alloc_vj, as alloc_vj <=
 h_v.  Under CC the full set gives n <= sum_v min(h_v, sum_j alloc_vj), that is
 PC: sum_j alloc_vj >= h_v for every v.  A zero-count group adds 0 to every
-cut, so with at most two nonempty groups these are all the cuts and
-``validate_two_size`` is exact; with more, the report is only necessary.
+cut, so with at most two nonempty groups these are all the cuts and the
+report is exact; with more, it is only necessary.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .core import (
     histogram,
     stable_order,
     threshold_slots,
-    value_slots,
 )
 
 # Most groups the cut test takes; its (m, 2^q) int64 sums are 16 MB at m = 500.
@@ -84,10 +83,6 @@ class BucketSetting:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(g.size for g in self.groups)
-
-    def normalized(self) -> "BucketSetting":
-        """Drop zero-count groups."""
-        return BucketSetting(tuple(g for g in self.groups if g.count > 0))
 
     def __iter__(self):
         return iter(self.groups)
@@ -164,58 +159,14 @@ def constraint_report(h: SaHistogram, p: PrivacySpec, setting: BucketSetting) ->
     )
 
 
-def validate_two_size(h: SaHistogram, p: PrivacySpec, setting: BucketSetting) -> ValidityReport:
-    """Exact validity test for a two-group setting.
-
-    Degenerate settings with a zero-count group reduce to the one-size test,
-    which the same conditions cover.
-    """
-    if len(setting.groups) != 2:
-        raise ConfigError("validate_two_size expects exactly two groups")
-    return constraint_report(h, p, setting)
-
-
-def validate_one_size(h: SaHistogram, p: PrivacySpec, size: int, count: int) -> bool:
-    """True iff round-robin over ``count`` buckets of ``size`` meets every threshold."""
-    if size * count != h.total:
-        raise ConfigError(f"{count} buckets of {size} do not hold {h.total} records")
-    return bool(np.all(h.counts <= value_slots(p, size) * count))
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """A concrete record-to-bucket mapping.
-
-    ``bucket_of[i]`` is the bucket id of row i (indices are positions in
-    whatever row array the assignment was built over); ``bucket_sizes[b]`` the
-    declared size of bucket b; ``sa_codes[i]`` row i's SA code (the caller's
-    array, not a copy) out of ``m`` values.
-    """
-
-    bucket_of: np.ndarray    # (rows,) int32
-    bucket_sizes: np.ndarray  # (buckets,) int64
-    sa_codes: np.ndarray  # (rows,) int32
-    m: int
-
-    @property
-    def bucket_count(self) -> int:
-        return len(self.bucket_sizes)
-
-    @property
-    def value_counts(self) -> np.ndarray:
-        """(buckets, m) int64, counted on demand: [b, v] records of code v in bucket b."""
-        keys = np.multiply(self.bucket_of, self.m, dtype=np.int64) + self.sa_codes
-        return np.bincount(keys, minlength=self.bucket_count * self.m).reshape(
-            self.bucket_count, self.m)
-
-
-def round_robin_assign(sa_codes: np.ndarray, m: int, bucket_count: int) -> Assignment:
+def round_robin_assign(sa_codes: np.ndarray, bucket_count: int) -> np.ndarray:
     """Spread each value's records across equal buckets in rotation.
 
     Records are walked value by value (codes ascending, original order within
-    a value); the r-th record overall goes to bucket r mod bucket_count.  Every
-    bucket ends exactly full, and each value's per-bucket count differs by at
-    most one across buckets.
+    a value); the r-th record overall goes to bucket r mod bucket_count.  The
+    int32 bucket id of every record is returned.  Every bucket ends exactly
+    full, and each value's per-bucket count differs by at most one across
+    buckets.
     """
     n = len(sa_codes)
     if bucket_count < 1 or n % bucket_count:
@@ -223,22 +174,17 @@ def round_robin_assign(sa_codes: np.ndarray, m: int, bucket_count: int) -> Assig
     order = stable_order(sa_codes)
     bucket_of = np.empty(n, dtype=np.int32)
     bucket_of[order] = np.arange(n, dtype=np.int32) % bucket_count
-    return Assignment(
-        bucket_of=bucket_of,
-        bucket_sizes=np.full(bucket_count, n // bucket_count, dtype=np.int64),
-        sa_codes=sa_codes,
-        m=m,
-    )
+    return bucket_of
 
 
-def build_assignment(table: MicrodataTable, parts) -> Assignment:
-    """Assemble a full-table assignment from (row_indices, BucketGroup) parts.
+def build_assignment(table: MicrodataTable, parts) -> np.ndarray:
+    """The int32 bucket id of every row, from (row_indices, BucketGroup) parts.
 
     Bucket ids run part-major in the order given, bucket-minor inside a part.
     Parts must cover every row exactly once.
     """
     bucket_of = np.full(len(table), -1, dtype=np.int32)
-    sizes: list[int] = []
+    next_id = 0
     for rows, group in parts:
         rows = np.asarray(rows)
         if group.count == 0:
@@ -248,23 +194,12 @@ def build_assignment(table: MicrodataTable, parts) -> Assignment:
         if len(rows) != group.capacity:
             raise ConfigError(
                 f"group {group} expects {group.capacity} records, got {len(rows)}")
-        sub = round_robin_assign(table.sa_codes[rows], table.sa_domain_size, group.count)
-        bucket_of[rows] = sub.bucket_of + len(sizes)
-        sizes += [group.size] * group.count
+        bucket_of[rows] = round_robin_assign(table.sa_codes[rows],
+                                             group.count) + next_id
+        next_id += group.count
     if np.any(bucket_of < 0):
         raise ConfigError("parts do not cover the table")
-    return Assignment(
-        bucket_of=bucket_of,
-        bucket_sizes=np.array(sizes, dtype=np.int64),
-        sa_codes=table.sa_codes,
-        m=table.sa_domain_size,
-    )
-
-
-def assignment_satisfies(a: Assignment, p: PrivacySpec) -> bool:
-    """Recheck every bucket's value counts against its threshold_slots."""
-    limits = threshold_slots(p.thresholds, a.bucket_sizes[:, None])
-    return bool(np.all(a.value_counts <= limits))
+    return bucket_of
 
 
 def partition_records(table: MicrodataTable, bounds: np.ndarray,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fprivacy.core import (ConfigError, IngestionError, MicrodataTable,
                            PrivacySpec, histogram, intern_labels,
                            linear_privacy_spec, open_csv, read_columns,
-                           value_slots)
+                           threshold_slots, value_slots)
 
 
 def table_from_counts(counts, qi_width=1, labels=None):
@@ -107,6 +107,16 @@ def eager_value_counts(bucket_of, sa_codes, bucket_count, m):
     return value_counts
 
 
+def assignment_complies(table, bucket_of, spec):
+    """Whether every bucket of a record assignment holds each SA value at
+    most its threshold_slots times."""
+    sizes = np.bincount(bucket_of)
+    counts = eager_value_counts(bucket_of, table.sa_codes, len(sizes),
+                                table.sa_domain_size)
+    return bool(np.all(counts <= threshold_slots(spec.thresholds,
+                                                 sizes[:, None])))
+
+
 def dense_negative_associations(pt, threshold):
     """Reference flagged set of learn_negative_associations: dense (bucket
     × QI value) and (bucket × SA value) presence matrices, whose product
@@ -134,7 +144,7 @@ def read_audit_per_entry(path, sa_domain, bucket_count):
     try:
         with open(path, encoding="utf-8") as fh:
             audit = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise IngestionError(f"{path} is not valid JSON: {exc}") from None
     fakes = audit.get("buckets") if isinstance(audit, dict) else None
     if not isinstance(fakes, dict):

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import random_instance, table_from_counts
+from conftest import assignment_complies, random_instance, table_from_counts
 from fprivacy.core import (
     ConfigError,
     PrivacySpec,
@@ -28,7 +28,7 @@ from fprivacy.gamma import build_gamma
 from fprivacy.metrics import gen_synthetic
 from fprivacy.optimize import (
     SearchConfig,
-    anatomy_baseline_loss,
+    anatomy_setting,
     brute_force_optimal,
     multi_size_bucketing,
     two_size_bucketing,
@@ -46,13 +46,10 @@ from fprivacy.validate import (
     BucketSetting,
     round_robin_assign,
     allocation_bounds,
-    assignment_satisfies,
     build_assignment,
     constraint_report,
     flow_feasibility_oracle,
     partition_records,
-    validate_one_size,
-    validate_two_size,
 )
 
 WALKTHROUGH_COUNTS = [1] * 8 + [6] * 4 + [9] * 2
@@ -88,7 +85,7 @@ def test_criterion_02_walkthrough_end_to_end():
     spec = linear_privacy_spec(h, theta=2.0, intercept=0.05)
     setting = BucketSetting.of((4, 9), (14, 1))
 
-    report = validate_two_size(h, spec, setting)
+    report = constraint_report(h, spec, setting)
     assert report, f"constraints failed: {report.failed()}"
 
     bounds = allocation_bounds(h, spec, setting)
@@ -105,7 +102,7 @@ def test_criterion_02_walkthrough_end_to_end():
 
     assignment = build_assignment(
         table, [(rows1, BucketGroup(4, 9)), (rows2, BucketGroup(14, 1))])
-    assert assignment_satisfies(assignment, spec)
+    assert assignment_complies(table, assignment, spec)
     print("\n[criterion 2] PASS (caps {0,6,9}/{1,4,5} exact, 6 moves, "
           "assignment satisfies all thresholds)")
 
@@ -197,7 +194,7 @@ def _one_size_optimum(h, spec):
     for size in range(1, h.total + 1):
         if h.total % size:
             continue
-        if validate_one_size(h, spec, size, h.total // size):
+        if constraint_report(h, spec, BucketSetting.of((size, h.total // size))):
             loss = (h.total // size) * (size - 1) ** 2
             best = loss if best is None else min(best, loss)
     return best
@@ -213,7 +210,7 @@ def test_criterion_06_utility_chain_and_mse_sweep():
         spec = linear_privacy_spec(h, theta=float(theta), intercept=0.0)
         ell = ell_for_spec(spec)
         assert h.total % ell == 0 and h.counts.max() <= h.total // ell
-        anatomy = anatomy_baseline_loss(h.total, ell)
+        anatomy = anatomy_setting(h.total, ell).loss
         one = _one_size_optimum(h, spec)
         cfg = SearchConfig.for_spec(spec, max_size=50)
         two = two_size_bucketing(h, spec, cfg).loss
@@ -250,7 +247,7 @@ def test_criterion_06_utility_chain_and_mse_sweep():
         chained += 1
         strict += one > two.loss
         if counts.max() <= n // ell:
-            assert anatomy_baseline_loss(n, ell) >= one
+            assert anatomy_setting(n, ell).loss >= one
             full += 1
     assert chained >= 70 and full >= 30 and strict >= 1  # stream gives 73/33/47
 
@@ -308,7 +305,7 @@ def test_criterion_08_laplace_mechanism():
 def test_criterion_09_fake_injection_defense(tmp_path):
     # corruption of q=4 records in a 5-record bucket padded with sigma=2 fakes
     table = table_from_counts([1] * 5 + [0] * 3)
-    assignment = round_robin_assign(table.sa_codes, 8, 1)
+    assignment = round_robin_assign(table.sa_codes, 1)
     pt = publish(table, assignment, seed=10)
     assert int(np.sum(pt.qit_bids == 1)) == 5
     pt = inject_fakes(pt, sigma=2, seed=11)
@@ -361,7 +358,7 @@ def test_criterion_10_scales_to_half_a_million():
     elapsed = time.perf_counter() - t0
     assert found is not None
     assert elapsed < 10.0, f"search took {elapsed:.2f} s"
-    assert validate_two_size(h, spec, found.setting)
+    assert constraint_report(h, spec, found.setting)
     assert found.loss == 6651916
     print(f"\n[criterion 10] PASS (500k records searched in "
           f"{elapsed * 1e3:.1f} ms, loss {found.loss})")

@@ -499,9 +499,10 @@ class TestPublishEvaluate:
         stray_key_audit("01"),
         one_fake_audit,
         '{"sigma": false, "buckets": {}}',
+        "[" * 100_000 + "]" * 100_000,
     ], ids=["bad-json", "no-buckets", "unknown-label", "sigma-mismatch",
             "ragged", "fake-not-in-bucket", "unknown-bucket",
-            "non-canonical-key", "sigma-true", "sigma-false"])
+            "non-canonical-key", "sigma-true", "sigma-false", "deep-nesting"])
     def test_malformed_audit_exits_four(self, capsys, tmp_path, audit):
         csv_path = write_uniform_csv(tmp_path / "uniform.csv")
         flags = ["--input", str(csv_path), "--sa", "Illness",

@@ -88,7 +88,7 @@ def test_max_record_prob_matches_the_accumulating_loop(corrupted):
     """Criterion 9's five-record bucket padded with two fakes; excluding all
     five real records leaves no bucket to rate, hence 0.0."""
     table = table_from_counts([1] * 5 + [0] * 3)
-    pt = publish(table, round_robin_assign(table.sa_codes, 8, 1), seed=10)
+    pt = publish(table, round_robin_assign(table.sa_codes, 1), seed=10)
     pt = inject_fakes(pt, sigma=2, seed=11)
     report = corruption_attack_sim(pt, corrupted)
     assert report.max_record_prob == worst_record_prob(report)

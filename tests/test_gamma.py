@@ -11,7 +11,7 @@ from conftest import gamma_first_covering
 from fprivacy import gamma
 from fprivacy.core import ConfigError, PrivacySpec, SaHistogram, histogram, value_slots
 from fprivacy.gamma import GammaList, build_gamma, loss_prefix
-from fprivacy.validate import BucketSetting, validate_two_size
+from fprivacy.validate import BucketSetting, constraint_report
 
 
 def hist(counts):
@@ -40,7 +40,7 @@ def scan_valid_positions(g, h, p, limit):
     for pos in range(limit):
         b1, b2 = g.pair_at(pos)
         setting = BucketSetting.of((g.size1, b1), (g.size2, b2))
-        if validate_two_size(h, p, setting):
+        if constraint_report(h, p, setting):
             keep.append(pos)
     return keep
 

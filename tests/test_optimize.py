@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (enumerate_settings_recursive, random_instance,
-                      table_from_counts)
+from conftest import (assignment_complies, enumerate_settings_recursive,
+                      random_instance, table_from_counts)
 
 from fprivacy.core import (
     BudgetExceededError,
@@ -22,7 +22,6 @@ from fprivacy.optimize import (
     PRUNING_MODES,
     SearchConfig,
     _enumerate_settings,
-    anatomy_baseline_loss,
     anatomy_setting,
     brute_force_optimal,
     multi_size_bucketing,
@@ -31,11 +30,9 @@ from fprivacy.optimize import (
 from fprivacy.publish import release
 from fprivacy.validate import (
     BucketSetting,
-    assignment_satisfies,
     build_assignment,
+    constraint_report,
     flow_feasibility_oracle,
-    validate_one_size,
-    validate_two_size,
 )
 
 
@@ -102,7 +99,7 @@ class TestTwoSize:
         assert res is not None
         assert res.loss == 250
         assert tuple((g.size, g.count) for g in res.setting) == ((4, 9), (14, 1))
-        assert validate_two_size(h, p, res.setting)
+        assert constraint_report(h, p, res.setting)
         assert flow_feasibility_oracle(h, p, res.setting)
 
     def test_walkthrough_needs_a_size_hosting_rare_values(self):
@@ -115,7 +112,7 @@ class TestTwoSize:
         p = PrivacySpec(np.ones(3))
         res = two_size_bucketing(h, p, SearchConfig(1, 2))
         assert res is not None and res.loss == 0
-        assert res.setting.normalized().sizes == (1,)
+        assert tuple(g.size for g in res.setting if g.count) == (1,)
 
     def test_infeasible_privacy_returns_none(self):
         h = hist([1, 1])
@@ -140,7 +137,7 @@ class TestTwoSize:
             assert (res is None) == (ref is None)
             if res is not None:
                 assert res.loss == ref.loss
-                assert validate_two_size(h, p, res.setting)
+                assert constraint_report(h, p, res.setting)
                 assert flow_feasibility_oracle(h, p, res.setting)
                 solved += 1
         assert solved > 60
@@ -235,8 +232,8 @@ class TestMultiSize:
         for rows, group in leaves:
             assert group.count > 0
             assert group.capacity == len(rows)
-            assert validate_one_size(histogram(table, rows), p,
-                                     group.size, group.count)
+            assert constraint_report(histogram(table, rows), p,
+                                     BucketSetting.of((group.size, group.count)))
         total = sum(group.loss for _, group in leaves)
         assert total <= 250  # never worse than the two-size optimum
         assert total < 49 ** 2  # strictly better than the single root bucket
@@ -247,8 +244,7 @@ class TestMultiSize:
         p = linear_privacy_spec(h, theta=2.0, intercept=0.05)
         cfg = SearchConfig.for_spec(p, max_size=14)
         leaves = multi_size_bucketing(table, None, p, cfg)
-        assignment = build_assignment(table, leaves)
-        assert assignment_satisfies(assignment, p)
+        assert assignment_complies(table, build_assignment(table, leaves), p)
 
     def test_returns_input_when_no_refinement_helps(self):
         table = table_from_counts([1, 1])
@@ -273,8 +269,7 @@ class TestMultiSize:
             leaves = multi_size_bucketing(table, None, p, cfg)
             total = sum(group.loss for _, group in leaves)
             assert total <= two.loss <= (h.total - 1) ** 2
-            assignment = build_assignment(table, leaves)
-            assert assignment_satisfies(assignment, p)
+            assert assignment_complies(table, build_assignment(table, leaves), p)
             compared += 1
         assert compared > 20
 
@@ -322,7 +317,7 @@ class TestBruteForce:
                 if h.total % size:
                     continue
                 count = h.total // size
-                if validate_one_size(h, p, size, count):
+                if constraint_report(h, p, BucketSetting.of((size, count))):
                     loss = count * (size - 1) ** 2
                     if best is None or loss < best:
                         best = loss
@@ -387,19 +382,19 @@ class TestBruteForce:
 
 class TestAnatomyBaseline:
     def test_exact_division(self):
-        assert anatomy_baseline_loss(28, 4) == 63
+        assert anatomy_setting(28, 4).loss == 63
 
     def test_mixed_sizes(self):
-        assert anatomy_baseline_loss(10, 3) == 17
+        assert anatomy_setting(10, 3).loss == 17
         assert anatomy_setting(10, 3) == BucketSetting.of((3, 2), (4, 1))
 
     def test_singletons_cost_nothing(self):
-        assert anatomy_baseline_loss(17, 1) == 0
+        assert anatomy_setting(17, 1).loss == 0
 
     def test_errors(self):
         with pytest.raises(ConfigError):
-            anatomy_baseline_loss(3, 4)  # table smaller than one bucket
+            anatomy_setting(3, 4)  # table smaller than one bucket
         with pytest.raises(ConfigError):
-            anatomy_baseline_loss(5, 3)  # 5 = 3a + 4b has no solution
+            anatomy_setting(5, 3)  # 5 = 3a + 4b has no solution
         with pytest.raises(ConfigError):
-            anatomy_baseline_loss(10, 0)
+            anatomy_setting(10, 0)

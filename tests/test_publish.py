@@ -40,7 +40,6 @@ from fprivacy.publish import (
     write_published,
 )
 from fprivacy.validate import (
-    Assignment,
     BucketGroup,
     allocation_bounds,
     build_assignment,
@@ -154,8 +153,7 @@ class TestPublish:
 
     def test_seeded_output_is_byte_identical(self, tmp_path):
         table, _, _ = walkthrough_publication()
-        h = histogram(table)
-        assignment = round_robin_assign(table.sa_codes, h.m, 10)
+        assignment = round_robin_assign(table.sa_codes, 10)
         for d in ("a", "b"):
             pt = publish(table, assignment, seed=123)
             pt = inject_fakes(pt, sigma=1, seed=77)
@@ -171,11 +169,9 @@ class TestPublish:
         sizes = np.array([10] * 1023 + [20000])
         table = table_from_counts([1] * sizes.sum())
         bucket_of = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-        assignment = Assignment(bucket_of=bucket_of, bucket_sizes=sizes,
-                                sa_codes=table.sa_codes, m=table.sa_domain_size)
         tracemalloc.start()
         try:
-            pt = publish(table, assignment, seed=5)
+            pt = publish(table, bucket_of, seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -185,10 +181,8 @@ class TestPublish:
 
     def test_empty_bucket_refused(self, tmp_path):
         table = table_from_counts([1, 1, 1])
-        pt = publish(table, Assignment(
-            bucket_of=np.array([0, 0, 1]), bucket_sizes=np.array([2, 1, 0]),
-            sa_codes=table.sa_codes, m=3))
-        with pytest.raises(ConfigError, match="^bucket 3 holds no record"):
+        pt = publish(table, np.array([0, 0, 2]))
+        with pytest.raises(ConfigError, match="^bucket 2 holds no record"):
             write_published(pt, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
@@ -425,7 +419,7 @@ class TestInjectFakes:
 
     def test_fake_invariants(self):
         table = table_from_counts([1] * 12)
-        assignment = round_robin_assign(table.sa_codes, 12, 4)
+        assignment = round_robin_assign(table.sa_codes, 4)
         pt = publish(table, assignment, seed=4)
         padded = inject_fakes(pt, sigma=2, seed=5)
         assert padded.sigma == 2
@@ -445,7 +439,7 @@ class TestInjectFakes:
         take 95 MB."""
         m = 20000
         table = table_from_counts([1] * m)
-        pt = publish(table, round_robin_assign(table.sa_codes, m, 5000),
+        pt = publish(table, round_robin_assign(table.sa_codes, 5000),
                      seed=1)
         caps = dict.fromkeys(table.sa_domain, 1.0)
         tracemalloc.start()
@@ -459,21 +453,21 @@ class TestInjectFakes:
 
     def test_duplicate_values_refused(self):
         table = table_from_counts([2, 1, 1])
-        assignment = round_robin_assign(table.sa_codes, 3, 1)
+        assignment = round_robin_assign(table.sa_codes, 1)
         pt = publish(table, assignment, seed=0)
         with pytest.raises(ConfigError, match="bucket 1"):
             inject_fakes(pt, sigma=1)
 
     def test_infeasible_distinctness_names_bucket(self):
         table = table_from_counts([1, 1, 1])
-        assignment = round_robin_assign(table.sa_codes, 3, 1)
+        assignment = round_robin_assign(table.sa_codes, 1)
         pt = publish(table, assignment, seed=0)
         with pytest.raises(ConfigError, match="bucket 1"):
             inject_fakes(pt, sigma=1)  # domain exhausted: 3 values, all real
 
     def test_double_injection_rejected(self):
         table = table_from_counts([1] * 6)
-        assignment = round_robin_assign(table.sa_codes, 6, 2)
+        assignment = round_robin_assign(table.sa_codes, 2)
         pt = inject_fakes(publish(table, assignment), sigma=1)
         with pytest.raises(ConfigError):
             inject_fakes(pt, sigma=1)
@@ -481,7 +475,7 @@ class TestInjectFakes:
     def tight_cap_publication(self):
         """One bucket of three distinct values; domain leaves five spares."""
         table = table_from_counts([1, 1, 1] + [0] * 5)
-        assignment = round_robin_assign(table.sa_codes, 8, 1)
+        assignment = round_robin_assign(table.sa_codes, 1)
         return table, publish(table, assignment, seed=2)
 
     def test_thresholds_steer_fakes_away_from_tight_caps(self):
@@ -516,7 +510,7 @@ class TestInjectFakes:
         gets spare_cap and every real value 1.0."""
         table = table_from_counts([1] * 1999 + [0],
                                   labels=[f"s{i:04d}" for i in range(2000)])
-        pt = publish(table, round_robin_assign(table.sa_codes, 2000, 1), seed=3)
+        pt = publish(table, round_robin_assign(table.sa_codes, 1), seed=3)
         caps = {label: 1.0 for label in table.sa_domain}
         caps["s1999"] = spare_cap
         return pt, caps
@@ -658,7 +652,7 @@ def test_keys_past_int32_round_trip(tmp_path):
 class TestCorruption:
     def five_distinct_bucket(self, sigma):
         table = table_from_counts([1] * 5 + [0] * 3)
-        assignment = round_robin_assign(table.sa_codes, 8, 1)
+        assignment = round_robin_assign(table.sa_codes, 1)
         pt = publish(table, assignment, seed=10)
         if sigma:
             pt = inject_fakes(pt, sigma=sigma, seed=11)
@@ -691,7 +685,7 @@ class TestCorruption:
 
     def test_no_corruption_matches_baseline(self):
         table = table_from_counts([2, 1, 1])
-        assignment = round_robin_assign(table.sa_codes, 3, 1)
+        assignment = round_robin_assign(table.sa_codes, 1)
         pt = publish(table, assignment, seed=1)
         report = corruption_attack_sim(pt, {})
         bucket = report.bucket(1)

@@ -45,7 +45,6 @@ from fprivacy.publish import (NegAssociationModel, PublishedTables,
                               learn_negative_associations, publish,
                               published_max_ratios, read_published, release,
                               write_published)
-from fprivacy.validate import Assignment
 
 # thresholds on and next to the k/s boundaries of small buckets, plus a
 # spread of arbitrary ones
@@ -74,19 +73,9 @@ def releases(draw):
         qi_names=[f"q{j}" for j in range(len(qi_sizes))], sa_name="sa",
         qi_domains=[[f"z{k}" for k in range(size)] for size in qi_sizes],
         sa_domain=[f"v{x}" for x in range(m)])
-    pt = publish_buckets(table, bucket_of, buckets,
-                         draw(st.integers(0, 2**32 - 1)))
+    pt = publish(table, bucket_of, draw(st.integers(0, 2**32 - 1)))
     thresholds = {label: draw(THRESHOLDS) for label in table.sa_domain}
     return table, pt, thresholds
-
-
-def publish_buckets(table, bucket_of, buckets, seed):
-    """publish of the assignment that puts record i in bucket_of[i]."""
-    assignment = Assignment(
-        bucket_of=bucket_of,
-        bucket_sizes=np.bincount(bucket_of, minlength=buckets),
-        sa_codes=table.sa_codes, m=table.sa_domain_size)
-    return publish(table, assignment, seed=seed)
 
 
 def st_counters(pt):
@@ -258,8 +247,7 @@ def indexed_cases(draw):
         sa_domain=[f"v{x}" for x in range(m)])
     bucket_of = np.repeat(np.arange(len(buckets), dtype=np.int32),
                           [len(bucket) for bucket in buckets])
-    pt = publish_buckets(table, bucket_of, len(buckets),
-                         draw(st.integers(0, 99)))
+    pt = publish(table, bucket_of, draw(st.integers(0, 99)))
     pt = inject_fakes(pt, draw(st.integers(0, 2)),
                       seed=draw(st.integers(0, 99)))
     pool = draw(st.lists(queries(table), min_size=1, max_size=4))
@@ -417,8 +405,7 @@ def distinct_releases(draw):
         qi_domains=[["z0", "z1", "z2"]], sa_domain=[f"v{x}" for x in range(m)])
     bucket_of = np.repeat(np.arange(len(buckets), dtype=np.int32),
                           [len(bucket) for bucket in buckets])
-    pt = publish_buckets(table, bucket_of, len(buckets),
-                         draw(st.integers(0, 99)))
+    pt = publish(table, bucket_of, draw(st.integers(0, 99)))
     smallest_home = {x: min(len(b) for b in buckets if x in b)
                      for x in set(sa_codes.tolist())}
     thresholds = {
@@ -490,7 +477,7 @@ def published_buckets(data, labels):
     buckets = data.draw(st.integers(1, len(table)))
     bucket_of = np.array(data.draw(st.permutations(
         [i % buckets for i in range(len(table))])), dtype=np.int32)
-    pt = publish_buckets(table, bucket_of, buckets, data.draw(st.integers(0, 99)))
+    pt = publish(table, bucket_of, data.draw(st.integers(0, 99)))
     sigma = data.draw(st.integers(0, 2))
     if sigma:
         pt = padded_or_refused(pt, sigma, data.draw(st.integers(0, 99)),
@@ -528,7 +515,7 @@ def test_bucket_streams_match_spawn_reference(data):
     few = mock.patch.object(_streams, "_FEW", data.draw(st.sampled_from(
         [0, _streams._FEW])))
     with few:
-        pt = publish_buckets(table, bucket_of, buckets, seed)
+        pt = publish(table, bucket_of, seed)
     assert pt.st_codes.tolist() == spawn_published_st_codes(
         table.sa_codes, bucket_of, buckets, seed).tolist()
 

@@ -10,21 +10,18 @@ from fprivacy.core import (ConfigError, MicrodataTable, PrivacySpec,
 from fprivacy.metrics import gen_synthetic
 from fprivacy.validate import (
     MAX_CUT_GROUPS,
-    Assignment,
     BucketGroup,
     BucketSetting,
     allocation_bounds,
-    assignment_satisfies,
     build_assignment,
     constraint_report,
     flow_feasibility_oracle,
     partition_records,
     round_robin_assign,
-    validate_one_size,
-    validate_two_size,
 )
-from conftest import (eager_value_counts, max_flow_feasible,
-                      partition_by_masks, random_instance, table_from_counts)
+from conftest import (assignment_complies, eager_value_counts,
+                      max_flow_feasible, partition_by_masks, random_instance,
+                      table_from_counts)
 
 
 def hist(counts):
@@ -55,7 +52,7 @@ class TestSettingTypes:
     def test_zero_count_groups_allowed_and_normalized(self):
         s = BucketSetting.of((2, 0), (3, 4))
         assert s.capacity == 12
-        assert s.normalized().sizes == (3,)
+        assert tuple(g.size for g in s if g.count) == (3,)
 
     def test_group_validation(self):
         with pytest.raises(ConfigError):
@@ -67,24 +64,24 @@ class TestSettingTypes:
 class TestRoundRobin:
     def test_single_bucket_collects_everything(self):
         codes = np.array([0, 1, 1, 2, 2, 2], dtype=np.int32)
-        a = round_robin_assign(codes, m=3, bucket_count=1)
-        assert a.bucket_sizes.tolist() == [6]
-        assert a.value_counts[0].tolist() == [1, 2, 3]
+        a = round_robin_assign(codes, bucket_count=1)
+        assert a.dtype == np.int32 and a.tolist() == [0] * 6
+        assert eager_value_counts(a, codes, 1, 3)[0].tolist() == [1, 2, 3]
 
     def test_balance_seven_into_three(self):
         # 7 records of one value over 3 buckets: counts 3/2/2 in some rotation
         codes = np.zeros(9, dtype=np.int32)
         codes[7:] = 1  # pad to fill buckets exactly
-        a = round_robin_assign(codes, m=2, bucket_count=3)
-        per_bucket = sorted(a.value_counts[:, 0].tolist())
+        a = round_robin_assign(codes, bucket_count=3)
+        per_bucket = sorted(eager_value_counts(a, codes, 3, 2)[:, 0].tolist())
         assert per_bucket == [2, 2, 3]
 
     def test_walkthrough_t2_single_bucket(self):
         # one record of each of 14 values into one bucket of size 14
         codes = np.arange(14, dtype=np.int32)
-        a = round_robin_assign(codes, m=14, bucket_count=1)
-        assert a.bucket_of.tolist() == [0] * 14
-        assert a.value_counts[0].tolist() == [1] * 14
+        a = round_robin_assign(codes, bucket_count=1)
+        assert a.tolist() == [0] * 14
+        assert eager_value_counts(a, codes, 1, 14)[0].tolist() == [1] * 14
 
     def test_every_bucket_exactly_full(self):
         rng = np.random.default_rng(3)
@@ -92,16 +89,23 @@ class TestRoundRobin:
             b = int(rng.integers(1, 6))
             size = int(rng.integers(1, 7))
             codes = rng.integers(0, 4, size=b * size).astype(np.int32)
-            a = round_robin_assign(codes, m=4, bucket_count=b)
-            assert np.all(a.value_counts.sum(axis=1) == size)
+            counts = eager_value_counts(
+                round_robin_assign(codes, bucket_count=b), codes, b, 4)
+            assert np.all(counts.sum(axis=1) == size)
             # per-value spread differs by at most one across buckets
             for v in range(4):
-                col = a.value_counts[:, v]
+                col = counts[:, v]
                 assert col.max() - col.min() <= 1
 
     def test_capacity_mismatch(self):
         with pytest.raises(ConfigError):
-            round_robin_assign(np.zeros(7, dtype=np.int32), m=1, bucket_count=3)
+            round_robin_assign(np.zeros(7, dtype=np.int32), bucket_count=3)
+
+
+def one_size_valid(h, p, size, count):
+    """Validity of ``count`` buckets of ``size``: for one group CC and PC
+    together imply FC, so the report is exact."""
+    return constraint_report(h, p, BucketSetting.of((size, count))).valid
 
 
 class TestOneSize:
@@ -109,20 +113,21 @@ class TestOneSize:
         # five each of four mid values, eight each of two heavy values
         counts = [0] * 8 + [5] * 4 + [8] * 2
         p = PrivacySpec(np.array([0.09] * 8 + [0.29] * 4 + [0.41] * 2))
-        assert validate_one_size(hist(counts), p, size=4, count=9)
+        assert one_size_valid(hist(counts), p, size=4, count=9)
 
     def test_all_one_thresholds(self):
         p = PrivacySpec(np.ones(3))
-        assert validate_one_size(hist([4, 5, 3]), p, size=3, count=4)
+        assert one_size_valid(hist([4, 5, 3]), p, size=3, count=4)
 
     def test_slot_shortfall_fails(self):
         # value 0 offers floor(0.2*5)*5 = 5 slots total, short of its 10 records
         p = PrivacySpec(np.array([0.2, 1.0]))
-        assert not validate_one_size(hist([10, 15]), p, size=5, count=5)
+        assert not one_size_valid(hist([10, 15]), p, size=5, count=5)
 
     def test_capacity_precondition(self):
-        with pytest.raises(ConfigError):
-            validate_one_size(hist([4]), PrivacySpec(np.ones(1)), size=3, count=2)
+        rep = constraint_report(hist([4]), PrivacySpec(np.ones(1)),
+                                BucketSetting.of((3, 2)))
+        assert not rep.cc_ok and not rep.valid
 
     def test_agrees_with_rra_simulation(self):
         rng = np.random.default_rng(11)
@@ -130,14 +135,14 @@ class TestOneSize:
         for _ in range(200):
             counts, p = random_instance(rng, max_n=36, max_m=5)
             n = int(counts.sum())
+            t = table_from_counts(counts)
             for size in range(1, 13):
                 if n % size:
                     continue
                 b = n // size
-                codes = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
-                a = round_robin_assign(codes, m=len(counts), bucket_count=b)
-                simulated = assignment_satisfies(a, p)
-                predicted = validate_one_size(hist(counts), p, size=size, count=b)
+                a = round_robin_assign(t.sa_codes, bucket_count=b)
+                simulated = assignment_complies(t, a, p)
+                predicted = one_size_valid(hist(counts), p, size=size, count=b)
                 # the closed form promises existence; round-robin achieves it
                 assert predicted == simulated
                 checked += 1
@@ -169,13 +174,13 @@ class TestAllocationBounds:
 class TestTwoSize:
     def test_walkthrough_valid(self, walkthrough_table, walkthrough_spec):
         h = histogram(walkthrough_table)
-        rep = validate_two_size(h, walkthrough_spec, BucketSetting.of((4, 9), (14, 1)))
+        rep = constraint_report(h, walkthrough_spec, BucketSetting.of((4, 9), (14, 1)))
         assert rep.valid and bool(rep)
 
     def test_cc_diagnostic(self):
         h = hist([6, 6])
         p = PrivacySpec(np.ones(2))
-        rep = validate_two_size(h, p, BucketSetting.of((2, 2), (3, 1)))
+        rep = constraint_report(h, p, BucketSetting.of((2, 2), (3, 1)))
         assert not rep.valid
         assert rep.failed() == ["CC"]
 
@@ -183,13 +188,8 @@ class TestTwoSize:
         # value 0 cannot be hosted anywhere often enough
         h = hist([10, 2])
         p = PrivacySpec(np.array([0.25, 1.0]))
-        rep = validate_two_size(h, p, BucketSetting.of((2, 3), (3, 2)))
+        rep = constraint_report(h, p, BucketSetting.of((2, 3), (3, 2)))
         assert not rep.pc_ok and 0 in rep.pc_failed_values
-
-    def test_group_count_enforced(self):
-        h = hist([4])
-        with pytest.raises(ConfigError):
-            validate_two_size(h, PrivacySpec(np.ones(1)), BucketSetting.of((2, 2)))
 
     def test_agrees_with_flow_oracle(self):
         rng = np.random.default_rng(23)
@@ -205,7 +205,7 @@ class TestTwoSize:
                 if (n - s2 * b2) % s1 == 0:
                     b1 = (n - s2 * b2) // s1
                     setting = BucketSetting.of((s1, b1), (s2, b2))
-                    assert bool(validate_two_size(h, p, setting)) == \
+                    assert bool(constraint_report(h, p, setting)) == \
                         flow_feasibility_oracle(h, p, setting)
                     agreements += 1
         assert agreements > 200
@@ -232,8 +232,8 @@ class TestPartition:
         rows1, rows2 = partition_records(walkthrough_table, bounds, setting)
         a = build_assignment(walkthrough_table,
                              [(rows1, setting.groups[0]), (rows2, setting.groups[1])])
-        assert assignment_satisfies(a, walkthrough_spec)
-        assert np.all(a.value_counts.sum(axis=1) == a.bucket_sizes)
+        assert assignment_complies(walkthrough_table, a, walkthrough_spec)
+        assert np.bincount(a).tolist() == [4] * 9 + [14]
 
     def test_empty_second_group(self):
         t = table_from_counts([2, 2])
@@ -267,7 +267,7 @@ class TestPartition:
                     continue
                 b1 = (n - s2 * b2) // s1
                 setting = BucketSetting.of((s1, b1), (s2, b2))
-                if not validate_two_size(h, p, setting):
+                if not constraint_report(h, p, setting):
                     continue
                 t = table_from_counts(counts)
                 bounds = allocation_bounds(h, p, setting)
@@ -276,7 +276,7 @@ class TestPartition:
                 assert len(rows2) == setting.groups[1].capacity
                 parts = [(rows1, setting.groups[0]), (rows2, setting.groups[1])]
                 a = build_assignment(t, [pt for pt in parts if pt[1].count > 0])
-                assert assignment_satisfies(a, p)
+                assert assignment_complies(t, a, p)
                 built += 1
                 break
         assert built > 60
@@ -307,7 +307,7 @@ def test_partition_matches_boolean_mask_reference(data):
     candidates = [BucketSetting.of((s1, (h.total - s2 * b2) // s1), (s2, b2))
                  for b2 in range(h.total // s2 + 1)
                  if (h.total - s2 * b2) % s1 == 0]
-    valid = [s for s in candidates if validate_two_size(h, p, s)]
+    valid = [s for s in candidates if constraint_report(h, p, s)]
     event("valid setting" if valid else "no valid setting")
     setting = data.draw(st.sampled_from(valid or candidates or
                                         [BucketSetting.of((s1, 1), (s2, 1))]))
@@ -413,7 +413,7 @@ def test_cut_test_matches_max_flow(data):
     event("feasible" if feasible else "capacity mismatch"
           if setting.capacity != h.total else "infeasible")
     assert feasible == max_flow_feasible(h, p, setting)
-    if len(setting.normalized()) <= 2:
+    if sum(g.count > 0 for g in setting) <= 2:
         assert feasible == bool(constraint_report(h, p, setting))
 
 
@@ -453,9 +453,10 @@ def test_three_size_constraint_numbers():
 
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
-def test_value_counts_match_eager_build(data):
-    """build_assignment's and round_robin_assign's derived value counts equal
-    the (bucket × value) matrix built eagerly, for random parts."""
+def test_build_assignment_fills_buckets_in_rotation(data):
+    """Random parts, zero-count groups and rows in any order included: bucket
+    ids run 0..B-1 part-major, each bucket holds exactly its group's size,
+    and inside a part each value's per-bucket counts differ by at most one."""
     m = data.draw(st.integers(1, 6), label="m")
     groups = [BucketGroup(size, count) for size, count in data.draw(
         st.lists(st.tuples(st.integers(1, 5), st.integers(0, 4)),
@@ -472,18 +473,18 @@ def test_value_counts_match_eager_build(data):
         sa_name="sa", qi_domains=[["z"]], sa_domain=[f"v{x}" for x in range(m)])
     parts = list(zip(np.split(order, np.cumsum([g.capacity for g in groups])[:-1]),
                      groups))
-    a = build_assignment(table, parts)
-    assert a.bucket_sizes.tolist() == [g.size for g in groups
-                                       for _ in range(g.count)]
-    counts = a.value_counts
-    assert counts.dtype == np.int64
-    np.testing.assert_array_equal(
-        counts, eager_value_counts(a.bucket_of, sa_codes, a.bucket_count, m))
+    bucket_of = build_assignment(table, parts)
+    assert bucket_of.dtype == np.int32
+    sizes = [g.size for g in groups for _ in range(g.count)]
+    assert np.bincount(bucket_of, minlength=len(sizes)).tolist() == sizes
+    first = 0
     for rows, group in parts:
+        ids = bucket_of[rows] - first
+        assert ids.min(initial=0) >= 0 and ids.max(initial=-1) < group.count
+        counts = eager_value_counts(ids, sa_codes[rows], group.count, m)
         if group.count:
-            sub = round_robin_assign(sa_codes[rows], m, group.count)
-            np.testing.assert_array_equal(sub.value_counts, eager_value_counts(
-                sub.bucket_of, sa_codes[rows], group.count, m))
+            assert np.all(counts.max(axis=0) - counts.min(axis=0) <= 1)
+        first += group.count
 
 
 def test_build_assignment_allocates_no_bucket_value_matrix():
@@ -499,5 +500,5 @@ def test_build_assignment_allocates_no_bucket_value_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert a.bucket_count == 900
+    assert a.max() == 899
     assert peak < 2 << 20
