@@ -17,8 +17,6 @@ __all__ = [
     "IngestionError",
     "MicrodataTable",
     "PrivacySpec",
-    "Record",
-    "SaHistogram",
     "check_eligibility",
     "ell_for_spec",
     "histogram",

@@ -25,9 +25,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .core import (ConfigError, IngestionError, InfeasiblePrivacyError,
-                   MicrodataTable, PrivacySpec, SaHistogram,
-                   check_eligibility, ell_for_spec, histogram, ingest_csv,
-                   linear_privacy_spec, load_privacy_spec, value_slots)
+                   MicrodataTable, PrivacySpec, check_eligibility,
+                   ell_for_spec, histogram, ingest_csv, linear_privacy_spec,
+                   load_privacy_spec, value_slots)
 from .publish import (check_published_privacy, published_max_ratios,
                       read_published, release, write_published)
 
@@ -139,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _inputs(args) -> tuple[MicrodataTable, SaHistogram, PrivacySpec]:
-    """The raw table, its histogram, and the thresholds that --privacy-file
+def _inputs(args) -> tuple[MicrodataTable, np.ndarray, PrivacySpec]:
+    """The raw table, its SA counts, and the thresholds that --privacy-file
     or the --theta/--intercept rule gives its values."""
     table = ingest_csv(args.input, sa_column=args.sa)
     hist = histogram(table)
@@ -158,7 +158,7 @@ def _size_range(args, table, hist, spec) -> SearchConfig:
     if not eligibility:
         worst = ", ".join(
             f"value {table.sa_domain[code]!r} occurs {count}x but at most "
-            f"{value_slots(spec, hist.total)[code]} allowed"
+            f"{value_slots(spec, len(table))[code]} allowed"
             for code, count, _ in eligibility.violations[:3])
         raise InfeasiblePrivacyError(f"thresholds unachievable: {worst}")
     return SearchConfig.for_spec(spec, max_size=args.max_size)
@@ -181,10 +181,10 @@ def _emit(payload: dict, out=None) -> None:
 def cmd_analyze(args) -> int:
     table, hist, spec = _inputs(args)
     eligibility = check_eligibility(hist, spec)
-    caps = value_slots(spec, hist.total)
+    caps = value_slots(spec, len(table))
     report = {
-        "records": int(hist.total),
-        "sa_values": int(hist.m),
+        "records": len(table),
+        "sa_values": len(table.sa_domain),
         "ell": ell_for_spec(spec),
         "eligible": bool(eligibility),
         "violations": [
@@ -193,11 +193,11 @@ def cmd_analyze(args) -> int:
             for code, count, threshold in eligibility.violations],
         "values": [
             {"value": table.sa_domain[code],
-             "count": int(hist.counts[code]),
-             "frequency": float(hist.freqs[code]),
+             "count": int(hist[code]),
+             "frequency": float(hist[code] / len(table)),
              "threshold": float(spec.thresholds[code]),
              "max_count": int(caps[code])}
-            for code in range(hist.m)],
+            for code in range(len(table.sa_domain))],
     }
     _emit(report, args.out)
     return 0 if eligibility else 2
@@ -209,11 +209,11 @@ def cmd_optimize(args) -> int:
                            multi_size_bucketing, two_size_bucketing)
     table, hist, spec = _inputs(args)
     cfg = _size_range(args, table, hist, spec)
-    report = {"mode": args.mode, "records": int(hist.total)}
+    report = {"mode": args.mode, "records": len(table)}
     if args.mode == "anatomy":
         report["ell"] = ell = ell_for_spec(spec)
         try:
-            setting = anatomy_setting(hist.total, ell)
+            setting = anatomy_setting(len(table), ell)
         except ConfigError as e:
             raise InfeasiblePrivacyError(str(e)) from None
         # ell >= the derived minimum size, so only the maximum can bind
@@ -240,7 +240,7 @@ def cmd_optimize(args) -> int:
             table, None, spec, cfg) for _ in range(group.count))
     report["loss"] = setting.loss
     report["buckets"] = [[g.size, g.count] for g in setting if g.count > 0]
-    report["mse"] = mse_of(setting, hist.total)
+    report["mse"] = mse_of(setting, len(table))
     _emit(report, args.out)
     return 0
 

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import io
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,11 +40,6 @@ class InfeasiblePrivacyError(FPrivacyError):
 
 class BudgetExceededError(ConfigError):
     """Brute-force enumeration would exceed its candidate budget."""
-
-
-class Record(NamedTuple):
-    qi: tuple[str, ...]
-    sa: str
 
 
 @contextlib.contextmanager
@@ -126,10 +120,6 @@ class MicrodataTable:
     def sa_domain_size(self) -> int:
         return len(self.sa_domain)
 
-    def record(self, i: int) -> Record:
-        qi = tuple(self.qi_domains[j][c] for j, c in enumerate(self.qi_codes[i]))
-        return Record(qi=qi, sa=self.sa_domain[self.sa_codes[i]])
-
     @classmethod
     def from_rows(cls, qi_rows: Sequence[Sequence[str]], sa_values: Sequence[str],
                   qi_names: Sequence[str], sa_name: str) -> "MicrodataTable":
@@ -154,25 +144,6 @@ class MicrodataTable:
                    np.ascontiguousarray(qi_codes, dtype=np.int32),
                    np.ascontiguousarray(sa_codes, dtype=np.int32),
                    tuple(tuple(d) for d in qi_domains), tuple(sa_domain))
-
-
-@dataclass(frozen=True)
-class SaHistogram:
-    """Occurrence counts of each SA value, indexed by SA code."""
-
-    counts: np.ndarray  # int64, length = SA domain size
-
-    @functools.cached_property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def m(self) -> int:
-        return len(self.counts)
-
-    @property
-    def freqs(self) -> np.ndarray:
-        return self.counts / self.total
 
 
 @dataclass(frozen=True)
@@ -397,15 +368,15 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def histogram(table: MicrodataTable, rows: np.ndarray | None = None) -> SaHistogram:
-    """Count SA occurrences over the whole table or a subset of row indices."""
+def histogram(table: MicrodataTable, rows: np.ndarray | None = None) -> np.ndarray:
+    """int64 count of each SA code over the whole table or a subset of rows."""
     codes = table.sa_codes if rows is None else table.sa_codes[rows]
-    counts = np.bincount(codes, minlength=table.sa_domain_size).astype(np.int64)
-    return SaHistogram(counts=counts)
+    return np.bincount(codes, minlength=table.sa_domain_size).astype(np.int64)
 
 
-def linear_privacy_spec(h: SaHistogram, theta: float, intercept: float) -> PrivacySpec:
-    """Threshold rule min(1, theta*f_i + intercept) applied to every value.
+def linear_privacy_spec(counts: np.ndarray, theta: float, intercept: float) -> PrivacySpec:
+    """Threshold rule min(1, theta*f_i + intercept) applied to every value,
+    f_i being value i's share of the SA counts.
 
     theta and intercept must be non-negative and must produce positive
     thresholds (theta=0 with intercept=0 would forbid everything).
@@ -413,7 +384,7 @@ def linear_privacy_spec(h: SaHistogram, theta: float, intercept: float) -> Priva
     if not (theta >= 0 and intercept >= 0):
         raise ConfigError(f"theta and intercept must be non-negative numbers, "
                           f"got {theta} and {intercept}")
-    t = np.minimum(1.0, theta * h.freqs + intercept)
+    t = np.minimum(1.0, theta * (counts / counts.sum()) + intercept)
     if not np.all(t > 0.0):
         raise ConfigError("privacy rule yields a non-positive threshold")
     return PrivacySpec(thresholds=t)
@@ -500,12 +471,12 @@ class Eligibility:
         return self.ok
 
 
-def check_eligibility(h: SaHistogram, p: PrivacySpec) -> Eligibility:
+def check_eligibility(counts: np.ndarray, p: PrivacySpec) -> Eligibility:
     """A threshold set is achievable iff o_i <= value_slots(p, n) for all i."""
-    if p.m != h.m:
+    if p.m != len(counts):
         raise ConfigError("privacy spec and histogram cover different domains")
-    bad = np.flatnonzero(h.counts > value_slots(p, h.total))
-    viol = tuple((int(i), int(h.counts[i]), float(p.thresholds[i])) for i in bad)
+    bad = np.flatnonzero(counts > value_slots(p, int(counts.sum())))
+    viol = tuple((int(i), int(counts[i]), float(p.thresholds[i])) for i in bad)
     return Eligibility(violations=viol)
 
 

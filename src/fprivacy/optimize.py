@@ -29,7 +29,6 @@ from .core import (
     InfeasiblePrivacyError,
     MicrodataTable,
     PrivacySpec,
-    SaHistogram,
     histogram,
     smallest_admitting_size,
     value_slots,
@@ -105,7 +104,7 @@ class SearchResult:
         return self.setting.loss
 
 
-def two_size_bucketing(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
+def two_size_bucketing(counts: np.ndarray, spec: PrivacySpec, cfg: SearchConfig,
                        pruning: str = "full") -> Optional[SearchResult]:
     """Minimum-loss valid two-size setting within the size range, or None.
 
@@ -115,9 +114,9 @@ def two_size_bucketing(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
     if pruning not in PRUNING_MODES:
         raise ConfigError(f"unknown pruning mode {pruning!r}; use one of "
                           f"{', '.join(PRUNING_MODES)}")
-    if h.total < 1:
+    n = int(counts.sum())
+    if n < 1:
         raise ConfigError("cannot search an empty table")
-    counts = h.counts
     # per size: its value slots and, in "full" mode, its fill limit
     slots_cache: dict[int, tuple[np.ndarray, Optional[int]]] = {}
 
@@ -139,13 +138,13 @@ def two_size_bucketing(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
     trace = []
     # a size above n + 1 takes no bucket, giving a setting that its pair with
     # n + 1 gave first, so the sizes stop there
-    max_size = min(cfg.max_size, h.total + 1)
+    max_size = min(cfg.max_size, n + 1)
     for s1 in range(cfg.min_size, max_size):
         # n records in buckets of size >= s1 lose at least n(s1-1)^2/s1
-        if pruning != "none" and h.total * (s1 - 1) ** 2 >= best_loss * s1:
+        if pruning != "none" and n * (s1 - 1) ** 2 >= best_loss * s1:
             break
         for s2 in range(s1 + 1, max_size + 1):
-            g = build_gamma(h.total, s1, s2)
+            g = build_gamma(n, s1, s2)
             if g is None:
                 continue
             if pruning == "none":
@@ -187,14 +186,14 @@ def two_size_parts(table: MicrodataTable, spec: PrivacySpec,
     current=None any valid setting is taken, and a record set that has none
     raises InfeasiblePrivacyError.
     """
-    h = histogram(table, rows)
-    found = two_size_bucketing(h, spec, cfg)
+    counts = histogram(table, rows)
+    found = two_size_bucketing(counts, spec, cfg)
     if found is None and current is None:
         raise InfeasiblePrivacyError(
             "no valid two-size bucketing within the size bounds")
     if found is None or (current is not None and found.loss >= current.loss):
         return None
-    bounds = allocation_bounds(h, spec, found.setting)
+    bounds = allocation_bounds(counts, spec, found.setting)
     parts = partition_records(table, bounds, found.setting, rows=rows)
     return [(part, group) for part, group in zip(parts, found.setting)
             if group.count > 0]
@@ -260,7 +259,7 @@ def _enumerate_settings(n: int, cfg: SearchConfig, max_q: int, budget: int):
     return found
 
 
-def brute_force_optimal(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
+def brute_force_optimal(counts: np.ndarray, spec: PrivacySpec, cfg: SearchConfig,
                         max_q: int = 2, budget: int = 10_000_000,
                         ) -> Optional[SearchResult]:
     """Exact minimum-loss valid setting by enumeration plus the cut test.
@@ -271,13 +270,14 @@ def brute_force_optimal(h: SaHistogram, spec: PrivacySpec, cfg: SearchConfig,
     """
     if max_q < 1:
         raise ConfigError(f"max_q must be >= 1, got {max_q}")
-    if h.total < 1:
+    n = int(counts.sum())
+    if n < 1:
         raise ConfigError("cannot search an empty table")
     pool = [BucketSetting.of(*groups)
-            for groups in _enumerate_settings(h.total, cfg, max_q, budget)]
+            for groups in _enumerate_settings(n, cfg, max_q, budget)]
     pool.sort(key=lambda s: (s.loss, s.sizes))
     for setting in pool:
-        if flow_feasibility_oracle(h, spec, setting):
+        if flow_feasibility_oracle(counts, spec, setting):
             return SearchResult(setting)
     return None
 

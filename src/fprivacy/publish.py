@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "PublishedTables",
-    "NegAssociationModel",
     "BucketInference",
     "CorruptionReport",
     "release",
@@ -102,7 +101,7 @@ class PublishedTables:
 
     @cached_property
     def bucket_sizes(self) -> np.ndarray:
-        """Record count of buckets 1..bucket_count."""
+        """Number of records in buckets 1..bucket_count."""
         return np.bincount(self.qit_bids, minlength=self.bucket_count + 1)[1:]
 
     @cached_property
@@ -197,17 +196,17 @@ def publish(table: MicrodataTable, bucket_of: np.ndarray,
 
 
 def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
-                 model: Optional["NegAssociationModel"] = None,
+                 flagged: frozenset = frozenset(),
                  thresholds: Optional[dict[str, float]] = None,
                  ) -> PublishedTables:
     """Pad every bucket with sigma distinct fake SA values.
 
     Fakes are drawn uniformly without replacement from the SA domain, never
-    collide with the bucket's real values, and, when an association model is
-    supplied, avoid values an adversary could strike out as implausible for
-    the bucket's QI values.  Buckets holding duplicate real values are
-    refused: the distinct-value analysis behind the defense does not cover
-    them.
+    collide with the bucket's real values, and avoid the values an adversary
+    could strike out as implausible for the bucket's QI values: those that
+    the flagged triples of learn_negative_associations name for them.
+    Buckets holding duplicate real values are refused: the distinct-value
+    analysis behind the defense does not cover them.
 
     thresholds (SA label -> cap) additionally restricts fakes to values whose
     cap admits one copy in the padded bucket of s+sigma rows under
@@ -239,12 +238,12 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
     B, m = pt.bucket_count, pt.m
     sizes = pt.bucket_sizes
     # (bucket, value) keys, ascending: the values each bucket holds, then
-    # also those the model flags for its QI values
+    # also those flagged for its QI values
     held = _distinct(np.multiply(pt.st_bids - 1, m, dtype=np.int64)
                      + pt.st_codes)
     duplicated = np.bincount(held // m, minlength=B) != sizes
-    excluded = held if model is None else _distinct(
-        np.concatenate((held, _flagged_keys(pt, model))))
+    excluded = held if not flagged else _distinct(
+        np.concatenate((held, _flagged_keys(pt, flagged))))
     least = np.zeros(m)
     if thresholds is not None:
         try:
@@ -304,10 +303,10 @@ def inject_fakes(pt: PublishedTables, sigma: int, seed: int = 0,
     return padded
 
 
-def _flagged_keys(pt: PublishedTables, model: "NegAssociationModel"):
-    """(bucket, SA value) keys of the values the model flags for a QI value
-    some record of the bucket holds."""
-    flagged = np.array(sorted(model.flagged), dtype=np.int64).reshape(-1, 3)
+def _flagged_keys(pt: PublishedTables, flagged: frozenset):
+    """(bucket, SA value) keys of the values flagged triples mark for a QI
+    value some record of the bucket holds."""
+    flagged = np.array(sorted(flagged), dtype=np.int64).reshape(-1, 3)
     keys = [np.empty(0, dtype=np.int64)]
     for j, domain in enumerate(pt.qi_domains):
         attr, z, x = flagged.T
@@ -355,26 +354,18 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
-@dataclass(frozen=True)
-class NegAssociationModel:
-    """Pairs (QI attribute, QI value, SA value) that rarely share a bucket.
-
-    A pair is flagged when its bucket-level co-occurrence count falls below
-    threshold times the count expected under independence.
-    """
-
-    threshold: float
-    flagged: frozenset
-
-
 def learn_negative_associations(pt: PublishedTables,
-                                threshold: float) -> NegAssociationModel:
-    """Mine the published pair for QI/SA values that avoid each other.
+                                threshold: float) -> frozenset:
+    """Mine the published pair for QI/SA values that avoid each other:
+    the flagged triples (QI attribute, QI code, SA code) whose two values
+    rarely share a bucket.
 
     A pair's co-occurrence count is the number of buckets holding both
-    values.  It comes from joining each (bucket, QI value) the QIT holds to
-    the (bucket, SA value) pairs the ST holds, so memory grows with those
-    pairs and the (QI domain, SA domain) counts, not with buckets * domain.
+    values; the pair is flagged when that count falls below threshold times
+    the count expected under independence.  The counts come from joining
+    each (bucket, QI value) the QIT holds to the (bucket, SA value) pairs
+    the ST holds, so memory grows with those pairs and the (QI domain, SA
+    domain) counts, not with buckets * domain.
     """
     if not 0 < threshold <= 1:
         raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
@@ -395,7 +386,7 @@ def learn_negative_associations(pt: PublishedTables,
         hits = np.nonzero(observed.reshape(d, m) < threshold * expected)
         for z, x in zip(*hits):
             flagged.add((j, int(z), int(x)))
-    return NegAssociationModel(threshold=threshold, flagged=frozenset(flagged))
+    return frozenset(flagged)
 
 
 @dataclass(frozen=True)
@@ -509,9 +500,10 @@ def write_published(pt: PublishedTables, out_dir) -> None:
     """Write qit.csv, st.csv and the private fakes_audit.json.
 
     The CSV bytes are csv.writer's in its default dialect.  Each distinct QI
-    label, SA label and bucket id is formatted once by csv.writer, and rows
-    are joined from those texts.  Raises ConfigError when a bucket holds no
-    record, since read_published could not rebuild such a release.
+    label and SA label is formatted once by csv.writer, each bucket id by
+    str (a decimal never needs quoting), and rows are joined from those
+    texts.  Raises ConfigError when a bucket holds no record, since
+    read_published could not rebuild such a release.
     """
     empty = np.flatnonzero(pt.bucket_sizes == 0)
     if len(empty):
@@ -520,7 +512,8 @@ def write_published(pt: PublishedTables, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     end = csv.excel.lineterminator
-    bids = _field_texts(range(1, pt.bucket_count + 1))
+    bids = np.array(list(map(str, range(1, pt.bucket_count + 1))),
+                    dtype=object)
     qi_columns = [_field_texts(domain)[pt.qi_codes[:, j]]
                   for j, domain in enumerate(pt.qi_domains)]
     _write_rows(out / "qit.csv", [*pt.qi_names, "BID"],

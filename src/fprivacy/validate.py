@@ -25,7 +25,6 @@ from .core import (
     ConfigError,
     MicrodataTable,
     PrivacySpec,
-    SaHistogram,
     histogram,
     stable_order,
     threshold_slots,
@@ -91,7 +90,7 @@ class BucketSetting:
         return len(self.groups)
 
 
-def allocation_bounds(h: SaHistogram, p: PrivacySpec,
+def allocation_bounds(counts: np.ndarray, p: PrivacySpec,
                       setting: BucketSetting) -> np.ndarray:
     """The (m, q) int64 caps: entry [i, j] is the most records of value i
     that group j can absorb, bucket slot count times bucket count, capped
@@ -99,7 +98,7 @@ def allocation_bounds(h: SaHistogram, p: PrivacySpec,
     groups = setting.groups
     upper = (threshold_slots(p.thresholds[:, None], [g.size for g in groups])
              .astype(np.int64) * np.array([g.count for g in groups], np.int64))
-    return np.minimum(upper, h.counts[:, None])
+    return np.minimum(upper, counts[:, None])
 
 
 @dataclass(frozen=True)
@@ -141,17 +140,17 @@ class ValidityReport:
         return out
 
 
-def constraint_report(h: SaHistogram, p: PrivacySpec, setting: BucketSetting) -> ValidityReport:
+def constraint_report(counts: np.ndarray, p: PrivacySpec, setting: BucketSetting) -> ValidityReport:
     """Evaluate the PC/FC/CC conditions for any number of groups.
 
     They are the single-group and full-set cuts of the subset-cut test, so
     exact for at most two nonempty groups and only necessary for more.
     """
-    alloc = allocation_bounds(h, p, setting)
-    pc_bad = np.nonzero(alloc.sum(axis=1) < h.counts)[0]
+    alloc = allocation_bounds(counts, p, setting)
+    pc_bad = np.nonzero(alloc.sum(axis=1) < counts)[0]
     fc_bad = [j for j, g in enumerate(setting.groups)
               if int(alloc[:, j].sum()) < g.capacity]
-    cc_ok = setting.capacity == h.total
+    cc_ok = setting.capacity == int(counts.sum())
     return ValidityReport(
         pc_failed_values=tuple(int(i) for i in pc_bad),
         fc_failed_groups=tuple(fc_bad),
@@ -217,16 +216,16 @@ def partition_records(table: MicrodataTable, bounds: np.ndarray,
     if rows is None:
         rows = np.arange(len(table), dtype=np.int64)
     rows = np.asarray(rows)
-    h = histogram(table, rows)
+    counts = histogram(table, rows)
     g1, g2 = setting.groups
     a1 = bounds[:, 0]
     a2 = bounds[:, 1]
     if int(a1.sum()) < g1.capacity or int(a2.sum()) < g2.capacity \
-            or np.any(a1 + a2 < h.counts) or setting.capacity != h.total:
+            or np.any(a1 + a2 < counts) or setting.capacity != len(rows):
         raise ConfigError("partition_records called on an invalid setting")
     # sum(movable) = sum(a1) - n + sum(a2) >= need, so the drain completes
     need = int(a1.sum()) - g1.capacity
-    movable = np.minimum(a1, a1 + a2 - h.counts)
+    movable = np.minimum(a1, a1 + a2 - counts)
     rounds = bisect.bisect_right(range(int(movable.max()) + 1), need,
                                  key=lambda r: np.minimum(movable, r).sum()) - 1
     keep = a1 - np.minimum(movable, rounds)
@@ -236,12 +235,12 @@ def partition_records(table: MicrodataTable, bounds: np.ndarray,
     codes = table.sa_codes[rows]
     order = stable_order(codes)
     codes, rows = codes[order], rows[order]
-    rank = np.arange(len(rows)) - (np.cumsum(h.counts) - h.counts)[codes]
+    rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[codes]
     first = rank < keep[codes]
     return np.sort(rows[first]), np.sort(rows[~first])
 
 
-def flow_feasibility_oracle(h: SaHistogram, p: PrivacySpec, setting: BucketSetting) -> bool:
+def flow_feasibility_oracle(counts: np.ndarray, p: PrivacySpec, setting: BucketSetting) -> bool:
     """Exact validity for any number of groups: Gale's subset-cut test.
 
     Max-flow/min-cut on the supply-demand graph (Gale, Pacific J. Math.
@@ -253,10 +252,10 @@ def flow_feasibility_oracle(h: SaHistogram, p: PrivacySpec, setting: BucketSetti
     if q > MAX_CUT_GROUPS:
         raise ConfigError(
             f"feasibility test takes at most {MAX_CUT_GROUPS} groups, got {q}")
-    if setting.capacity != h.total:
+    if setting.capacity != int(counts.sum()):
         return False
     subsets = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1  # (2^q, q) 0/1
-    supply = np.minimum(allocation_bounds(h, p, setting) @ subsets.T,
-                        h.counts[:, None]).sum(axis=0)
+    supply = np.minimum(allocation_bounds(counts, p, setting) @ subsets.T,
+                        counts[:, None]).sum(axis=0)
     demand = subsets @ np.array([g.capacity for g in setting.groups], np.int64)
     return bool(np.all(demand <= supply))

@@ -8,9 +8,30 @@ import pytest
 from hypothesis import strategies as st
 
 from fprivacy.core import (ConfigError, IngestionError, MicrodataTable,
-                           PrivacySpec, histogram, intern_labels,
+                           PrivacySpec, histogram, ingest_csv, intern_labels,
                            linear_privacy_spec, open_csv, read_columns,
                            threshold_slots, value_slots)
+from fprivacy.validate import BucketGroup, build_assignment
+
+TABLE1 = ("Gender,Zipcode,Disease\n"
+          "M,54321,Brain Tumor\n"
+          "M,54322,Indigestion\n"
+          "F,61234,Cancer\n"
+          "F,61434,HIV\n")
+
+
+def clinic_table(tmp_path):
+    """TABLE1, the four-record clinic table, ingested with SA Disease."""
+    path = tmp_path / "clinic.csv"
+    path.write_text(TABLE1)
+    return ingest_csv(path, sa_column="Disease")
+
+
+def pair_buckets(table):
+    """Assign records 0,1 to bucket 1 and records 2,3 to bucket 2."""
+    parts = [(np.array([0, 1]), BucketGroup(size=2, count=1)),
+             (np.array([2, 3]), BucketGroup(size=2, count=1))]
+    return build_assignment(table, parts)
 
 
 def table_from_counts(counts, qi_width=1, labels=None):
@@ -63,6 +84,16 @@ def random_instance(rng, max_n=60, max_m=8):
     return counts, PrivacySpec(thresholds=thresholds)
 
 
+def tight_value_instance(seed, m=30, n=4000, tight=150):
+    """One value hostable only by the largest size; all position lists long."""
+    rng = np.random.default_rng(seed)
+    rest = rng.multinomial(n - tight - (m - 1), np.ones(m - 1) / (m - 1)) + 1
+    counts = np.concatenate([rest, [tight]]).astype(np.int64)
+    thresholds = np.ones(m)
+    thresholds[-1] = 1.0 / 12.0 + 0.001
+    return counts, PrivacySpec(thresholds=thresholds)
+
+
 def max_flow_feasible(h, p, setting):
     """Reference validity test by scipy max flow, for any number of groups.
 
@@ -71,33 +102,44 @@ def max_flow_feasible(h, p, setting):
     count.  Cross-checks the package's subset-cut test.
     """
     from scipy.sparse import csgraph, csr_matrix
-    if setting.capacity != h.total:
+    if setting.capacity != h.sum():
         return False
     groups = [g for g in setting.groups if g.count > 0]
     q = len(groups)
-    m = h.m
+    m = len(h)
     src, snk = 0, 1 + m + q
     nodes = snk + 1
     rows, cols, caps = [], [], []
     for i in range(m):
-        if h.counts[i] > 0:
+        if h[i] > 0:
             rows.append(src)
             cols.append(1 + i)
-            caps.append(int(h.counts[i]))
+            caps.append(int(h[i]))
     for j, g in enumerate(groups):
         slots = value_slots(p, g.size)
         for i in range(m):
             cap = int(slots[i]) * g.count
-            if cap > 0 and h.counts[i] > 0:
+            if cap > 0 and h[i] > 0:
                 rows.append(1 + i)
                 cols.append(1 + m + j)
-                caps.append(min(cap, int(h.counts[i])))
+                caps.append(min(cap, int(h[i])))
         rows.append(1 + m + j)
         cols.append(snk)
         caps.append(g.capacity)
     graph = csr_matrix((np.array(caps, dtype=np.int32), (rows, cols)),
                        shape=(nodes, nodes))
-    return int(csgraph.maximum_flow(graph, src, snk).flow_value) == h.total
+    return int(csgraph.maximum_flow(graph, src, snk).flow_value) == h.sum()
+
+
+def write_table_csv(path, table):
+    """table as a header-ed CSV of its labels, SA column last."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(table.qi_names) + [table.sa_name])
+        for row, sa in zip(table.qi_codes, table.sa_codes):
+            writer.writerow([table.qi_domains[j][c] for j, c in enumerate(row)]
+                            + [table.sa_domain[sa]])
+    return path
 
 
 def eager_value_counts(bucket_of, sa_codes, bucket_count, m):
@@ -226,10 +268,10 @@ def partition_by_masks(table, bounds, setting, rows=None):
     a1 = bounds[:, 0]
     a2 = bounds[:, 1]
     if int(a1.sum()) < g1.capacity or int(a2.sum()) < g2.capacity \
-            or np.any(a1 + a2 < h.counts) or setting.capacity != h.total:
+            or np.any(a1 + a2 < h) or setting.capacity != len(rows):
         raise ConfigError("partition_records called on an invalid setting")
     codes = table.sa_codes[rows]
-    by_value = [rows[codes == v] for v in range(h.m)]
+    by_value = [rows[codes == v] for v in range(len(h))]
     seed = [arr[: a1[v]] for v, arr in enumerate(by_value)]
     rest = [arr[a1[v]:] for v, arr in enumerate(by_value)]
     t1_len = np.array([len(x) for x in seed])
@@ -238,7 +280,7 @@ def partition_by_masks(table, bounds, setting, rows=None):
     moved = 0
     while moved < need:
         progressed = False
-        for v in range(h.m):
+        for v in range(len(h)):
             if moved >= need:
                 break
             if t1_len[v] > 0 and t2_len[v] < a2[v]:
@@ -248,8 +290,8 @@ def partition_by_masks(table, bounds, setting, rows=None):
                 progressed = True
         if not progressed:
             raise ConfigError("partition stalled; setting was not valid")
-    rows1 = np.concatenate([seed[v][: t1_len[v]] for v in range(h.m)])
-    rows2 = np.concatenate([seed[v][t1_len[v]:] for v in range(h.m)] + rest)
+    rows1 = np.concatenate([seed[v][: t1_len[v]] for v in range(len(h))])
+    rows2 = np.concatenate([seed[v][t1_len[v]:] for v in range(len(h))] + rest)
     rows1.sort()
     rows2.sort()
     return rows1, rows2

@@ -13,11 +13,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import assignment_complies, random_instance, table_from_counts
+from conftest import (assignment_complies, random_instance, table_from_counts,
+                      tight_value_instance)
 from fprivacy.core import (
     ConfigError,
     PrivacySpec,
-    SaHistogram,
     check_eligibility,
     ell_for_spec,
     histogram,
@@ -39,6 +39,7 @@ from fprivacy.publish import (
     inject_fakes,
     publish,
     read_published,
+    release,
     write_published,
 )
 from fprivacy.validate import (
@@ -53,11 +54,6 @@ from fprivacy.validate import (
 )
 
 WALKTHROUGH_COUNTS = [1] * 8 + [6] * 4 + [9] * 2
-
-
-def hist(counts):
-    counts = np.asarray(counts, dtype=np.int64)
-    return SaHistogram(counts=counts)
 
 
 def test_criterion_01_gamma_list_golden():
@@ -97,7 +93,7 @@ def test_criterion_02_walkthrough_end_to_end():
     rows1, rows2 = partition_records(table, bounds, setting)
     assert len(rows1) == 36 and len(rows2) == 14
     # the side-1 caps oversubscribe its capacity by exactly six records
-    moved = int((bounds[:, 0] - histogram(table, rows1).counts).sum())
+    moved = int((bounds[:, 0] - histogram(table, rows1)).sum())
     assert moved == 6, f"partition moved {moved} records, expected 6"
 
     assignment = build_assignment(
@@ -109,10 +105,10 @@ def test_criterion_02_walkthrough_end_to_end():
 
 def test_criterion_03_three_size_flow_gap():
     """A setting can pass the per-group constraints yet admit no assignment."""
-    h = hist([5] * 10 + [20])
+    h = np.array([5] * 10 + [20])
     spec = PrivacySpec(thresholds=np.array([0.18] * 10 + [1.0]))
     setting = BucketSetting.of((4, 5), (5, 4), (6, 5))
-    assert setting.capacity == h.total
+    assert setting.capacity == h.sum()
     assert constraint_report(h, spec, setting)
     assert not flow_feasibility_oracle(h, spec, setting)
     print("\n[criterion 3] PASS (constraints hold, flow oracle says infeasible)")
@@ -126,8 +122,7 @@ def _oracle_sweep():
     processed = solved = 0
     t0 = time.perf_counter()
     while processed < 200:
-        counts, spec = random_instance(rng)
-        h = hist(counts)
+        h, spec = random_instance(rng)
         try:
             cfg = SearchConfig.for_spec(spec, max_size=10)
         except ConfigError:
@@ -156,16 +151,6 @@ def test_criterion_04_search_matches_brute_force():
           f"zero discrepancies, {elapsed:.1f} s)")
 
 
-def tight_value_instance(seed, m=30, n=4000, tight=150):
-    """One value hostable only by the largest size; all position lists long."""
-    rng = np.random.default_rng(seed)
-    rest = rng.multinomial(n - tight - (m - 1), np.ones(m - 1) / (m - 1)) + 1
-    counts = np.concatenate([rest, [tight]]).astype(np.int64)
-    thresholds = np.ones(m)
-    thresholds[-1] = 1.0 / 12.0 + 0.001
-    return hist(counts), PrivacySpec(thresholds=thresholds)
-
-
 def test_criterion_05_pruning_sound_and_effective():
     # soundness on the criterion-4 instances comes from the shared sweep
     processed, _, _ = _oracle_sweep()
@@ -191,11 +176,12 @@ def test_criterion_05_pruning_sound_and_effective():
 def _one_size_optimum(h, spec):
     """Best single-size loss over exact divisors, or None."""
     best = None
-    for size in range(1, h.total + 1):
-        if h.total % size:
+    n = int(h.sum())
+    for size in range(1, n + 1):
+        if n % size:
             continue
-        if constraint_report(h, spec, BucketSetting.of((size, h.total // size))):
-            loss = (h.total // size) * (size - 1) ** 2
+        if constraint_report(h, spec, BucketSetting.of((size, n // size))):
+            loss = (n // size) * (size - 1) ** 2
             best = loss if best is None else min(best, loss)
     return best
 
@@ -209,8 +195,8 @@ def test_criterion_06_utility_chain_and_mse_sweep():
     for theta, golden in expected.items():
         spec = linear_privacy_spec(h, theta=float(theta), intercept=0.0)
         ell = ell_for_spec(spec)
-        assert h.total % ell == 0 and h.counts.max() <= h.total // ell
-        anatomy = anatomy_setting(h.total, ell).loss
+        assert len(table) % ell == 0 and h.max() <= len(table) // ell
+        anatomy = anatomy_setting(len(table), ell).loss
         one = _one_size_optimum(h, spec)
         cfg = SearchConfig.for_spec(spec, max_size=50)
         two = two_size_bucketing(h, spec, cfg).loss
@@ -260,7 +246,7 @@ def test_criterion_06_utility_chain_and_mse_sweep():
         cfg = SearchConfig.for_spec(spec, max_size=50)
         losses.append(two_size_bucketing(h, spec, cfg).loss)
     assert losses == [28930, 11644, 5440, 1756, 216]
-    mses = [loss / (h.total - 1) for loss in losses]
+    mses = [loss / (len(table) - 1) for loss in losses]
     assert all(a > b for a, b in zip(mses, mses[1:]))
     print(f"\n[criterion 6] PASS (chain holds on {chained} instances, "
           f"{full} with the baseline, {strict} strict; "
@@ -325,12 +311,7 @@ def test_criterion_09_fake_injection_defense(tmp_path):
     table = table_from_counts(WALKTHROUGH_COUNTS)
     h = histogram(table)
     spec = linear_privacy_spec(h, theta=2.0, intercept=0.05)
-    cfg = SearchConfig.for_spec(spec)
-    found = two_size_bucketing(h, spec, cfg)
-    bounds = allocation_bounds(h, spec, found.setting)
-    rows1, rows2 = partition_records(table, bounds, found.setting)
-    parts = list(zip((rows1, rows2), found.setting))
-    pt = publish(table, build_assignment(table, parts), seed=3)
+    pt = release(table, spec, SearchConfig.for_spec(spec), seed=3)
     write_published(pt, tmp_path)
     loaded = read_published(tmp_path)
     assert loaded.sigma == 0

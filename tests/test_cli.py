@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fprivacy
+from conftest import write_table_csv
 from fprivacy.cli import main
 from fprivacy.core import histogram, ingest_csv, linear_privacy_spec
 from fprivacy.metrics import (gen_queries, gen_synthetic, loss_of,
@@ -46,16 +47,6 @@ def write_uniform_csv(path, m=20, per=5):
         for i in range(per):
             rows.append(f"g{i % 3},v{code:02d}")
     path.write_text("\n".join(rows) + "\n")
-    return path
-
-
-def write_table_csv(path, table):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(table.qi_names) + [table.sa_name])
-        for row, sa in zip(table.qi_codes, table.sa_codes):
-            writer.writerow([table.qi_domains[j][c] for j, c in enumerate(row)]
-                            + [table.sa_domain[sa]])
     return path
 
 
@@ -185,6 +176,31 @@ class TestAnalyze:
         code, _ = run(capsys, "analyze", "--input", str(walkthrough_csv),
                       "--sa", "Disease", "--privacy-file", str(empty))
         assert code == 4
+
+    def test_missing_privacy_file_is_io_error(self, capsys, tmp_path,
+                                              walkthrough_csv):
+        assert main(["analyze", "--input", str(walkthrough_csv), "--sa",
+                     "Disease", "--privacy-file",
+                     str(tmp_path / "absent.csv")]) == 4
+        assert "cannot open" in capsys.readouterr().err
+
+    def test_privacy_row_of_three_fields_is_io_error(self, capsys, tmp_path):
+        csv_path = write_uniform_csv(tmp_path / "two.csv", m=2, per=1)
+        caps = tmp_path / "caps.csv"
+        caps.write_text("v00,1,extra\nv01,1\n")
+        assert main(["analyze", "--input", str(csv_path), "--sa", "Illness",
+                     "--privacy-file", str(caps)]) == 4
+        assert capsys.readouterr().err == \
+            f"error: {caps}:1: expected 2 fields, got 3\n"
+
+    def test_blank_privacy_line_is_skipped(self, capsys, tmp_path):
+        csv_path = write_uniform_csv(tmp_path / "two.csv", m=2, per=1)
+        caps = tmp_path / "caps.csv"
+        caps.write_text("sa_value,threshold\nv00,1\n\nv01,0.5\n")
+        code, report = run(capsys, "analyze", "--input", str(csv_path),
+                           "--sa", "Illness", "--privacy-file", str(caps))
+        assert code == 0
+        assert [v["threshold"] for v in report["values"]] == [1.0, 0.5]
 
     def test_threshold_with_overflowing_inverse_is_infeasible(self, capsys,
                                                                tmp_path):
@@ -468,6 +484,25 @@ class TestPublishEvaluate:
         assert code == 0
         assert report["bucket_sizes"] == [[3, 40]]
         assert report["buckets"] == 40
+
+    def test_evaluate_under_tighter_thresholds_exits_two(self, capsys,
+                                                         tmp_path):
+        """The recheck's failing path: the report is still printed, with
+        privacy_ok false, before the exit code says the release is not
+        private under the thresholds given."""
+        csv_path = write_uniform_csv(tmp_path / "ten.csv", m=5, per=2)
+        out = tmp_path / "pub"
+        flags = ["--input", str(csv_path), "--sa", "Illness", "--out",
+                 str(out)]
+        code, _ = run(capsys, "publish", *flags, "--theta", "2",
+                      "--intercept", "0.3")
+        assert code == 0
+        assert main(["evaluate", *flags, "--theta", "0.5", "--intercept",
+                     "0.05", "--pool", "20"]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["privacy_ok"] is False
+        assert captured.err == ("error: published tables violate the "
+                                "privacy thresholds\n")
 
     def test_evaluate_accepts_thresholds_at_a_third(self, capsys, tmp_path):
         # 0.3333333333 admits one copy per size-3 bucket under value_slots'
@@ -979,6 +1014,15 @@ class TestPlot:
                       "--sa", "Disease", "--thetas", "2,zebra",
                       "--out", str(tmp_path / "p"))
         assert code == 3
+
+    def test_empty_theta_list_exits_three(self, capsys, tmp_path,
+                                          walkthrough_csv):
+        assert main(["plot", "--input", str(walkthrough_csv), "--sa",
+                     "Disease", "--thetas", ",",
+                     "--out", str(tmp_path / "p")]) == 3
+        assert capsys.readouterr().err == \
+            "error: need at least one theta value\n"
+        assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("extra, code, prefix", [
         (["--thetas", "2,0.001", "--intercept", "0.001"], 2,

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import table_from_counts, worst_record_prob
 
-from fprivacy.core import (Eligibility, PrivacySpec, SaHistogram,
-                           check_eligibility, histogram, linear_privacy_spec)
+from fprivacy.core import (Eligibility, PrivacySpec, check_eligibility,
+                           histogram, linear_privacy_spec)
 from fprivacy.metrics import (UtilityReport, gen_queries, gen_synthetic,
                               relative_error)
 from fprivacy.optimize import (SearchConfig, SearchResult, brute_force_optimal,
@@ -21,7 +21,7 @@ from fprivacy.validate import round_robin_assign
 
 DERIVED = {PublishedTables: "bucket_count", SearchResult: "loss",
            Eligibility: "ok", UtilityReport: "re_mean",
-           CorruptionReport: "max_record_prob", SaHistogram: "total"}
+           CorruptionReport: "max_record_prob"}
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,7 @@ def test_search_loss_is_the_settings(synthetic, walkthrough_table,
 def test_eligibility_is_ok_without_violations(walkthrough_table,
                                               walkthrough_spec):
     h = histogram(walkthrough_table)
-    tight = PrivacySpec(np.full(h.m, 0.01))
+    tight = PrivacySpec(np.full(len(h), 0.01))
     for spec in (walkthrough_spec, tight):
         eligibility = check_eligibility(h, spec)
         assert eligibility.ok == (eligibility.violations == ())

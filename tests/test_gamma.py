@@ -9,14 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import gamma_first_covering
 from fprivacy import gamma
-from fprivacy.core import ConfigError, PrivacySpec, SaHistogram, histogram, value_slots
+from fprivacy.core import ConfigError, PrivacySpec, histogram, value_slots
 from fprivacy.gamma import GammaList, build_gamma, loss_prefix
 from fprivacy.validate import BucketSetting, constraint_report
-
-
-def hist(counts):
-    counts = np.asarray(counts, dtype=np.int64)
-    return SaHistogram(counts=counts)
 
 
 def gamma_instance(rng, max_n=200, max_m=10, max_size=12):
@@ -25,13 +20,13 @@ def gamma_instance(rng, max_n=200, max_m=10, max_size=12):
     n = int(rng.integers(m, max_n + 1))
     weights = rng.dirichlet(np.full(m, rng.uniform(0.4, 2.0)))
     counts = rng.multinomial(max(n - m, 0), weights) + 1
-    h = hist(counts)
     scale = rng.uniform(0.5, 3.0)  # < 1 produces infeasible values on purpose
-    thresholds = np.minimum(1.0, np.maximum(h.freqs * scale, 0.02))
+    thresholds = np.minimum(1.0, np.maximum(counts / counts.sum() * scale,
+                                            0.02))
     p = PrivacySpec(thresholds)
     s1 = int(rng.integers(1, max_size))
     s2 = int(rng.integers(s1 + 1, max_size + 1))
-    return h, p, s1, s2
+    return counts, p, s1, s2
 
 
 def scan_valid_positions(g, h, p, limit):
@@ -47,14 +42,12 @@ def scan_valid_positions(g, h, p, limit):
 
 def kernel_args(g, h, p):
     """The slot and count arguments first_valid_scan takes after g and kp."""
-    return (value_slots(p, g.size1), value_slots(p, g.size2),
-            h.counts.astype(np.int64))
+    return value_slots(p, g.size1), value_slots(p, g.size2), h
 
 
 def fill_limits(g, h, p):
     """Both sizes' (fill limit, probes) from gamma.fill_limit."""
-    o = h.counts.astype(np.int64)
-    return tuple(gamma.fill_limit(size, value_slots(p, size), o)
+    return tuple(gamma.fill_limit(size, value_slots(p, size), h)
                  for size in (g.size1, g.size2))
 
 
@@ -212,12 +205,12 @@ class TestRegions:
                                                  walkthrough_spec):
         h = histogram(walkthrough_table)
         g = build_gamma(50, 4, 14)
-        for value in range(h.m):
+        for value in range(len(h)):
             lo, hi = pc_bounds(g, h, walkthrough_spec, g.last_index, value)
             assert lo <= 0 <= hi
 
     def test_slack_everywhere_gives_full_region(self):
-        h = hist([2, 3, 3])
+        h = np.array([2, 3, 3])
         p = PrivacySpec(np.array([1.0, 1.0, 1.0]))
         g = build_gamma(8, 2, 4)
         kp = g.last_index
@@ -226,7 +219,7 @@ class TestRegions:
             assert pc_bounds(g, h, p, kp, value) == (0, kp)
 
     def test_empty_prefix_gives_empty_region(self):
-        h = hist([2, 3, 3])
+        h = np.array([2, 3, 3])
         p = PrivacySpec(np.array([1.0, 1.0, 1.0]))
         g = build_gamma(8, 2, 4)
         # a loss bound of 0 leaves no position for the kernels to search
@@ -241,14 +234,14 @@ class TestRegions:
         checked = 0
         for _ in range(300):
             h, p, s1, s2 = gamma_instance(rng)
-            g = build_gamma(h.total, s1, s2)
+            g = build_gamma(int(h.sum()), s1, s2)
             if g is None:
                 continue
             u1 = value_slots(p, s1)
             u2 = value_slots(p, s2)
-            value = int(rng.integers(0, h.m))
+            value = int(rng.integers(0, len(h)))
             lo, hi = pc_bounds(g, h, p, g.last_index, value)
-            o = int(h.counts[value])
+            o = int(h[value])
             expected = [pos for pos in range(len(g))
                         if min(int(u1[value]) * g.pair_at(pos)[0], o)
                         + min(int(u2[value]) * g.pair_at(pos)[1], o) >= o]
@@ -262,7 +255,7 @@ class TestRegions:
         checked = nonempty = 0
         for _ in range(250):
             h, p, s1, s2 = gamma_instance(rng)
-            g = build_gamma(h.total, s1, s2)
+            g = build_gamma(int(h.sum()), s1, s2)
             if g is None:
                 continue
             best = math.inf if rng.random() < 0.5 else float(rng.integers(0, 4000))
@@ -284,7 +277,7 @@ class TestRegions:
         seen = 0
         for _ in range(200):
             h, p, s1, s2 = gamma_instance(rng, max_n=120)
-            g = build_gamma(h.total, s1, s2)
+            g = build_gamma(int(h.sum()), s1, s2)
             if g is None:
                 continue
             pos, _ = gamma.first_valid_pos(g, g.last_index, *pos_args(g, h, p))
@@ -297,7 +290,7 @@ class TestRegions:
         assert seen > 30
 
     def test_infeasible_privacy_empty_everywhere(self):
-        h = hist([30, 10, 10])
+        h = np.array([30, 10, 10])
         # first value's threshold sits below its frequency: never satisfiable
         p = PrivacySpec(np.array([0.3, 1.0, 1.0]))
         for s1, s2 in [(1, 2), (2, 3), (2, 5), (4, 7), (5, 10)]:
@@ -312,7 +305,7 @@ class TestRegions:
         rng = np.random.default_rng(64)
         for _ in range(200):
             h, p, s1, s2 = gamma_instance(rng)
-            g = build_gamma(h.total, s1, s2)
+            g = build_gamma(int(h.sum()), s1, s2)
             if g is None:
                 continue
             region = region_positions(g, h, p, g.last_index)
@@ -328,12 +321,12 @@ class TestRegions:
         rng = np.random.default_rng(65)
         for _ in range(150):
             h, p, s1, s2 = gamma_instance(rng, max_n=200)
-            g = build_gamma(h.total, s1, s2)
+            g = build_gamma(int(h.sum()), s1, s2)
             if g is None:
                 continue
             _, probes = gamma.first_valid_pos(g, g.last_index, *pos_args(g, h, p))
             probes += sum(fill_probes for _, fill_probes in fill_limits(g, h, p))
-            bound = (3 * h.m + 2) * (math.ceil(math.log2(len(g))) + 4)
+            bound = (3 * len(h) + 2) * (math.ceil(math.log2(len(g))) + 4)
             assert probes <= bound
 
     @given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=8),
@@ -345,9 +338,10 @@ class TestRegions:
                                                s1, span, cut):
         if sum(counts) == 0:
             counts[0] = 1
-        h = hist(counts)
-        p = PrivacySpec(np.minimum(1.0, np.maximum(h.freqs * scale, floor)))
-        g = build_gamma(h.total, s1, s1 + span)
+        h = np.array(counts)
+        p = PrivacySpec(np.minimum(1.0, np.maximum(h / h.sum() * scale,
+                                                   floor)))
+        g = build_gamma(int(h.sum()), s1, s1 + span)
         if g is None:
             return
         kp = int(cut * g.last_index)

@@ -9,37 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clinic_table, pair_buckets
 from fprivacy.core import (ConfigError, MicrodataTable, histogram,
-                           ingest_csv, linear_privacy_spec)
+                           linear_privacy_spec)
 from fprivacy import metrics
 from fprivacy.metrics import (CountQuery, answer_estimated, answer_true,
                               estimated_count_cube, gen_queries,
                               gen_synthetic, loss_of, mse_of, relative_error,
                               true_count_cube, write_xy_dat)
-from fprivacy.optimize import SearchConfig, two_size_bucketing
+from fprivacy.optimize import SearchConfig
 from fprivacy.publish import (PublishedTables, bucket_pairs, inject_fakes,
-                              publish)
-from fprivacy.validate import (BucketGroup, BucketSetting, allocation_bounds,
-                               build_assignment, partition_records)
-
-TABLE1 = ("Gender,Zipcode,Disease\n"
-          "M,54321,Brain Tumor\n"
-          "M,54322,Indigestion\n"
-          "F,61234,Cancer\n"
-          "F,61434,HIV\n")
-
-
-def clinic_table(tmp_path):
-    path = tmp_path / "clinic.csv"
-    path.write_text(TABLE1)
-    return ingest_csv(path, sa_column="Disease")
-
-
-def pair_buckets(table):
-    """Assign records 0,1 to bucket 1 and records 2,3 to bucket 2."""
-    parts = [(np.array([0, 1]), BucketGroup(size=2, count=1)),
-             (np.array([2, 3]), BucketGroup(size=2, count=1))]
-    return build_assignment(table, parts)
+                              publish, release)
+from fprivacy.validate import BucketGroup, BucketSetting, build_assignment
 
 
 def clinic_publication(tmp_path, seed=0):
@@ -48,13 +29,7 @@ def clinic_publication(tmp_path, seed=0):
 
 
 def walkthrough_publication(table, spec, seed=0):
-    h = histogram(table)
-    cfg = SearchConfig.for_spec(spec)
-    result = two_size_bucketing(h, spec, cfg)
-    bounds = allocation_bounds(h, spec, result.setting)
-    parts = partition_records(table, bounds, result.setting)
-    assignment = build_assignment(table, list(zip(parts, result.setting)))
-    return publish(table, assignment, seed=seed), result
+    return release(table, spec, SearchConfig.for_spec(spec), seed=seed)
 
 
 def qi_code(table, attr, label):
@@ -221,7 +196,7 @@ class TestAnswers:
 
     def test_sa_trivial_is_exact_without_fakes(self, walkthrough_table,
                                                walkthrough_spec):
-        pt, _ = walkthrough_publication(walkthrough_table, walkthrough_spec)
+        pt = walkthrough_publication(walkthrough_table, walkthrough_spec)
         rng = np.random.default_rng(8)
         full_sa = tuple(range(len(walkthrough_table.sa_domain)))
         for _ in range(25):
@@ -267,7 +242,7 @@ class TestAnswers:
         # triple's pairs stay in one call
         table = gen_synthetic(3000, 20, 0.0, [4, 4], seed=2)
         spec = linear_privacy_spec(histogram(table), theta=8, intercept=0.02)
-        pt, _ = walkthrough_publication(table, spec, seed=1)
+        pt = walkthrough_publication(table, spec, seed=1)
         pt = inject_fakes(pt, sigma=1, seed=1)
         monkeypatch.setattr(metrics, "_JOIN_CHUNK", 7)
         index = estimated_count_cube(pt)
@@ -381,7 +356,7 @@ class TestRelativeError:
 
     def test_invariant_under_bucket_relabeling(self, walkthrough_table,
                                                walkthrough_spec):
-        pt, _ = walkthrough_publication(walkthrough_table, walkthrough_spec)
+        pt = walkthrough_publication(walkthrough_table, walkthrough_spec)
         perm = np.random.default_rng(11).permutation(pt.bucket_count)
         shuffled = relabel_buckets(pt, perm)
         pool = gen_queries(walkthrough_table.qi_domains,
@@ -406,7 +381,7 @@ class TestRelativeError:
     def test_realistic_workload_stays_accurate(self):
         table = gen_synthetic(2000, 20, 0.8, [12, 12, 12], seed=3)
         spec = linear_privacy_spec(histogram(table), theta=8, intercept=0.02)
-        pt, _ = walkthrough_publication(table, spec, seed=5)
+        pt = walkthrough_publication(table, spec, seed=5)
         pool = gen_queries(table.qi_domains, table.sa_domain, 300, 0.05,
                            seed=7)
         report = relative_error(pool, table, pt)
@@ -418,33 +393,33 @@ class TestGenSynthetic:
     def test_every_value_present(self):
         for seed in range(4):
             table = gen_synthetic(500, 40, 1.5, [6], seed=seed)
-            counts = histogram(table).counts
+            counts = histogram(table)
             assert counts.min() >= 1
             assert counts.sum() == 500
 
     def test_zero_exponent_is_near_uniform(self):
         table = gen_synthetic(20_000, 50, 0.0, [10], seed=5)
-        freqs = histogram(table).counts / len(table)
+        freqs = histogram(table) / len(table)
         assert freqs.min() >= 0.7 / 50
         assert freqs.max() <= 1.3 / 50
 
     def test_rare_end_frequency_target(self):
         # tuned exponent puts the rarest value near 0.18% of the table
         table = gen_synthetic(100_000, 50, 1.35, [10, 10], seed=1)
-        freqs = histogram(table).counts / len(table)
+        freqs = histogram(table) / len(table)
         assert 0.0012 <= freqs.min() <= 0.0025
 
     def test_common_end_frequency_target(self):
         # tuned exponent puts the most common value near 7.5%
         table = gen_synthetic(100_000, 50, 0.48, [10, 10], seed=1)
-        freqs = histogram(table).counts / len(table)
+        freqs = histogram(table) / len(table)
         assert 0.065 <= freqs.max() <= 0.085
 
     def test_skew_grows_with_exponent(self):
         tops = []
         for exponent in (0.0, 0.5, 1.0):
             table = gen_synthetic(30_000, 30, exponent, [8], seed=2)
-            tops.append(histogram(table).counts.max())
+            tops.append(histogram(table).max())
         assert tops[0] < tops[1] < tops[2]
 
     def test_reproducible_and_domain_shapes(self):

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (assignment_complies, enumerate_settings_recursive,
-                      random_instance, table_from_counts)
+                      random_instance, table_from_counts, tight_value_instance)
 
 from fprivacy.core import (
     BudgetExceededError,
     ConfigError,
     InfeasiblePrivacyError,
     PrivacySpec,
-    SaHistogram,
     histogram,
     linear_privacy_spec,
 )
@@ -36,24 +35,9 @@ from fprivacy.validate import (
 )
 
 
-def hist(counts):
-    counts = np.asarray(counts, dtype=np.int64)
-    return SaHistogram(counts=counts)
-
-
 def walkthrough_instance():
-    h = hist([1] * 8 + [6] * 4 + [9] * 2)
+    h = np.array([1] * 8 + [6] * 4 + [9] * 2)
     return h, linear_privacy_spec(h, theta=2.0, intercept=0.05)
-
-
-def tight_value_instance(seed, m=30, n=4000, tight=150):
-    """One value hostable only by the largest size; all lists are long."""
-    rng = np.random.default_rng(seed)
-    rest = rng.multinomial(n - tight - (m - 1), np.ones(m - 1) / (m - 1)) + 1
-    counts = np.concatenate([rest, [tight]]).astype(np.int64)
-    thresholds = np.ones(m)
-    thresholds[-1] = 1.0 / 12.0 + 0.001
-    return hist(counts), PrivacySpec(thresholds)
 
 
 class TestSearchConfig:
@@ -70,10 +54,10 @@ class TestSearchConfig:
     def test_lowering_the_minimum_changes_no_search(self, counts, data):
         """Below the derived minimum a bucket admits no copy of any value,
         so a lower minimum only adds groups of count 0."""
-        h = hist(counts)
+        h = np.array(counts)
         slack = data.draw(st.lists(st.floats(1.0, 3.0), min_size=len(counts),
                                    max_size=len(counts)))
-        p = PrivacySpec(np.clip(h.counts / h.total * slack, 0.1, 0.6))
+        p = PrivacySpec(np.clip(h / h.sum() * slack, 0.1, 0.6))
         derived = SearchConfig.for_spec(p, max_size=20)
         want = two_size_bucketing(h, p, derived)
         for lower in range(1, derived.min_size):
@@ -108,14 +92,14 @@ class TestTwoSize:
         assert two_size_bucketing(h, p, SearchConfig(3, 11)) is None
 
     def test_trivial_thresholds_allow_singletons(self):
-        h = hist([3, 4, 5])
+        h = np.array([3, 4, 5])
         p = PrivacySpec(np.ones(3))
         res = two_size_bucketing(h, p, SearchConfig(1, 2))
         assert res is not None and res.loss == 0
         assert tuple(g.size for g in res.setting if g.count) == (1,)
 
     def test_infeasible_privacy_returns_none(self):
-        h = hist([1, 1])
+        h = np.array([1, 1])
         p = PrivacySpec(np.array([0.2, 0.2]))
         for mode in PRUNING_MODES:
             assert two_size_bucketing(h, p, SearchConfig(1, 10), pruning=mode) is None
@@ -130,8 +114,7 @@ class TestTwoSize:
         cfg = SearchConfig(1, 10)
         solved = 0
         for _ in range(220):
-            counts, p = random_instance(rng)
-            h = hist(counts)
+            h, p = random_instance(rng)
             res = two_size_bucketing(h, p, cfg)
             ref = brute_force_optimal(h, p, cfg, max_q=2)
             assert (res is None) == (ref is None)
@@ -146,8 +129,7 @@ class TestTwoSize:
         rng = np.random.default_rng(77)
         cfg = SearchConfig(1, 10)
         for _ in range(120):
-            counts, p = random_instance(rng)
-            h = hist(counts)
+            h, p = random_instance(rng)
             losses = set()
             for mode in PRUNING_MODES:
                 res = two_size_bucketing(h, p, cfg, pruning=mode)
@@ -161,7 +143,7 @@ class TestTwoSize:
         for seed in (11, 12, 13):
             h, p = tight_value_instance(seed)
             lengths = [len(g) for s1 in range(2, 12) for s2 in range(s1 + 1, 13)
-                       if (g := build_gamma(h.total, s1, s2)) is not None]
+                       if (g := build_gamma(int(h.sum()), s1, s2)) is not None]
             assert max(lengths) >= 50
             full = two_size_bucketing(h, p, cfg, pruning="full")
             none = two_size_bucketing(h, p, cfg, pruning="none")
@@ -177,7 +159,7 @@ class TestTwoSize:
 
     def test_sizes_beyond_the_record_count_are_not_walked(self):
         h, p = walkthrough_instance()
-        capped = SearchConfig.for_spec(p, max_size=h.total + 1)
+        capped = SearchConfig.for_spec(p, max_size=int(h.sum()) + 1)
         huge = SearchConfig.for_spec(p, max_size=10**9)
         for mode in PRUNING_MODES:
             want = two_size_bucketing(h, p, capped, pruning=mode)
@@ -185,7 +167,7 @@ class TestTwoSize:
             assert (got.setting, got.loss) == (want.setting, want.loss)
             assert got.cond_evals == want.cond_evals
             assert len(got.trace) == len(want.trace)
-        table = table_from_counts(h.counts)
+        table = table_from_counts(h)
         leaves = multi_size_bucketing(table, None, p, huge)
         assert [(rows.tolist(), group) for rows, group in leaves] == \
             [(rows.tolist(), group) for rows, group
@@ -215,7 +197,7 @@ class TestTwoSize:
         assert len(res.trace) == 611
 
     def test_empty_histogram_rejected(self):
-        h = SaHistogram(counts=np.zeros(2, dtype=np.int64))
+        h = np.zeros(2, dtype=np.int64)
         with pytest.raises(ConfigError):
             two_size_bucketing(h, PrivacySpec(np.ones(2)), SearchConfig(1, 5))
 
@@ -262,13 +244,12 @@ class TestMultiSize:
         for _ in range(70):
             counts, p = random_instance(rng, max_n=50, max_m=6)
             table = table_from_counts(counts)
-            h = hist(counts)
-            two = two_size_bucketing(h, p, cfg)
+            two = two_size_bucketing(counts, p, cfg)
             if two is None:
                 continue
             leaves = multi_size_bucketing(table, None, p, cfg)
             total = sum(group.loss for _, group in leaves)
-            assert total <= two.loss <= (h.total - 1) ** 2
+            assert total <= two.loss <= (len(table) - 1) ** 2
             assert assignment_complies(table, build_assignment(table, leaves), p)
             compared += 1
         assert compared > 20
@@ -309,14 +290,13 @@ class TestBruteForce:
         cfg = SearchConfig(1, 10)
         agreed = 0
         for _ in range(60):
-            counts, p = random_instance(rng, max_n=40, max_m=5)
-            h = hist(counts)
+            h, p = random_instance(rng, max_n=40, max_m=5)
             res = brute_force_optimal(h, p, cfg, max_q=1)
             best = None
             for size in range(cfg.min_size, cfg.max_size + 1):
-                if h.total % size:
+                count, rest = divmod(int(h.sum()), size)
+                if rest:
                     continue
-                count = h.total // size
                 if constraint_report(h, p, BucketSetting.of((size, count))):
                     loss = count * (size - 1) ** 2
                     if best is None or loss < best:
@@ -332,18 +312,15 @@ class TestBruteForce:
         rng = np.random.default_rng(31337)
         cfg = SearchConfig(1, 8)
         for _ in range(25):
-            counts, p = random_instance(rng, max_n=30, max_m=4)
-            h = hist(counts)
+            h, p = random_instance(rng, max_n=30, max_m=4)
             two = brute_force_optimal(h, p, cfg, max_q=2)
             three = brute_force_optimal(h, p, cfg, max_q=3)
             if two is not None:
                 assert three is not None and three.loss <= two.loss
 
     def test_forced_configuration_reports_infeasible(self):
-        counts = [5] * 10 + [20]
-        thresholds = [0.18] * 10 + [1.0]
-        h = hist(counts)
-        p = PrivacySpec(np.asarray(thresholds))
+        h = np.array([5] * 10 + [20])
+        p = PrivacySpec(np.array([0.18] * 10 + [1.0]))
         setting = BucketSetting.of((4, 5), (5, 4), (6, 5))
         assert not flow_feasibility_oracle(h, p, setting)
 
@@ -352,8 +329,7 @@ class TestBruteForce:
         assert flow_feasibility_oracle(h, p, BucketSetting.of((4, 9), (14, 1)))
 
     def test_budget_refusal(self):
-        counts = np.full(8, 10, dtype=np.int64)
-        h = hist(counts)
+        h = np.full(8, 10, dtype=np.int64)
         p = PrivacySpec(np.ones(8))
         with pytest.raises(BudgetExceededError):
             brute_force_optimal(h, p, SearchConfig(1, 10), max_q=3, budget=10)

@@ -1,6 +1,5 @@
 """Tests for table publishing, fake injection and the exclusion attacks."""
 
-import csv
 import itertools
 import math
 import tracemalloc
@@ -12,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (SEEDS, dense_negative_associations,
-                      spawn_published_st_codes, table_from_counts)
+from conftest import (SEEDS, clinic_table, dense_negative_associations,
+                      pair_buckets, spawn_published_st_codes,
+                      table_from_counts, write_table_csv)
 
 from fprivacy import _streams, core
 from fprivacy.core import (
@@ -27,7 +27,6 @@ from fprivacy.core import (
 from fprivacy.metrics import gen_synthetic
 from fprivacy.optimize import SearchConfig, multi_size_bucketing, two_size_bucketing
 from fprivacy.publish import (
-    NegAssociationModel,
     PublishedTables,
     check_published_privacy,
     corruption_attack_sim,
@@ -47,27 +46,6 @@ from fprivacy.validate import (
     round_robin_assign,
 )
 
-TABLE1 = (
-    "Gender,Zipcode,Disease\n"
-    "M,54321,Brain Tumor\n"
-    "M,54322,Indigestion\n"
-    "F,61234,Cancer\n"
-    "F,61434,HIV\n"
-)
-
-
-def clinic_table(tmp_path):
-    path = tmp_path / "table1.csv"
-    path.write_text(TABLE1)
-    return ingest_csv(path, "Disease")
-
-
-def pair_buckets(table):
-    parts = [(np.array([0, 1]), BucketGroup(size=2, count=1)),
-             (np.array([2, 3]), BucketGroup(size=2, count=1))]
-    return build_assignment(table, parts)
-
-
 def st_labels_by_bucket(pt):
     return {bid: Counter(pt.sa_domain[c] for c in pt.st_slice(bid))
             for bid in range(1, pt.bucket_count + 1)}
@@ -76,19 +54,21 @@ def st_labels_by_bucket(pt):
 def walkthrough_publication(seed=0):
     table = table_from_counts([1] * 8 + [6] * 4 + [9] * 2,
                               labels=[f"x{i:02d}" for i in range(1, 15)])
-    h = histogram(table)
-    p = linear_privacy_spec(h, theta=2.0, intercept=0.05)
-    res = two_size_bucketing(h, p, SearchConfig.for_spec(p, max_size=14))
-    bounds = allocation_bounds(h, p, res.setting)
-    rows1, rows2 = partition_records(table, bounds, res.setting)
-    parts = list(zip((rows1, rows2), res.setting))
-    assignment = build_assignment(table, parts)
-    return table, p, publish(table, assignment, seed=seed)
+    p = linear_privacy_spec(histogram(table), theta=2.0, intercept=0.05)
+    return table, p, release(table, p, SearchConfig.for_spec(p, max_size=14),
+                             seed=seed)
 
 
 class TestRelease:
-    def test_two_mode_matches_the_step_functions(self):
-        table, p, expected = walkthrough_publication(seed=3)
+    def test_two_mode_matches_the_step_functions(self, walkthrough_table,
+                                                 walkthrough_spec):
+        table, p = walkthrough_table, walkthrough_spec
+        h = histogram(table)
+        res = two_size_bucketing(h, p, SearchConfig.for_spec(p, max_size=14))
+        bounds = allocation_bounds(h, p, res.setting)
+        rows1, rows2 = partition_records(table, bounds, res.setting)
+        parts = list(zip((rows1, rows2), res.setting))
+        expected = publish(table, build_assignment(table, parts), seed=3)
         pt = release(table, p, SearchConfig.for_spec(p, max_size=14), seed=3)
         for field in ("qi_codes", "qit_bids", "st_bids", "st_codes"):
             assert np.array_equal(getattr(pt, field), getattr(expected, field))
@@ -179,6 +159,12 @@ class TestPublish:
         assert pt.st_codes.tolist() == spawn_published_st_codes(
             table.sa_codes, bucket_of, len(sizes), 5).tolist()
 
+    def test_short_assignment_refused(self):
+        table = table_from_counts([1, 1, 1])
+        with pytest.raises(ConfigError,
+                           match="assignment does not cover the table"):
+            publish(table, np.array([0, 0]))
+
     def test_empty_bucket_refused(self, tmp_path):
         table = table_from_counts([1, 1, 1])
         pt = publish(table, np.array([0, 0, 2]))
@@ -190,13 +176,7 @@ class TestPublish:
                                                          monkeypatch):
         """csv.writer output of plain labels is split without csv.reader."""
         table = gen_synthetic(3000, 50, 0.0, [8, 8], seed=1)
-        path = tmp_path / "input.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([*table.qi_names, table.sa_name])
-            writer.writerows(
-                [*record.qi, record.sa]
-                for record in map(table.record, range(len(table))))
+        path = write_table_csv(tmp_path / "input.csv", table)
         spec = linear_privacy_spec(histogram(table), theta=2.0, intercept=0.04)
         pt = release(table, spec, SearchConfig.for_spec(spec, max_size=50),
                      sigma=2)
@@ -547,9 +527,9 @@ class TestNegativeAssociations:
     def test_zero_cooccurrence_flagged(self):
         table, assignment = self.build_split_table()
         pt = publish(table, assignment, seed=6)
-        model = learn_negative_associations(pt, threshold=0.5)
-        assert {(0, 0, 2), (0, 0, 3), (0, 1, 0), (0, 1, 1)} <= model.flagged
-        assert (0, 0, 0) not in model.flagged
+        flagged = learn_negative_associations(pt, threshold=0.5)
+        assert {(0, 0, 2), (0, 0, 3), (0, 1, 0), (0, 1, 1)} <= flagged
+        assert (0, 0, 0) not in flagged
 
     def test_independent_data_unflagged(self):
         rng = np.random.default_rng(12)
@@ -561,8 +541,7 @@ class TestNegativeAssociations:
         parts = [(perm[i:i + 4], BucketGroup(size=4, count=1))
                  for i in range(0, n, 4)]
         pt = publish(table, build_assignment(table, parts), seed=8)
-        model = learn_negative_associations(pt, threshold=0.1)
-        assert len(model.flagged) == 0
+        assert learn_negative_associations(pt, threshold=0.1) == frozenset()
 
     def test_model_steers_fakes(self):
         # six SA values; codes 4/5 never share a bucket with q0, codes 0/1
@@ -578,15 +557,15 @@ class TestNegativeAssociations:
         parts = [(np.arange(0, 4), BucketGroup(size=2, count=2)),
                  (np.arange(4, 8), BucketGroup(size=2, count=2))]
         pt = publish(table, build_assignment(table, parts), seed=6)
-        model = learn_negative_associations(pt, threshold=0.5)
-        assert {(0, 0, 4), (0, 1, 0)} <= model.flagged
-        padded = inject_fakes(pt, sigma=1, seed=2, model=model)
+        flagged = learn_negative_associations(pt, threshold=0.5)
+        assert {(0, 0, 4), (0, 1, 0)} <= flagged
+        padded = inject_fakes(pt, sigma=1, seed=2, flagged=flagged)
         for bid in range(1, padded.bucket_count + 1):
             rows = np.flatnonzero(padded.qit_bids == bid)
             qi_values = {int(z) for z in padded.qi_codes[rows, 0]}
             for fake in padded.fakes[bid - 1].tolist():
                 for z in qi_values:
-                    assert (0, z, fake) not in model.flagged
+                    assert (0, z, fake) not in flagged
 
     def test_bad_threshold(self):
         table, assignment = self.build_split_table()
@@ -605,13 +584,13 @@ class TestNegativeAssociations:
         assert (pt.bucket_count, pt.m) == (2000, 5000)
         tracemalloc.start()
         try:
-            model = learn_negative_associations(pt, threshold=1.0)
+            flagged = learn_negative_associations(pt, threshold=1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        assert model.flagged
-        assert model.flagged == dense_negative_associations(pt, 1.0)
+        assert flagged
+        assert flagged == dense_negative_associations(pt, 1.0)
 
 
 def test_keys_past_int32_round_trip(tmp_path):
@@ -645,7 +624,7 @@ def test_keys_past_int32_round_trip(tmp_path):
     observed = np.zeros((2, m), dtype=np.int64)
     np.add.at(observed, (np.repeat(qi, 3), st_codes), 1)
     expected = np.outer(np.bincount(qi), np.bincount(st_codes)) / B
-    assert learn_negative_associations(back, 1.0).flagged == {
+    assert learn_negative_associations(back, 1.0) == {
         (0, int(z), int(x)) for z, x in zip(*np.nonzero(observed < expected))}
 
 

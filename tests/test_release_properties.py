@@ -39,9 +39,8 @@ from fprivacy.core import (ConfigError, InfeasiblePrivacyError,
 from fprivacy.metrics import (CountQuery, answer_estimated, answer_true,
                               estimated_count_cube, true_count_cube)
 from fprivacy.optimize import SearchConfig
-from fprivacy.publish import (NegAssociationModel, PublishedTables,
-                              _parse_bids, _read_audit, bucket_pairs,
-                              check_published_privacy, inject_fakes,
+from fprivacy.publish import (PublishedTables, _parse_bids, _read_audit,
+                              bucket_pairs, check_published_privacy, inject_fakes,
                               learn_negative_associations, publish,
                               published_max_ratios, read_published, release,
                               write_published)
@@ -119,13 +118,12 @@ def padded_or_refused(pt, sigma, seed, caps, flagged=frozenset()):
     """inject_fakes, checked against the reference; None when refused."""
     expected = expected_fake_failure(pt, sigma, caps, flagged)
     thresholds = {label: caps[x] for x, label in enumerate(pt.sa_domain)}
-    model = NegAssociationModel(threshold=1.0, flagged=flagged)
     if expected is not None:
         with pytest.raises(ConfigError, match=expected):
-            inject_fakes(pt, sigma, seed=seed, model=model,
+            inject_fakes(pt, sigma, seed=seed, flagged=flagged,
                          thresholds=thresholds)
         return None
-    padded = inject_fakes(pt, sigma, seed=seed, model=model,
+    padded = inject_fakes(pt, sigma, seed=seed, flagged=flagged,
                           thresholds=thresholds)
     before, after, rows = st_counters(pt), st_counters(padded), qi_rows(pt)
     for bid in range(1, pt.bucket_count + 1):
@@ -360,8 +358,8 @@ def test_negative_associations_match_dense_reference(release, threshold,
     # small chunks split the join between bincount calls
     pairs = lambda *args: bucket_pairs(*args, chunk=chunk)  # noqa: E731
     with mock.patch.object(publish_module, "bucket_pairs", pairs):
-        model = learn_negative_associations(pt, threshold)
-    assert model.flagged == dense_negative_associations(pt, threshold)
+        flagged = learn_negative_associations(pt, threshold)
+    assert flagged == dense_negative_associations(pt, threshold)
 
 
 def near_fractions(max_size):
@@ -489,8 +487,8 @@ def published_buckets(data, labels):
 @given(st.data())
 def test_bucket_streams_match_spawn_reference(data):
     """publish and inject_fakes draw what numpy's spawned generators draw,
-    for sigma 0 to 6, size-1 buckets, and pools cut by thresholds and by a
-    model."""
+    for sigma 0 to 6, size-1 buckets, and pools cut by thresholds and by
+    flagged triples."""
     m = data.draw(st.integers(1, 16))
     n = data.draw(st.integers(1, 24))
     qi_sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
@@ -523,22 +521,21 @@ def test_bucket_streams_match_spawn_reference(data):
     caps = data.draw(st.none() | st.lists(THRESHOLDS, min_size=m, max_size=m))
     flagged = data.draw(st.none() | st.frozensets(st.tuples(
         st.integers(0, 2), st.integers(-1, 4), st.integers(-1, m)),
-        max_size=12))
+        max_size=12)) or frozenset()
     thresholds = None if caps is None else dict(zip(pt.sa_domain, caps))
-    model = None if flagged is None else NegAssociationModel(1.0, flagged)
     if sigma == 0:
-        assert inject_fakes(pt, 0, seed=seed, model=model,
+        assert inject_fakes(pt, 0, seed=seed, flagged=flagged,
                             thresholds=thresholds) is pt
         return
-    expected = spawn_injected_fakes(pt, sigma, seed, caps, flagged or ())
+    expected = spawn_injected_fakes(pt, sigma, seed, caps, flagged)
     if expected is None:
         event("fakes refused")
         with pytest.raises(ConfigError, match="bucket"):
-            inject_fakes(pt, sigma, seed=seed, model=model,
+            inject_fakes(pt, sigma, seed=seed, flagged=flagged,
                          thresholds=thresholds)
         return
     with few:
-        padded = inject_fakes(pt, sigma, seed=seed, model=model,
+        padded = inject_fakes(pt, sigma, seed=seed, flagged=flagged,
                               thresholds=thresholds)
     event(f"sigma {sigma}")
     st_codes, fakes = expected

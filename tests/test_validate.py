@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from fprivacy.core import (ConfigError, MicrodataTable, PrivacySpec,
-                           SaHistogram, histogram)
+from fprivacy.core import ConfigError, MicrodataTable, PrivacySpec, histogram
 from fprivacy.metrics import gen_synthetic
 from fprivacy.validate import (
     MAX_CUT_GROUPS,
@@ -22,11 +21,6 @@ from fprivacy.validate import (
 from conftest import (assignment_complies, eager_value_counts,
                       max_flow_feasible, partition_by_masks, random_instance,
                       table_from_counts)
-
-
-def hist(counts):
-    counts = np.asarray(counts, dtype=np.int64)
-    return SaHistogram(counts=counts)
 
 
 # The three-group instance where the naive constraint check is fooled:
@@ -113,19 +107,19 @@ class TestOneSize:
         # five each of four mid values, eight each of two heavy values
         counts = [0] * 8 + [5] * 4 + [8] * 2
         p = PrivacySpec(np.array([0.09] * 8 + [0.29] * 4 + [0.41] * 2))
-        assert one_size_valid(hist(counts), p, size=4, count=9)
+        assert one_size_valid(np.array(counts), p, size=4, count=9)
 
     def test_all_one_thresholds(self):
         p = PrivacySpec(np.ones(3))
-        assert one_size_valid(hist([4, 5, 3]), p, size=3, count=4)
+        assert one_size_valid(np.array([4, 5, 3]), p, size=3, count=4)
 
     def test_slot_shortfall_fails(self):
         # value 0 offers floor(0.2*5)*5 = 5 slots total, short of its 10 records
         p = PrivacySpec(np.array([0.2, 1.0]))
-        assert not one_size_valid(hist([10, 15]), p, size=5, count=5)
+        assert not one_size_valid(np.array([10, 15]), p, size=5, count=5)
 
     def test_capacity_precondition(self):
-        rep = constraint_report(hist([4]), PrivacySpec(np.ones(1)),
+        rep = constraint_report(np.array([4]), PrivacySpec(np.ones(1)),
                                 BucketSetting.of((3, 2)))
         assert not rep.cc_ok and not rep.valid
 
@@ -142,7 +136,7 @@ class TestOneSize:
                 b = n // size
                 a = round_robin_assign(t.sa_codes, bucket_count=b)
                 simulated = assignment_complies(t, a, p)
-                predicted = one_size_valid(hist(counts), p, size=size, count=b)
+                predicted = one_size_valid(counts, p, size=size, count=b)
                 # the closed form promises existence; round-robin achieves it
                 assert predicted == simulated
                 checked += 1
@@ -165,7 +159,7 @@ class TestAllocationBounds:
         assert b[12:, 1].tolist() == [5] * 2
 
     def test_zero_count_group(self):
-        h = hist([3, 3])
+        h = np.array([3, 3])
         p = PrivacySpec(np.ones(2))
         b = allocation_bounds(h, p, BucketSetting.of((2, 3), (5, 0)))
         assert np.all(b[:, 1] == 0)
@@ -178,7 +172,7 @@ class TestTwoSize:
         assert rep.valid and bool(rep)
 
     def test_cc_diagnostic(self):
-        h = hist([6, 6])
+        h = np.array([6, 6])
         p = PrivacySpec(np.ones(2))
         rep = constraint_report(h, p, BucketSetting.of((2, 2), (3, 1)))
         assert not rep.valid
@@ -186,7 +180,7 @@ class TestTwoSize:
 
     def test_pc_diagnostic(self):
         # value 0 cannot be hosted anywhere often enough
-        h = hist([10, 2])
+        h = np.array([10, 2])
         p = PrivacySpec(np.array([0.25, 1.0]))
         rep = constraint_report(h, p, BucketSetting.of((2, 3), (3, 2)))
         assert not rep.pc_ok and 0 in rep.pc_failed_values
@@ -197,7 +191,6 @@ class TestTwoSize:
         for _ in range(300):
             counts, p = random_instance(rng, max_n=24, max_m=6)
             n = int(counts.sum())
-            h = hist(counts)
             s1 = int(rng.integers(1, 5))
             s2 = int(rng.integers(s1 + 1, s1 + 5))
             # random split of n into the two groups where possible
@@ -205,8 +198,8 @@ class TestTwoSize:
                 if (n - s2 * b2) % s1 == 0:
                     b1 = (n - s2 * b2) // s1
                     setting = BucketSetting.of((s1, b1), (s2, b2))
-                    assert bool(constraint_report(h, p, setting)) == \
-                        flow_feasibility_oracle(h, p, setting)
+                    assert bool(constraint_report(counts, p, setting)) == \
+                        flow_feasibility_oracle(counts, p, setting)
                     agreements += 1
         assert agreements > 200
 
@@ -259,7 +252,6 @@ class TestPartition:
         for _ in range(350):
             counts, p = random_instance(rng, max_n=40, max_m=6)
             n = int(counts.sum())
-            h = hist(counts)
             s1 = int(rng.integers(1, 5))
             s2 = int(rng.integers(s1 + 1, s1 + 6))
             for b2 in range(n // s2 + 1):
@@ -267,10 +259,10 @@ class TestPartition:
                     continue
                 b1 = (n - s2 * b2) // s1
                 setting = BucketSetting.of((s1, b1), (s2, b2))
-                if not constraint_report(h, p, setting):
+                if not constraint_report(counts, p, setting):
                     continue
                 t = table_from_counts(counts)
-                bounds = allocation_bounds(h, p, setting)
+                bounds = allocation_bounds(counts, p, setting)
                 rows1, rows2 = partition_records(t, bounds, setting)
                 assert len(rows1) == setting.groups[0].capacity
                 assert len(rows2) == setting.groups[1].capacity
@@ -297,16 +289,17 @@ def test_partition_matches_boolean_mask_reference(data):
         order = data.draw(st.permutations(range(n)))
         rows = np.array(order[:data.draw(st.integers(1, n))], dtype=np.int64)
     h = histogram(table, rows)
+    n = int(h.sum())
     # thresholds a little above each value's frequency, so that most
     # drawn tables admit some two-size setting
     slack = np.array(data.draw(st.lists(st.floats(1.0, 3.0), min_size=m,
                                         max_size=m)))
-    p = PrivacySpec(np.minimum(1.0, h.counts / h.total * slack + 0.05))
+    p = PrivacySpec(np.minimum(1.0, h / n * slack + 0.05))
     s1 = data.draw(st.integers(1, 4))
     s2 = data.draw(st.integers(s1 + 1, s1 + 5))
-    candidates = [BucketSetting.of((s1, (h.total - s2 * b2) // s1), (s2, b2))
-                 for b2 in range(h.total // s2 + 1)
-                 if (h.total - s2 * b2) % s1 == 0]
+    candidates = [BucketSetting.of((s1, (n - s2 * b2) // s1), (s2, b2))
+                 for b2 in range(n // s2 + 1)
+                 if (n - s2 * b2) % s1 == 0]
     valid = [s for s in candidates if constraint_report(h, p, s)]
     event("valid setting" if valid else "no valid setting")
     setting = data.draw(st.sampled_from(valid or candidates or
@@ -338,17 +331,18 @@ def test_closed_form_partition_matches_drain(data):
         rows = np.array(order[:data.draw(st.integers(0, len(table)))],
                         dtype=np.int64)
     h = histogram(table, rows)
+    n = int(h.sum())
     s1 = data.draw(st.integers(1, 3))
     s2 = data.draw(st.integers(s1 + 1, s1 + 6))
-    b2 = data.draw(st.integers(0, h.total // s2 + 1))
-    b1 = max(0, (h.total - s2 * b2) // s1
+    b2 = data.draw(st.integers(0, n // s2 + 1))
+    b1 = max(0, (n - s2 * b2) // s1
              + data.draw(st.sampled_from([0, 0, 0, -1, 1])))
     setting = BucketSetting.of((s1, b1), (s2, b2))
     # caps near each value's count, so that many drawn settings are valid
     upper = np.maximum(0, np.array(counts)[:, None] + np.array(data.draw(
         st.lists(st.lists(st.integers(-4, 3), min_size=2, max_size=2),
                  min_size=len(counts), max_size=len(counts)))))
-    bounds = np.minimum(upper, h.counts[:, None])
+    bounds = np.minimum(upper, h[:, None])
 
     def outcome(partition):
         try:
@@ -369,19 +363,19 @@ class TestFlowOracle:
 
     def test_three_size_gap(self):
         """Extended constraints pass but no assignment exists."""
-        h = hist(THREE_SIZE_COUNTS)
+        h = np.array(THREE_SIZE_COUNTS)
         p = PrivacySpec(np.array(THREE_SIZE_THRESHOLDS))
         rep = constraint_report(h, p, THREE_SIZE_SETTING)
         assert rep.valid, rep.failed()
         assert not flow_feasibility_oracle(h, p, THREE_SIZE_SETTING)
 
     def test_single_full_bucket(self):
-        h = hist([3, 5])
+        h = np.array([3, 5])
         p = PrivacySpec(np.ones(2))
         assert flow_feasibility_oracle(h, p, BucketSetting.of((8, 1)))
 
     def test_capacity_mismatch_is_infeasible(self):
-        h = hist([4])
+        h = np.array([4])
         p = PrivacySpec(np.ones(1))
         assert not flow_feasibility_oracle(h, p, BucketSetting.of((3, 1)))
 
@@ -408,10 +402,10 @@ def test_cut_test_matches_max_flow(data):
             setting = BucketSetting.of(*zip(sizes, group_counts))
         counts[data.draw(st.integers(0, len(counts) - 1))] += \
             setting.capacity - sum(counts)
-    h = hist(counts)
+    h = np.array(counts)
     feasible = flow_feasibility_oracle(h, p, setting)
     event("feasible" if feasible else "capacity mismatch"
-          if setting.capacity != h.total else "infeasible")
+          if setting.capacity != h.sum() else "infeasible")
     assert feasible == max_flow_feasible(h, p, setting)
     if sum(g.count > 0 for g in setting) <= 2:
         assert feasible == bool(constraint_report(h, p, setting))
@@ -423,8 +417,8 @@ def test_cut_test_group_limit(extra):
     (m, 2^q) cut matrix, 13 MB here, is built."""
     q = MAX_CUT_GROUPS + extra
     setting = BucketSetting.of(*((s, 1) for s in range(1, q + 1)))
-    h = hist([1] * setting.capacity + [0] * (200 - setting.capacity))
-    p = PrivacySpec(np.ones(h.m))
+    h = np.array([1] * setting.capacity + [0] * (200 - setting.capacity))
+    p = PrivacySpec(np.ones(len(h)))
     if not extra:
         assert flow_feasibility_oracle(h, p, setting)
         return
@@ -440,7 +434,7 @@ def test_cut_test_group_limit(extra):
 
 def test_three_size_constraint_numbers():
     """Pin the constructed regression instance to its intended allocations."""
-    h = hist(THREE_SIZE_COUNTS)
+    h = np.array(THREE_SIZE_COUNTS)
     p = PrivacySpec(np.array(THREE_SIZE_THRESHOLDS))
     bounds = allocation_bounds(h, p, THREE_SIZE_SETTING)
     # small values: no slots in sizes 4 and 5, one slot per size-6 bucket
@@ -485,6 +479,18 @@ def test_build_assignment_fills_buckets_in_rotation(data):
         if group.count:
             assert np.all(counts.max(axis=0) - counts.min(axis=0) <= 1)
         first += group.count
+
+
+@pytest.mark.parametrize("parts, message", [
+    ([([0, 1], BucketGroup(2, 1)), ([2, 3], BucketGroup(2, 0))],
+     "records assigned to an empty group"),
+    ([([0, 1, 2], BucketGroup(2, 2))], "expects 4 records, got 3"),
+    ([([0, 1], BucketGroup(2, 1))], "parts do not cover the table"),
+])
+def test_build_assignment_refusals(parts, message):
+    table = table_from_counts([2, 2])
+    with pytest.raises(ConfigError, match=message):
+        build_assignment(table, [(np.array(rows), g) for rows, g in parts])
 
 
 def test_build_assignment_allocates_no_bucket_value_matrix():
