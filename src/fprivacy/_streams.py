@@ -169,6 +169,30 @@ def _jump_table(count: int):
     return tuple(x[:, None] for x in (*_split(powers), *_split(totals)))
 
 
+def _doublings():
+    """(mult**(2**i), 1 + mult + ... + mult**(2**i - 1)) mod 2**128 for
+    i < 64: the LCG's 2**i-step map, state -> power * state + total * inc."""
+    power, total, table = _PCG_MULT, 1, []
+    for _ in range(64):
+        table.append((power, total))
+        total = power * total + total & _M128
+        power = power * power & _M128
+    return tuple(table)
+
+
+_DOUBLINGS = _doublings()
+
+
+def _advance(state: int, inc: int, steps: int) -> int:
+    """The PCG64 state `steps` LCG steps on: one 2**i-step map per set bit
+    of steps."""
+    for i in range(steps.bit_length()):
+        if steps >> i & 1:
+            power, total = _DOUBLINGS[i]
+            state = power * state + total * inc & _M128
+    return state
+
+
 _MULT_HI, _MULT_LO = (np.uint64(x[0]) for x in _split([_PCG_MULT]))
 
 
@@ -276,20 +300,21 @@ class Streams:
     def _restate(self, lane: int, words: int) -> None:
         """Set self._pcg to where the lane's stream is once it has read
         `words` words: its spawn state moved on words // 2 outputs, and for
-        an odd count the high half of the next one buffered as next_uint32
-        keeps it."""
+        an odd count one output more, whose high half is buffered as
+        next_uint32 keeps it.  The state is computed here and set with one
+        write."""
         s_hi, s_lo, i_hi, i_lo = (int(x[lane]) for x in self._spawned)
-        state = {"bit_generator": "PCG64",
-                 "state": {"state": s_hi << 64 | s_lo,
-                           "inc": i_hi << 64 | i_lo},
-                 "has_uint32": 0, "uinteger": 0}
-        self._pcg.state = state
-        self._pcg.advance(words // 2)
+        inc = i_hi << 64 | i_lo
+        state = _advance(s_hi << 64 | s_lo, inc, (words + 1) // 2)
+        high = 0
         if words % 2:
-            high = int(self._pcg.random_raw()) >> 32
-            state = self._pcg.state
-            state.update(has_uint32=1, uinteger=high)
-            self._pcg.state = state
+            # the XSL RR output of the new state, rotated right by its top
+            # six bits
+            xored, rot = (state >> 64 ^ state) & _M64, state >> 122
+            high = ((xored >> rot | xored << (64 - rot)) & _M64) >> 32
+        self._pcg.state = {"bit_generator": "PCG64",
+                           "state": {"state": state, "inc": inc},
+                           "has_uint32": words % 2, "uinteger": high}
 
     def choice(self, pop: np.ndarray, size: int) -> np.ndarray:
         """(lanes, size) int64: Generator.choice(pool, size, replace=False)

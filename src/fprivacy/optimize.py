@@ -1,15 +1,16 @@
 """Bucket-setting search: optimal two-size, recursive multi-size, baselines.
 
 The two-size search walks size pairs in ascending order and, for each pair,
-cuts the candidate list to the prefix below the incumbent loss and asks
-``fprivacy.gamma``'s kernels for its first valid position.  Three pruning
-modes exist so their agreement can be checked: "full" uses the loss prefix
-plus the kernels' closed forms (each size's fill limit, found once per
-search, and the linear allocation bounds), "loss" uses the prefix with a
-linear scan, and "none" scans every list end to end.  A bucket of
-size s loses (s-1)^2/s per record, which grows with s, so "full" and "loss"
-stop the walk at the first s1 where n(s1-1)^2/s1 reaches the incumbent loss:
-no setting of larger sizes can beat it.  "none" walks every pair.
+cuts the candidate list to the prefix below the incumbent loss and looks for
+its first valid position.  Three pruning modes exist so their agreement can
+be checked: "full" walks blocks of pairs with ``fprivacy.gamma``'s block
+kernels (each size's fill limit, found once per search, and the linear
+allocation bounds), and gives the setting, trace and probes of a walk one
+pair at a time; "loss" walks one pair at a time, scanning each prefix; and
+"none" scans every list end to end.  A bucket of size s loses (s-1)^2/s per
+record, which grows with s, so "full" and "loss" stop the walk at the first
+s1 where n(s1-1)^2/s1 reaches the incumbent loss: no setting of larger
+sizes can beat it.  "none" walks every pair.
 
 A brute-force oracle checked by the subset-cut test (Gale 1957) and the
 classic equal-size baseline round out the module.
@@ -17,6 +18,7 @@ classic equal-size baseline round out the module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -31,14 +33,18 @@ from .core import (
     PrivacySpec,
     histogram,
     smallest_admitting_size,
+    threshold_slots,
     value_slots,
 )
 from .gamma import (
+    NO_BOUND,
+    build_block,
     build_gamma,
-    fill_limit,
-    first_valid_pos,
+    fill_interval,
+    fill_limits,
     first_valid_scan,
     loss_prefix,
+    pc_bounds,
 )
 from .validate import (
     BucketGroup,
@@ -60,6 +66,9 @@ __all__ = [
 ]
 
 PRUNING_MODES = ("full", "loss", "none")
+# cells of each table that mode "full" builds: a block's (pairs x s1)
+# residues, and the (sizes or pairs x values) slots of its kernel passes
+_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -117,28 +126,25 @@ def two_size_bucketing(counts: np.ndarray, spec: PrivacySpec, cfg: SearchConfig,
     n = int(counts.sum())
     if n < 1:
         raise ConfigError("cannot search an empty table")
-    # per size: its value slots and, in "full" mode, its fill limit
-    slots_cache: dict[int, tuple[np.ndarray, Optional[int]]] = {}
+    # a size above n + 1 takes no bucket, giving a setting that its pair with
+    # n + 1 gave first, so the sizes stop there
+    max_size = min(cfg.max_size, n + 1)
+    if pruning == "full":
+        return _block_walk(counts, spec, cfg.min_size, max_size)
+    # "loss" and "none" walk one pair at a time: the reference "full" is
+    # checked against
+    slots_cache: dict[int, np.ndarray] = {}
 
-    def slots(size: int) -> tuple[np.ndarray, Optional[int]]:
-        nonlocal evals
+    def slots(size: int) -> np.ndarray:
         got = slots_cache.get(size)
         if got is None:
-            u = value_slots(spec, size)
-            limit = None
-            if pruning == "full":
-                limit, probes = fill_limit(size, u, counts)
-                evals += probes
-            got = slots_cache[size] = (u, limit)
+            got = slots_cache[size] = value_slots(spec, size)
         return got
 
     best_setting = None
     best_loss = math.inf
     evals = 0
     trace = []
-    # a size above n + 1 takes no bucket, giving a setting that its pair with
-    # n + 1 gave first, so the sizes stop there
-    max_size = min(cfg.max_size, n + 1)
     for s1 in range(cfg.min_size, max_size):
         # n records in buckets of size >= s1 lose at least n(s1-1)^2/s1
         if pruning != "none" and n * (s1 - 1) ** 2 >= best_loss * s1:
@@ -155,12 +161,8 @@ def two_size_bucketing(counts: np.ndarray, spec: PrivacySpec, cfg: SearchConfig,
                     trace.append((s1, s2, best_loss))
                     continue
                 kp = prefix - 1
-            (u1, lim1), (u2, lim2) = slots(s1), slots(s2)
-            if pruning == "full":
-                pos, probes = first_valid_pos(g, kp, lim1, lim2, u1, u2,
-                                              counts)
-            else:
-                pos, probes = first_valid_scan(g, kp, u1, u2, counts)
+            pos, probes = first_valid_scan(g, kp, slots(s1), slots(s2),
+                                           counts)
             evals += int(probes)
             if pos >= 0:
                 loss = g.loss_at(int(pos))
@@ -172,6 +174,149 @@ def two_size_bucketing(counts: np.ndarray, spec: PrivacySpec, cfg: SearchConfig,
     if best_setting is None:
         return None
     return SearchResult(best_setting, evals, tuple(trace))
+
+
+def _block_walk(counts, spec, min_size, max_size):
+    """Mode "full": the walk of mode "loss" over blocks of size pairs in
+    walk order, with gamma's block kernels.
+
+    A block's lists, loss prefixes and fill intervals are computed at once
+    against the incumbent at the block's start.  A pair whose fill interval
+    starts past that prefix cannot win and is skipped.  The others run
+    through pc_bounds in groups within one s1 row, each group against the
+    incumbent so far; the s1 stop rule is checked at each row start.  A
+    pair's first valid position does not depend on the incumbent, only
+    whether it wins does, so the incumbent each pair meets is then rebuilt
+    with np.minimum.accumulate in walk order, and the probes are counted
+    from the prefix it leaves: every fill probe of a size that a pair with
+    a nonzero prefix uses, and m for each such pair whose fill interval
+    meets its prefix.
+    """
+    n, m = int(counts.sum()), len(counts)
+    o, t, w = _value_kinds(counts, spec.thresholds)
+    group = max(1, _CELLS // len(o))  # sizes or pairs per (group x o) pass
+    # per size: fill limit (-1 until a block needs it), its probes, and
+    # whether a pair with a nonzero prefix used it
+    limit = np.full(max_size + 1, -1, dtype=np.int64)
+    probes = np.zeros(max_size + 1, dtype=np.int64)
+    used = np.zeros(max_size + 1, dtype=bool)
+    best, won, evals = NO_BOUND, None, 0
+    end = max_size  # rows s1 < end are walked
+    walked = []  # per block: its pairs and the incumbent after each
+    s1, s2 = min_size, min_size + 1
+    while s1 < end:
+        # until a setting is found, a block holds one row, so that the
+        # setting it finds prunes the next block's lists
+        block, (s1, s2) = _next_block(n, s1, s2, end, max_size,
+                                      one_row=best == NO_BOUND)
+        kp = block.prefix_end(best)
+        live = np.flatnonzero(kp >= 0)
+        part = block.take(live)
+        sizes = np.concatenate((part.size1, part.size2))
+        new = np.sort(sizes[limit[sizes] < 0])
+        new = new[new != np.concatenate(([0], new[:-1]))]
+        for at in range(0, len(new), group):
+            chunk = new[at:at + group]
+            limit[chunk], probes[chunk] = fill_limits(
+                chunk, _slots(t, chunk), o, w)
+        lo, hi = fill_interval(part, limit[part.size1], limit[part.size2])
+        top = np.minimum(hi, kp[live])
+        # a pair can win only if the loss where its fill interval starts
+        # is below the incumbent
+        start_loss = part.loss_first + lo * part.loss_step
+        todo = np.flatnonzero(lo <= top)
+        pos = np.full(len(block), -1)
+        row_best = best
+        while len(todo) and part.size1[todo[0]] < end:
+            row_s1 = int(part.size1[todo[0]])
+            cut = np.searchsorted(part.size1[todo], row_s1, "right")
+            run, todo = todo[:min(cut, group)], todo[min(cut, group):]
+            fit, fit_hi = pc_bounds(part.take(run), lo[run], top[run],
+                                    _slots(t, row_s1),
+                                    _slots(t, part.size2[run]), o)
+            run, fit = run[fit <= fit_hi], fit[fit <= fit_hi]
+            pos[live[run]] = fit
+            fit_loss = part.loss_first[run] + fit * part.loss_step[run]
+            if len(fit_loss) and fit_loss.min() < row_best:
+                row_best = int(fit_loss.min())
+                todo = todo[start_loss[todo] < row_best]
+                # the s1 stop rule, for the rows after this one
+                end = row_s1 + 1
+                while end < max_size and n * (end - 1) ** 2 < row_best * end:
+                    end += 1
+        # the pairs of rows at or past the stop are not walked
+        keep = int(np.searchsorted(block.size1, end))
+        loss = np.where(pos >= 0, block.loss_first + pos * block.loss_step,
+                        NO_BOUND)[:keep]
+        after = np.minimum.accumulate(np.concatenate(([best], loss)))
+        met = int(np.searchsorted(live, keep))
+        kp = part.prefix_end(after[np.minimum(live, keep)])[:met]
+        used[part.size1[:met][kp >= 0]] = True
+        used[part.size2[:met][kp >= 0]] = True
+        evals += m * int(np.count_nonzero(lo[:met] <= np.minimum(hi[:met],
+                                                                  kp)))
+        if after[-1] < best:
+            j = int(loss.argmin())
+            b1, b2 = block[j].pair_at(int(pos[j]))
+            won = BucketSetting.of((int(block.size1[j]), b1),
+                                   (int(block.size2[j]), b2))
+            best = int(after[-1])
+        walked.append((block.size1[:keep], block.size2[:keep], after[1:]))
+    if won is None:
+        return None
+    # the incumbent changes a few times: one Python value per run of it
+    incumbent = np.concatenate([after for _, _, after in walked])
+    runs = np.flatnonzero(np.diff(incumbent, prepend=-1))
+    values = [math.inf if v == NO_BOUND else v
+              for v in incumbent[runs].tolist()]
+    trace = zip(np.concatenate([s1 for s1, _, _ in walked]).tolist(),
+                np.concatenate([s2 for _, s2, _ in walked]).tolist(),
+                itertools.chain.from_iterable(map(
+                    itertools.repeat, values,
+                    np.diff(runs, append=len(incumbent)).tolist())))
+    return SearchResult(won, evals + int(probes[used].sum()), tuple(trace))
+
+
+def _next_block(n, s1, s2, end, max_size, one_row):
+    """The block of size pairs that starts at (s1, s2) in walk order, and
+    the pair after it.  It holds rows s1 < end of sizes up to max_size, as
+    many pairs as keep its residue table within _CELLS cells, and ends at
+    its first row's end if one_row."""
+    firsts, starts, takes = [], [], []
+    while s1 < end and not (one_row and firsts):
+        room = max(1, _CELLS // s1) - sum(takes)
+        if room <= 0:
+            break
+        firsts.append(s1)
+        starts.append(s2)
+        takes.append(min(room, max_size + 1 - s2))
+        s2 += takes[-1]
+        if s2 > max_size:
+            s1, s2 = s1 + 1, s1 + 2
+    offsets = np.cumsum([0] + takes[:-1])
+    sizes2 = np.arange(sum(takes)) + np.repeat(np.subtract(starts, offsets),
+                                               takes)
+    return build_block(n, np.repeat(firsts, takes), sizes2), (s1, s2)
+
+
+def _value_kinds(counts, thresholds):
+    """The distinct (count, threshold) pairs of the values that have
+    records, and how many values share each.  The searches see each pair
+    once: a value without records constrains no setting, and values alike
+    constrain it alike."""
+    has = counts > 0
+    o, t = counts[has], thresholds[has]
+    order = np.lexsort((t, o))
+    o, t = o[order], t[order]
+    first = np.flatnonzero((np.diff(o, prepend=-1) != 0)
+                           | (np.diff(t, prepend=-1.0) != 0))
+    return o[first], t[first], np.diff(first, append=len(o))
+
+
+def _slots(thresholds, sizes) -> np.ndarray:
+    """value_slots of each size, one row per size of an array."""
+    sizes = np.asarray(sizes)
+    return threshold_slots(thresholds, sizes[..., None]).astype(np.int64)
 
 
 def two_size_parts(table: MicrodataTable, spec: PrivacySpec,

@@ -228,6 +228,49 @@ def gamma_first_covering(n, size1, size2):
     return None
 
 
+def fill_limit_reference(size, u, o):
+    """Reference (fill limit, probes) of one size: the bisection the search
+    ran one size at a time before its lock-step form, probing whether b
+    buckets of the size can be filled with min(u*b, o) records per value."""
+    ok, bad = 0, int(o.sum()) // size + 1
+    probes = 0
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        probes += 1
+        if int(np.minimum(u * mid, o).sum()) >= size * mid:
+            ok = mid
+        else:
+            bad = mid
+    return ok, probes
+
+
+def full_search_probes(h, spec, trace):
+    """Reference cond_evals of pruning mode "full", replayed pair by pair
+    from a "loss" search's trace: both fill bisections of every size that a
+    pair with a nonzero loss prefix uses, once per size, and one probe per
+    value for each such pair whose fill interval meets its prefix."""
+    from fprivacy.core import value_slots
+    from fprivacy.gamma import build_gamma, loss_prefix
+
+    n = int(h.sum())
+    fill = {}
+    evals = 0
+    best = math.inf
+    for s1, s2, after in trace:
+        g = build_gamma(n, s1, s2)
+        kp = loss_prefix(g, best) - 1
+        if kp >= 0:
+            for size in (s1, s2):
+                if size not in fill:
+                    fill[size] = fill_limit_reference(
+                        size, value_slots(spec, size), h)
+            lo = max(0, -((fill[s1][0] - g.b1_first) // g.step1))
+            hi = min(kp, (fill[s2][0] - g.b2_first) // g.step2)
+            evals += len(h) * (lo <= hi)
+        best = after
+    return evals + sum(probes for _, probes in fill.values())
+
+
 def enumerate_settings_recursive(n, min_size, max_size, max_q):
     """Reference enumeration of settings of <= max_q distinct sizes in
     [min_size, max_size] covering n, recursing into every count of every

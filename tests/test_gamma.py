@@ -1,4 +1,8 @@
-"""Tests for the two-size candidate list and the search kernels over it."""
+"""Tests for the two-size candidate list and the search kernels over it.
+
+The kernels work on blocks of size pairs; the region tests below run them
+on one pair per block and check them against first_valid_scan and brute
+force."""
 
 import math
 
@@ -7,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gamma_first_covering
+from conftest import fill_limit_reference, gamma_first_covering
 from fprivacy import gamma
 from fprivacy.core import ConfigError, PrivacySpec, histogram, value_slots
 from fprivacy.gamma import GammaList, build_gamma, loss_prefix
@@ -45,10 +49,38 @@ def kernel_args(g, h, p):
     return value_slots(p, g.size1), value_slots(p, g.size2), h
 
 
+def block_of(g):
+    """g as a block of one pair, from gamma.build_block."""
+    block = gamma.build_block(g.n, [g.size1], [g.size2])
+    assert len(block) == 1 and block[0] == g
+    return block
+
+
+def fill_limit(size, u, o):
+    """One size's (fill limit, probes) from gamma.fill_limits."""
+    limits, probes = gamma.fill_limits([size], u[None, :], o,
+                                       np.ones_like(o))
+    return int(limits[0]), int(probes[0])
+
+
 def fill_limits(g, h, p):
-    """Both sizes' (fill limit, probes) from gamma.fill_limit."""
-    return tuple(gamma.fill_limit(size, value_slots(p, size), h)
+    """Both sizes' (fill limit, probes)."""
+    return tuple(fill_limit(size, value_slots(p, size), h)
                  for size in (g.size1, g.size2))
+
+
+def first_valid_pos(g, kp, lim1, lim2, u1, u2, o):
+    """First position in [0, kp] of g passing every constraint, given both
+    sizes' fill limits, from the block kernels on g as a one-pair block:
+    pc_bounds over the fill interval within the prefix.  Returns (position
+    or -1, probes), the probes being one per value when that interval is
+    nonempty, as the search counts them."""
+    block = block_of(g)
+    lo, hi = gamma.fill_interval(block, lim1, np.array([lim2]))
+    hi = np.minimum(hi, kp)
+    probes = len(o) if lo[0] <= hi[0] else 0
+    lo, hi = gamma.pc_bounds(block, lo, hi, u1, u2[None, :], o)
+    return (int(lo[0]) if lo[0] <= hi[0] else -1), probes
 
 
 def pos_args(g, h, p):
@@ -65,17 +97,24 @@ def fill_positions(g, h, p, kp):
             if g.pair_at(pos)[0] <= lim1 and g.pair_at(pos)[1] <= lim2]
 
 
+def allocation_bounds(g, kp, u1, u2, o):
+    """gamma.pc_bounds over [0, kp] of g as a one-pair block, as ints."""
+    lo, hi = gamma.pc_bounds(block_of(g), np.array([0]), np.array([kp]),
+                             u1, u2[None, :], o)
+    return int(lo[0]), int(hi[0])
+
+
 def pc_bounds(g, h, p, kp, value):
-    """pc_bounds of one value, as length-1 arrays."""
+    """pc_bounds of one value, as ints."""
     u1, u2, o = kernel_args(g, h, p)
     one = slice(value, value + 1)
-    return gamma.pc_bounds(g, kp, u1[one], u2[one], o[one])
+    return allocation_bounds(g, kp, u1[one], u2[one], o[one])
 
 
 def region_positions(g, h, p, kp):
     """Positions in [0, kp] inside the fill limits and every value's
     allocation interval."""
-    lo, hi = gamma.pc_bounds(g, kp, *kernel_args(g, h, p))
+    lo, hi = allocation_bounds(g, kp, *kernel_args(g, h, p))
     return [pos for pos in fill_positions(g, h, p, kp) if lo <= pos <= hi]
 
 
@@ -226,7 +265,7 @@ class TestRegions:
         assert loss_prefix(g, best_loss=0) == 0
         # a one-position prefix confines every kernel to position 0
         assert fill_positions(g, h, p, 0) == [0]
-        assert gamma.first_valid_pos(g, 0, *pos_args(g, h, p))[0] == 0
+        assert first_valid_pos(g, 0, *pos_args(g, h, p))[0] == 0
         assert gamma.first_valid_scan(g, 0, *kernel_args(g, h, p))[0] == 0
 
     def test_pc_region_matches_brute_scan(self):
@@ -263,8 +302,7 @@ class TestRegions:
             expected = scan_valid_positions(g, h, p, prefix)
             if prefix > 0:
                 assert region_positions(g, h, p, prefix - 1) == expected
-                pos, _ = gamma.first_valid_pos(g, prefix - 1,
-                                               *pos_args(g, h, p))
+                pos, _ = first_valid_pos(g, prefix - 1, *pos_args(g, h, p))
                 assert pos == (expected[0] if expected else -1)
             else:
                 assert expected == []
@@ -280,7 +318,7 @@ class TestRegions:
             g = build_gamma(int(h.sum()), s1, s2)
             if g is None:
                 continue
-            pos, _ = gamma.first_valid_pos(g, g.last_index, *pos_args(g, h, p))
+            pos, _ = first_valid_pos(g, g.last_index, *pos_args(g, h, p))
             expected = scan_valid_positions(g, h, p, len(g))
             if expected:
                 assert pos == expected[0]
@@ -297,8 +335,7 @@ class TestRegions:
             g = build_gamma(50, s1, s2)
             if g is not None:
                 assert region_positions(g, h, p, g.last_index) == []
-                pos, _ = gamma.first_valid_pos(g, g.last_index,
-                                               *pos_args(g, h, p))
+                pos, _ = first_valid_pos(g, g.last_index, *pos_args(g, h, p))
                 assert pos == -1
 
     def test_fused_kernel_agrees_with_region(self):
@@ -309,7 +346,7 @@ class TestRegions:
             if g is None:
                 continue
             region = region_positions(g, h, p, g.last_index)
-            pos, _ = gamma.first_valid_pos(g, g.last_index, *pos_args(g, h, p))
+            pos, _ = first_valid_pos(g, g.last_index, *pos_args(g, h, p))
             scan_pos, _ = gamma.first_valid_scan(g, g.last_index,
                                                  *kernel_args(g, h, p))
             if not region:
@@ -324,7 +361,7 @@ class TestRegions:
             g = build_gamma(int(h.sum()), s1, s2)
             if g is None:
                 continue
-            _, probes = gamma.first_valid_pos(g, g.last_index, *pos_args(g, h, p))
+            _, probes = first_valid_pos(g, g.last_index, *pos_args(g, h, p))
             probes += sum(fill_probes for _, fill_probes in fill_limits(g, h, p))
             bound = (3 * len(h) + 2) * (math.ceil(math.log2(len(g))) + 4)
             assert probes <= bound
@@ -345,7 +382,7 @@ class TestRegions:
         if g is None:
             return
         kp = int(cut * g.last_index)
-        pos, _ = gamma.first_valid_pos(g, kp, *pos_args(g, h, p))
+        pos, _ = first_valid_pos(g, kp, *pos_args(g, h, p))
         scan_pos, _ = gamma.first_valid_scan(g, kp, *kernel_args(g, h, p))
         valid = scan_valid_positions(g, h, p, kp + 1)
         assert pos == scan_pos == (valid[0] if valid else -1)
@@ -367,9 +404,9 @@ class TestRegions:
             return
         u1 = np.array([a for a, _ in slots[:len(o)]], dtype=np.int64)
         u2 = np.array([b for _, b in slots[:len(o)]], dtype=np.int64)
-        lim1, _ = gamma.fill_limit(g.size1, u1, o)
-        lim2, _ = gamma.fill_limit(g.size2, u2, o)
-        pos, _ = gamma.first_valid_pos(g, g.last_index, lim1, lim2, u1, u2, o)
+        lim1, _ = fill_limit(g.size1, u1, o)
+        lim2, _ = fill_limit(g.size2, u2, o)
+        pos, _ = first_valid_pos(g, g.last_index, lim1, lim2, u1, u2, o)
         scan_pos, _ = gamma.first_valid_scan(g, g.last_index, u1, u2, o)
         assert pos == scan_pos
 
@@ -383,7 +420,7 @@ class TestRegions:
         top = int(o.sum()) // size + 1
         passing = [b for b in range(top + 1)
                    if gamma._fill_ok(b, size, u, o)]
-        limit, _ = gamma.fill_limit(size, u, o)
+        limit, _ = fill_limit(size, u, o)
         assert limit == max(passing)
         assert passing == list(range(limit + 1))
 
@@ -398,10 +435,74 @@ class TestRegions:
         if g is None:
             return
         kp = int(cut * g.last_index)
-        lo, hi = gamma.pc_bounds(
+        lo, hi = allocation_bounds(
             g, kp, np.array([u1], dtype=np.int64),
             np.array([u2], dtype=np.int64), np.array([count], dtype=np.int64))
         expected = [pos for pos in range(kp + 1)
                     if min(u1 * g.pair_at(pos)[0], count)
                     + min(u2 * g.pair_at(pos)[1], count) >= count]
         assert [pos for pos in range(kp + 1) if lo <= pos <= hi] == expected
+
+
+class TestBlocks:
+    """A block of many pairs gives each pair what a block of it alone, or
+    its GammaList, gives."""
+
+    @given(n=st.integers(1, 400), s1=st.integers(1, 30),
+           spans=st.lists(st.integers(1, 60), min_size=1, max_size=12),
+           best=st.integers(0, 20000))
+    @settings(max_examples=200, deadline=None)
+    def test_block_entries_are_the_gamma_lists(self, n, s1, spans, best):
+        sizes1 = [s1 + span % 3 for span in spans]
+        sizes2 = [a + span for a, span in zip(sizes1, spans)]
+        block = gamma.build_block(n, sizes1, sizes2)
+        lists = [g for a, b in zip(sizes1, sizes2)
+                 if (g := build_gamma(n, a, b)) is not None]
+        assert [block[j] for j in range(len(block))] == lists
+        for bound in (best, gamma.NO_BOUND):
+            assert block.prefix_end(bound).tolist() == \
+                [loss_prefix(g, math.inf if bound == gamma.NO_BOUND
+                             else bound) - 1 for g in lists]
+
+    def test_block_refuses_bad_pairs(self):
+        with pytest.raises(ConfigError):
+            gamma.build_block(10, [3], [3])
+        with pytest.raises(ConfigError):
+            gamma.build_block(0, [2], [4])
+
+    @given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+           slots=st.lists(st.lists(st.integers(0, 12), min_size=8,
+                                   max_size=8), min_size=1, max_size=6),
+           sizes=st.lists(st.integers(1, 12), min_size=6, max_size=6),
+           weights=st.lists(st.integers(1, 4), min_size=8, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_lock_step_fill_limits_match_one_size_at_a_time(
+            self, counts, slots, sizes, weights):
+        """Each size keeps its own interval and step count, and a column of
+        weight w counts as w equal values."""
+        o = np.array(counts, dtype=np.int64)
+        u = np.array([row[:len(o)] for row in slots], dtype=np.int64)
+        w = np.array(weights[:len(o)], dtype=np.int64)
+        sizes = sizes[:len(u)]
+        limits, probes = gamma.fill_limits(sizes, u, o, w)
+        assert list(zip(limits.tolist(), probes.tolist())) == \
+            [fill_limit_reference(size, np.repeat(row, w), np.repeat(o, w))
+             for size, row in zip(sizes, u)]
+
+    def test_pc_bounds_of_a_block_match_its_pairs(self):
+        rng = np.random.default_rng(66)
+        for _ in range(100):
+            h, p, s1, _ = gamma_instance(rng)
+            sizes2 = np.arange(s1 + 1, s1 + 9)
+            block = gamma.build_block(int(h.sum()), np.full(8, s1), sizes2)
+            if not len(block):
+                continue
+            u2 = np.stack([value_slots(p, s) for s in block.size2])
+            lo = rng.integers(0, 3, len(block))
+            hi = block.last_index - rng.integers(0, 3, len(block))
+            got = gamma.pc_bounds(block, lo, hi, value_slots(p, s1), u2, h)
+            for j in range(len(block)):
+                one = gamma.pc_bounds(block.take([j]), lo[j:j + 1],
+                                      hi[j:j + 1], value_slots(p, s1),
+                                      u2[j:j + 1], h)
+                assert (got[0][j], got[1][j]) == (one[0][0], one[1][0])

@@ -1,12 +1,15 @@
 """Tests for the bucket-setting searches and the equal-size baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (assignment_complies, enumerate_settings_recursive,
-                      random_instance, table_from_counts, tight_value_instance)
+                      full_search_probes, random_instance, table_from_counts,
+                      tight_value_instance)
 
 from fprivacy.core import (
     BudgetExceededError,
@@ -126,15 +129,41 @@ class TestTwoSize:
         assert solved > 60
 
     def test_pruning_modes_agree(self):
+        """Every mode finds the same loss; "full" and "loss" walk the same
+        pairs to the same setting."""
         rng = np.random.default_rng(77)
         cfg = SearchConfig(1, 10)
         for _ in range(120):
             h, p = random_instance(rng)
-            losses = set()
-            for mode in PRUNING_MODES:
-                res = two_size_bucketing(h, p, cfg, pruning=mode)
-                losses.add(None if res is None else res.loss)
-            assert len(losses) == 1
+            found = {mode: two_size_bucketing(h, p, cfg, pruning=mode)
+                     for mode in PRUNING_MODES}
+            assert len({None if res is None else res.loss
+                        for res in found.values()}) == 1
+            full, loss = found["full"], found["loss"]
+            if full is not None:
+                assert full.setting == loss.setting
+                assert full.trace == loss.trace
+
+    @given(counts=st.lists(st.integers(0, 15), min_size=1, max_size=7),
+           scale=st.floats(0.5, 3.0), floor=st.floats(0.02, 0.6),
+           lo=st.integers(1, 6), span=st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_block_walk_replays_the_pair_walk(self, counts, scale, floor,
+                                              lo, span):
+        """"full" gives "loss"'s setting and trace on random histograms and
+        size ranges, and the probes a pair-by-pair replay counts."""
+        if sum(counts) == 0:
+            counts[0] = 1
+        h = np.array(counts, dtype=np.int64)
+        p = PrivacySpec(np.minimum(1.0, np.maximum(h / h.sum() * scale,
+                                                   floor)))
+        cfg = SearchConfig(lo, lo + span)
+        full = two_size_bucketing(h, p, cfg, pruning="full")
+        loss = two_size_bucketing(h, p, cfg, pruning="loss")
+        assert (full is None) == (loss is None)
+        if full is not None:
+            assert (full.setting, full.trace) == (loss.setting, loss.trace)
+            assert full.cond_evals == full_search_probes(h, p, loss.trace)
 
     def test_full_pruning_needs_fewer_evaluations_on_long_lists(self):
         from fprivacy.gamma import build_gamma
@@ -195,6 +224,36 @@ class TestTwoSize:
         assert res.loss == 1_023_104
         assert res.cond_evals == 8_031
         assert len(res.trace) == 611
+
+    def test_full_search_pinned_past_the_default_size_range(self):
+        """The same search up to size 1,000: many blocks per row, and rows
+        that need the fill limit of nearly every size."""
+        h = histogram(gen_synthetic(50_000, 500, 0.9, [8, 8], 1))
+        p = linear_privacy_spec(h, theta=2.0, intercept=0.04)
+        res = two_size_bucketing(h, p, SearchConfig.for_spec(p, max_size=1000))
+        assert res.setting == BucketSetting.of((17, 950), (25, 1354))
+        assert res.cond_evals == 14_994
+        assert len(res.trace) == 16_048
+
+    def test_block_walk_holds_one_block_at_a_time(self):
+        """At max_size 10**9 the 2,000-record walk reaches size 2,001.  The
+        slots of every size (2,001 x 1,000 int64, 16 MB) or one int64 array
+        over every size pair (16 MB) would pass the bound; the walk holds a
+        block, the per-size fill limits and the trace."""
+        h = histogram(gen_synthetic(2000, 1000, 0.9, [8, 8], 1))
+        p = linear_privacy_spec(h, theta=2.0, intercept=0.04)
+        cfg = SearchConfig.for_spec(p, max_size=10**9)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            res = two_size_bucketing(h, p, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.setting == BucketSetting.of((24, 50), (25, 32))
+        assert len(res.trace) == 13_113
+        assert peak - before < 8 * 2**20
 
     def test_empty_histogram_rejected(self):
         h = np.zeros(2, dtype=np.int64)
